@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .automaton import EPS, ParityAutomaton, Transition, UPWord
-from .lang import incl_nd_in_det
+from .lang import incl_nd_in_det, incl_nd_in_det_holds
 from .witnesses import CompletionFailure, NotPositional, Positional
 
 
@@ -210,18 +210,18 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
                     current,
                     transitions=current.transitions + (Transition(q, EPS, x, p),),
                 )
-                r1 = incl_nd_in_det(with_even, w_det)
-                if r1 is True:
+                if incl_nd_in_det_holds(with_even, w_det):
                     current = with_even
                     continue
                 with_odd = replace(
                     current,
                     transitions=current.transitions + (Transition(p, EPS, x + 1, q),),
                 )
-                r2 = incl_nd_in_det(with_odd, w_det)
-                if r2 is True:
+                if incl_nd_in_det_holds(with_odd, w_det):
                     current = with_odd
                     continue
+                r1 = incl_nd_in_det(with_even, w_det)
+                r2 = incl_nd_in_det(with_odd, w_det)
                 return NotPositional(CompletionFailure(q, p, x, r1, r2, current))
     current = _close_relations(current, d)
     current = priority_close(current, d)

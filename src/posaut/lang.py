@@ -6,7 +6,10 @@ and safe-language inclusion.  Inclusion is decided on the product with the
 complement: the product accepts a common word iff for some even pair (x, y)
 its restriction to coordinate priorities >= (x, y) has a reachable SCC
 containing both a coordinate-1 priority-x and a coordinate-2 priority-y
-transition; the witness is a shortest lasso through both.
+transition; the witness is a shortest lasso through both.  The residual
+relations come from one such product over all pairs of states at once
+(`noninclusion_pairs`); counterexamples are built only for the pair a
+caller reports.
 """
 
 from __future__ import annotations
@@ -51,68 +54,58 @@ class _PEdge:
     pr2: int | None  # None when the second coordinate stuttered
 
 
-def _explore_product(a1: ParityAutomaton, q1: int, a2: ParityAutomaton, q2: int):
-    """Reachable product of a1 (may have eps) with deterministic a2.
+def _explore_product(a1: ParityAutomaton, a2: ParityAutomaton, starts):
+    """Product of a1 (may have eps) with deterministic a2, reachable from the
+    (q1, q2) pairs in `starts`, which get the first node ids in that order.
 
     Eps moves of a1 stutter a2 and carry no second-coordinate priority.
-    Returns (node index map, edge list, start id).
+    Returns (node index map, edge list).
     """
     nodes: dict[tuple[int, int], int] = {}
 
-    def nid(s, t):
-        key = (s, t)
+    def nid(key):
         if key not in nodes:
             nodes[key] = len(nodes)
+            queue.append(key)
         return nodes[key]
 
-    start = nid(q1, q2)
+    queue: deque[tuple[int, int]] = deque()
+    for key in starts:
+        nid(key)
     edges: list[_PEdge] = []
-    queue = deque([(q1, q2)])
-    seen = {(q1, q2)}
     while queue:
         s, t = queue.popleft()
         sid = nodes[(s, t)]
         for tr in a1.by_src[s]:
             if tr.is_eps:
-                tgt = (tr.dst, t)
-                e = _PEdge(sid, nid(*tgt), EPS, tr.priority, None)
+                edges.append(_PEdge(sid, nid((tr.dst, t)), EPS, tr.priority, None))
             else:
                 u = a2.dsucc(t, tr.letter)
-                tgt = (tr.dst, u.dst)
-                e = _PEdge(sid, nid(*tgt), tr.letter, tr.priority, u.priority)
-            edges.append(e)
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    return nodes, edges, start
+                edges.append(
+                    _PEdge(sid, nid((tr.dst, u.dst)), tr.letter, tr.priority, u.priority)
+                )
+    return nodes, edges
 
 
-def _even_pair_lasso(nodes, edges, start) -> UPWord | None:
-    """Shortest lasso witnessing a cycle accepted by both coordinates.
+def _even_pair_sccs(n, edges):
+    """For each even pair (x, y): the edges with coordinate priorities
+    >= (x, y), their SCC map, and the accepting SCCs among them.
 
-    Coordinate-2 stutters (pr2 None) are allowed on the cycle but do not
-    count towards the required priority-y transition, which automatically
-    excludes cycles that are all-eps in coordinate 1.
+    An SCC is accepting when it holds a coordinate-1 priority-x edge and a
+    coordinate-2 priority-y edge inside it; it maps to those anchor edges.
+    Coordinate-2 stutters (pr2 None) may lie on its cycles but never anchor
+    them, which excludes cycles that are all-eps in coordinate 1.  The
+    product accepts a common word from a node iff the node reaches an
+    accepting SCC of some even pair.
     """
-    n = len(nodes)
-    pr1s = sorted({e.pr1 for e in edges})
-    pr2s = sorted({e.pr2 for e in edges if e.pr2 is not None})
-    best: tuple[int, tuple, tuple] | None = None  # (length, u, v)
-    dist_from_start, pred = _bfs_tree(n, edges, start)
+    pr1s = sorted({e.pr1 for e in edges if e.pr1 % 2 == 0})
+    pr2s = sorted({e.pr2 for e in edges if e.pr2 is not None and e.pr2 % 2 == 0})
     for x in pr1s:
-        if x % 2 != 0:
-            continue
         for y in pr2s:
-            if y % 2 != 0:
-                continue
-            sub = [
-                e
-                for e in edges
-                if e.pr1 >= x and (e.pr2 is None or e.pr2 >= y)
-            ]
+            sub = [e for e in edges if e.pr1 >= x and (e.pr2 is None or e.pr2 >= y)]
             comp_of = _scc_map(n, sub)
-            comps_x = {}
-            comps_y = {}
+            comps_x: dict[int, list[_PEdge]] = {}
+            comps_y: dict[int, list[_PEdge]] = {}
             for e in sub:
                 if comp_of[e.src] == comp_of[e.dst]:
                     c = comp_of[e.src]
@@ -120,21 +113,26 @@ def _even_pair_lasso(nodes, edges, start) -> UPWord | None:
                         comps_x.setdefault(c, []).append(e)
                     if e.pr2 == y:
                         comps_y.setdefault(c, []).append(e)
-            for c in sorted(set(comps_x) & set(comps_y)):
-                anchor = comps_x[c][0]
-                if dist_from_start[anchor.src] < 0:
-                    continue
-                cyc = _cycle_through(sub, comp_of, c, comps_x[c], comps_y[c])
-                if cyc is None:
-                    continue
-                entry, cycle_edges = cyc
-                u = _path_letters(pred, start, entry)
-                v = tuple(e.letter for e in cycle_edges if e.letter != EPS)
-                if not v:
-                    continue
-                cand = (len(u) + len(v), tuple(u), v)
-                if best is None or cand < best:
-                    best = cand
+            accepting = {
+                c: (comps_x[c], comps_y[c]) for c in sorted(comps_x.keys() & comps_y.keys())
+            }
+            yield sub, comp_of, accepting
+
+
+def _even_pair_lasso(nodes, edges, start) -> UPWord | None:
+    """Shortest lasso from `start` through an accepting SCC of some even pair,
+    or None; every node of the product must be reachable from `start`."""
+    n = len(nodes)
+    best: tuple[int, tuple, tuple] | None = None  # (length, u, v)
+    pred = _bfs_tree(n, edges, start)
+    for sub, comp_of, accepting in _even_pair_sccs(n, edges):
+        for c, (x_edges, y_edges) in accepting.items():
+            entry, cycle_edges = _cycle_through(sub, comp_of, c, x_edges, y_edges)
+            u = _path_letters(pred, start, entry)
+            v = tuple(e.letter for e in cycle_edges if e.letter != EPS)
+            cand = (len(u) + len(v), u, v)
+            if best is None or cand < best:
+                best = cand
     if best is None:
         return None
     return UPWord(best[1], best[2]).canonical()
@@ -144,18 +142,18 @@ def _bfs_tree(n, edges, start):
     adj = [[] for _ in range(n)]
     for e in edges:
         adj[e.src].append(e)
-    dist = [-1] * n
     pred: list[_PEdge | None] = [None] * n
-    dist[start] = 0
+    seen = [False] * n
+    seen[start] = True
     queue = deque([start])
     while queue:
         v = queue.popleft()
         for e in adj[v]:
-            if dist[e.dst] < 0:
-                dist[e.dst] = dist[v] + 1
+            if not seen[e.dst]:
+                seen[e.dst] = True
                 pred[e.dst] = e
                 queue.append(e.dst)
-    return dist, pred
+    return pred
 
 
 def _path_letters(pred, start, target):
@@ -163,8 +161,6 @@ def _path_letters(pred, start, target):
     v = target
     while v != start:
         e = pred[v]
-        if e is None:
-            return None
         if e.letter != EPS:
             letters.append(e.letter)
         v = e.src
@@ -236,9 +232,8 @@ def incl_det(a: ParityAutomaton, q: int, b: ParityAutomaton, p: int):
     """L(a from q) included in L(b from p)?  True, or a counterexample UPWord."""
     if not (a.deterministic and b.deterministic):
         raise ValueError("incl_det needs deterministic automata")
-    comp = complement_det(b)
-    nodes, edges, start = _explore_product(a, q, comp, p)
-    witness = _even_pair_lasso(nodes, edges, start)
+    nodes, edges = _explore_product(a, complement_det(b), [(q, p)])
+    witness = _even_pair_lasso(nodes, edges, 0)
     return True if witness is None else witness
 
 
@@ -249,10 +244,46 @@ def incl_nd_in_det(a: ParityAutomaton, b: ParityAutomaton, q=None, p=None):
         raise ValueError("right-hand side must be deterministic")
     q = a.initial if q is None else q
     p = b.initial if p is None else p
-    comp = complement_det(b)
-    nodes, edges, start = _explore_product(a, q, comp, p)
-    witness = _even_pair_lasso(nodes, edges, start)
+    nodes, edges = _explore_product(a, complement_det(b), [(q, p)])
+    witness = _even_pair_lasso(nodes, edges, 0)
     return True if witness is None else witness
+
+
+def incl_nd_in_det_holds(a: ParityAutomaton, b: ParityAutomaton) -> bool:
+    """Whether `incl_nd_in_det(a, b)` is True, without building a
+    counterexample."""
+    if not b.deterministic:
+        raise ValueError("right-hand side must be deterministic")
+    nodes, edges = _explore_product(a, complement_det(b), [(a.initial, b.initial)])
+    return not any(accepting for _, _, accepting in _even_pair_sccs(len(nodes), edges))
+
+
+def noninclusion_pairs(aut: ParityAutomaton, states) -> set[tuple[int, int]]:
+    """Every pair (q, p) of `states` with L(aut from q) not included in
+    L(aut from p): the pairs where `incl_det(aut, q, aut, p)` is not True.
+
+    One product of `aut` with its complement is explored from all start
+    pairs at once; a start pair is not included iff it reaches an accepting
+    SCC of some even pair, found by one backward search.
+    """
+    starts = [(q, p) for q in states for p in states]
+    nodes, edges = _explore_product(aut, complement_det(aut), starts)
+    n = len(nodes)
+    bad = [False] * n
+    for _, comp_of, accepting in _even_pair_sccs(n, edges):
+        for v in range(n):
+            if comp_of[v] in accepting:
+                bad[v] = True
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        radj[e.dst].append(e.src)
+    stack = [v for v in range(n) if bad[v]]
+    while stack:
+        for u in radj[stack.pop()]:
+            if not bad[u]:
+                bad[u] = True
+                stack.append(u)
+    return {key for key in starts if bad[nodes[key]]}
 
 
 def lang_equal_det(a: ParityAutomaton, b: ParityAutomaton):
@@ -330,39 +361,27 @@ def residual_preorder(aut: ParityAutomaton) -> ResidualPreorder:
 
     Unreachable states are excluded (reported in `dropped_unreachable`).
     When a pair is incomparable, `total` is False and the witness carries a
-    word in each difference.
+    word in each difference, for the first such pair q < p.
     """
-    reach = sorted(aut.reachable())
-    dropped = tuple(q for q in aut.states() if q not in set(reach))
-    states = reach
-    leq = {}
-    cex = {}
+    states = sorted(aut.reachable())
+    dropped = tuple(sorted(set(aut.states()) - set(states)))
+    out = noninclusion_pairs(aut, states)
     for q in states:
         for p in states:
-            if q == p:
-                leq[(q, p)] = True
-                continue
-            r = incl_det(aut, q, aut, p)
-            leq[(q, p)] = r is True
-            if r is not True:
-                cex[(q, p)] = r
-    for q in states:
-        for p in states:
-            if q < p and not leq[(q, p)] and not leq[(p, q)]:
+            if q < p and (q, p) in out and (p, q) in out:
                 return ResidualPreorder(
                     rank={},
                     total=False,
-                    incomparable_witness=(q, p, cex[(q, p)], cex[(p, q)]),
+                    incomparable_witness=(
+                        q, p, incl_det(aut, q, aut, p), incl_det(aut, p, aut, q)
+                    ),
                     dropped_unreachable=dropped,
                 )
     # totally preordered: rank = number of strictly smaller classes
-    rank = {}
-    for q in states:
-        rank[q] = sum(
-            1
-            for p in states
-            if leq[(p, q)] and not leq[(q, p)]
-        )
+    rank = {
+        q: sum(1 for p in states if (p, q) not in out and (q, p) in out)
+        for q in states
+    }
     # normalise ranks to 0..k-1
     values = sorted(set(rank.values()))
     renum = {v: i for i, v in enumerate(values)}
@@ -374,18 +393,16 @@ def residual_congruence(aut: ParityAutomaton) -> Congruence:
     """Language-equality classes of states (q ~ p iff L(q) = L(p)).
 
     Requires all states reachable; trim first.  Works for deterministic
-    automata via pairwise inclusion both ways.
+    automata.
     """
+    out = noninclusion_pairs(aut, aut.states())
     groups: list[list[int]] = []
     for q in aut.states():
-        placed = False
         for g in groups:
-            p = g[0]
-            if incl_det(aut, q, aut, p) is True and incl_det(aut, p, aut, q) is True:
+            if (q, g[0]) not in out and (g[0], q) not in out:
                 g.append(q)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([q])
     return congruence_from_classes(aut.n_states, groups)
 
@@ -472,17 +489,3 @@ def safe_incl(aut: ParityAutomaton, x: int, q: int, p: int):
                 prev[(s2, t2)] = ((s, t), a)
                 queue.append((s2, t2))
     return True
-
-
-def safe_language_classes(aut: ParityAutomaton, x: int, states) -> list[list[int]]:
-    """Group `states` by equal (<x)-safe language."""
-    groups: list[list[int]] = []
-    for q in states:
-        for g in groups:
-            p = g[0]
-            if safe_incl(aut, x, q, p) is True and safe_incl(aut, x, p, q) is True:
-                g.append(q)
-                break
-        else:
-            groups.append([q])
-    return groups

@@ -833,7 +833,7 @@ def _run_pipeline(aut, full_pc, collect_stats=None):
             if collect_stats is not None:
                 collect_stats["restarts"] = restarts
             return outcome
-        current = normalize(outcome)
+        current = normalize(outcome.trim())
         restarts += 1
 
 

@@ -160,6 +160,24 @@ def random_automaton(rng, n, letters, dmax=3, initial=0):
     return build(n, letters, initial, trans)
 
 
+def blowup(aut, k, seed):
+    """k copies of every state of the deterministic `aut`; each copied
+    transition goes to a copy of its target drawn by random.Random(seed).
+    The copies are bisimilar to their original, so the trimmed result
+    recognises the language of `aut`."""
+    from posaut.automaton import build
+
+    rng = random.Random(seed)
+    trans = [
+        (t.src * k + i, t.letter, t.priority, t.dst * k + rng.randrange(k))
+        for t in aut.transitions
+        for i in range(k)
+    ]
+    return build(
+        aut.n_states * k, aut.alphabet, aut.initial * k, trans, deterministic=True
+    ).trim()
+
+
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(12345)

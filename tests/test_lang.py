@@ -1,16 +1,29 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from posaut.automaton import build, up_membership, upword
+from posaut.automaton import (
+    EPS,
+    Transition,
+    build,
+    congruence_from_classes,
+    up_membership,
+    upword,
+)
+from posaut.epscomplete import decide_positionality_p2
 from posaut.lang import (
     complement_det,
     incl_det,
     incl_nd_in_det,
+    incl_nd_in_det_holds,
+    noninclusion_pairs,
     residual_automaton,
+    residual_congruence,
     residual_preorder,
     safe_incl,
 )
+from posaut.witnesses import CompletionFailure, NotPositional
 from posaut.zoo import (
     aut_accept_all,
     aut_buchi_a_or_reach_aa,
@@ -20,7 +33,13 @@ from posaut.zoo import (
     aut_reject_all,
 )
 
-from conftest import FIXTURES, random_upword
+from conftest import (
+    FIXTURES,
+    NOT_POSITIONAL_FIXTURES,
+    blowup,
+    random_automaton,
+    random_upword,
+)
 
 
 def test_complement_accept_all():
@@ -142,6 +161,85 @@ def test_residual_monotonicity(rng):
                         q2 = aut.run_state(q, w)
                         p2 = aut.run_state(p, w)
                         assert rp.rank[q2] <= rp.rank[p2], (name, q, p, w)
+
+
+def _pairwise_cases():
+    rng = random.Random(31)
+    cases = [
+        random_automaton(rng, rng.randint(2, 10), ("a", "b", "c")[: rng.randint(2, 3)],
+                         dmax=rng.randint(1, 5))
+        for _ in range(14)
+    ]
+    for name in ("inf_a_or_fin_bb", "buchi_a_or_reach_aa", "reach_aa", "first_letter_inf"):
+        cases += [blowup(FIXTURES[name][0](), k, seed) for k in (2, 3) for seed in (0, 1)]
+    return cases
+
+
+def _pairwise_preorder(aut, cex):
+    """Residual preorder from the `incl_det` counterexamples of all pairs."""
+    states = sorted(aut.reachable())
+    for q in states:
+        for p in states:
+            if q < p and (q, p) in cex and (p, q) in cex:
+                return {}, (q, p, cex[(q, p)], cex[(p, q)])
+    rank = {q: sum(1 for p in states if (p, q) not in cex and (q, p) in cex) for q in states}
+    renum = {v: i for i, v in enumerate(sorted(set(rank.values())))}
+    return {q: renum[v] for q, v in rank.items()}, None
+
+
+def _pairwise_congruence(aut):
+    groups = []
+    for q in aut.states():
+        for g in groups:
+            if incl_det(aut, q, aut, g[0]) is True and incl_det(aut, g[0], aut, q) is True:
+                g.append(q)
+                break
+        else:
+            groups.append([q])
+    return congruence_from_classes(aut.n_states, groups)
+
+
+@pytest.mark.parametrize("index", range(len(_pairwise_cases())))
+def test_residual_relations_match_pairwise(index):
+    aut = _pairwise_cases()[index]
+    states = sorted(aut.reachable())
+    cex = {}
+    for q in states:
+        for p in states:
+            r = incl_det(aut, q, aut, p)
+            if r is not True:
+                cex[(q, p)] = r
+    assert noninclusion_pairs(aut, states) == set(cex)
+    for q in states[:3]:
+        for p in states[:3]:
+            holds = incl_nd_in_det_holds(aut.with_initial(q), aut.with_initial(p))
+            assert holds == ((q, p) not in cex), (q, p)
+
+    rp = residual_preorder(aut)
+    rank, witness = _pairwise_preorder(aut, cex)
+    assert (rp.rank, rp.incomparable_witness) == (rank, witness)
+    assert rp.total == (witness is None)
+    trimmed = aut.trim()
+    assert residual_congruence(trimmed) == _pairwise_congruence(trimmed)
+
+
+@pytest.mark.parametrize("name", NOT_POSITIONAL_FIXTURES)
+def test_completion_failure_words_match_direct_inclusion(name):
+    aut = FIXTURES[name][0]()
+    res = decide_positionality_p2(aut)
+    assert isinstance(res, NotPositional) and isinstance(res.witness, CompletionFailure)
+    wit = res.witness
+    base = wit.automaton
+    with_even = replace(
+        base, transitions=base.transitions + (Transition(wit.q, EPS, wit.x, wit.p),)
+    )
+    with_odd = replace(
+        base, transitions=base.transitions + (Transition(wit.p, EPS, wit.x + 1, wit.q),)
+    )
+    assert not incl_nd_in_det_holds(with_even, aut)
+    assert not incl_nd_in_det_holds(with_odd, aut)
+    assert wit.cex1 == incl_nd_in_det(with_even, aut)
+    assert wit.cex2 == incl_nd_in_det(with_odd, aut)
 
 
 def test_residual_automaton_shapes():

@@ -39,7 +39,7 @@ from posaut.zoo import (
     aut_reach_aa,
 )
 
-from conftest import FIXTURES, POSITIONAL_FIXTURES, random_upword
+from conftest import FIXTURES, POSITIONAL_FIXTURES, blowup, random_upword
 
 
 def classes_of(aut, level_ranks):
@@ -358,6 +358,18 @@ def test_positional_certificates_validate():
         sig = res.certificate
         assert validate_signature(sig) is True, name
         assert lang_equal_det(sig.automaton, FIXTURES[name][0]().trim()) is True, name
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_blowups_decided_positional(k):
+    # passes can leave states unreachable; the restart must drop them
+    base = FIXTURES["fin_nested_c_factors"][0]()
+    for seed in range(10):
+        aut = blowup(base, k, seed)
+        res = decide_positionality_p1(aut)
+        assert isinstance(res, Positional), (k, seed)
+        assert validate_signature(res.certificate) is True, (k, seed)
+        assert lang_equal_det(res.certificate.automaton, aut) is True, (k, seed)
 
 
 def test_sig_roundtrip():
