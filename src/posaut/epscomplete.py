@@ -10,10 +10,11 @@ eps-complete automaton.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .automaton import EPS, ParityAutomaton, Transition, UPWord
-from .lang import incl_nd_in_det, incl_nd_in_det_holds
+from .automaton import EPS, ParityAutomaton, Transition
+from .lang import complement_det, disjoint_from_det, incl_nd_in_det
 from .witnesses import CompletionFailure, NotPositional, Positional
 
 
@@ -93,37 +94,58 @@ def priority_close(aut: ParityAutomaton, d: int) -> ParityAutomaton:
     composite p -a:min(y1,y2,y3)-> p' for every eps - letter - eps sandwich.
     The composite takes the numeric minimum: a run through it and the run
     through the three simulated steps have the same minimal priority, so the
-    language is untouched.  Idempotent.
+    language is untouched.  Idempotent.  Priorities must lie in [0, d+1]
+    with d even, where the preference order is total.
+
+    The fixpoint is computed on a table that keeps, per (src, letter, dst),
+    only the most preferred priority present; each entry is expanded
+    downward along the preference order when the automaton is emitted.  One
+    entry suffices because the numeric min is monotone in the preference
+    order 1 < 3 < ... < d+1 < d < ... < 2 < 0: min(y1, y2, y3) is most
+    preferred when each argument is the most preferred one available.  So
+    the downward closure of the table's fixpoint is closed under both rules,
+    and each of its transitions is derived by them: it is the least closed
+    set.  The original transitions come first in the result, then the added
+    ones in sorted order.
     """
-    trans = set((t.src, t.letter, t.priority, t.dst) for t in aut.transitions)
+    if d < 0 or d % 2:
+        raise ValueError(f"priority_close needs an even d >= 0, got {d}")
+    rank = [preference_rank(y, d) for y in range(d + 2)]
+    best: dict[tuple[int, str, int], int] = {}
+    eps_out: dict[int, dict[int, int]] = defaultdict(dict)
+    eps_in: dict[int, dict[int, int]] = defaultdict(dict)
+
+    def offer(key, y) -> bool:
+        old = best.get(key)
+        if old is not None and rank[old] >= rank[y]:
+            return False
+        best[key] = y
+        s, a, t = key
+        if a == EPS:
+            eps_out[s][t] = y
+            eps_in[t][s] = y
+        return True
+
+    for tr in aut.transitions:
+        if not 0 <= tr.priority <= d + 1:
+            raise ValueError(f"transition {tr} has a priority outside [0, {d + 1}]")
+        offer((tr.src, tr.letter, tr.dst), tr.priority)
     changed = True
     while changed:
+        found = [
+            ((p, a, v), min(y1, y, y3))
+            for (s, a, t), y in best.items()
+            for p, y1 in eps_in[s].items()
+            for v, y3 in eps_out[t].items()
+        ]
         changed = False
-        new = set()
-        for (s, a, y, t) in trans:
-            for y2 in range(0, d + 2):
-                if preference_rank(y2, d) < preference_rank(y, d):
-                    key = (s, a, y2, t)
-                    if key not in trans:
-                        new.add(key)
-        eps_out: dict[int, list[tuple[int, int]]] = {}
-        eps_in: dict[int, list[tuple[int, int]]] = {}
-        for (s, a, y, t) in trans:
-            if a == EPS:
-                eps_out.setdefault(s, []).append((y, t))
-                eps_in.setdefault(t, []).append((y, s))
-        for (s, a, y, t) in trans:
-            for (y1, p) in eps_in.get(s, ()):
-                for (y3, pp) in eps_out.get(t, ()):
-                    key = (p, a, min(y1, y, y3), pp)
-                    if key not in trans:
-                        new.add(key)
-        if new:
-            trans |= new
-            changed = True
-    ordered = list(aut.transitions)
+        for key, y in found:
+            changed |= offer(key, y)
+    below = [[y2 for y2 in range(d + 2) if rank[y2] <= rank[y]] for y in range(d + 2)]
+    closed = {(s, a, y2, t) for (s, a, t), y in best.items() for y2 in below[y]}
     seen = set((t.src, t.letter, t.priority, t.dst) for t in aut.transitions)
-    for key in sorted(trans - seen):
+    ordered = list(aut.transitions)
+    for key in sorted(closed - seen):
         ordered.append(Transition(*key))
     prs = [t.priority for t in ordered]
     return replace(
@@ -193,6 +215,7 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
         chk = incl_nd_in_det(aut, w_det)
         if chk is not True:
             raise ValueError(f"L(A) != L(W_det): extra word {chk}")
+    co_w = complement_det(w_det)
     d = even_bound(aut)
     current = replace(aut, priority_range=(0, d + 1), deterministic=False)
 
@@ -210,14 +233,14 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
                     current,
                     transitions=current.transitions + (Transition(q, EPS, x, p),),
                 )
-                if incl_nd_in_det_holds(with_even, w_det):
+                if disjoint_from_det(with_even, co_w):
                     current = with_even
                     continue
                 with_odd = replace(
                     current,
                     transitions=current.transitions + (Transition(p, EPS, x + 1, q),),
                 )
-                if incl_nd_in_det_holds(with_odd, w_det):
+                if disjoint_from_det(with_odd, co_w):
                     current = with_odd
                     continue
                 r1 = incl_nd_in_det(with_even, w_det)

@@ -249,12 +249,16 @@ def incl_nd_in_det(a: ParityAutomaton, b: ParityAutomaton, q=None, p=None):
     return True if witness is None else witness
 
 
-def incl_nd_in_det_holds(a: ParityAutomaton, b: ParityAutomaton) -> bool:
-    """Whether `incl_nd_in_det(a, b)` is True, without building a
-    counterexample."""
+def disjoint_from_det(a: ParityAutomaton, b: ParityAutomaton) -> bool:
+    """Whether L(a) and L(b) share no word, for possibly nondeterministic,
+    eps-carrying `a` and deterministic `b`, without building a common word.
+
+    With `b` the complement of a deterministic `c` this is whether
+    `incl_nd_in_det(a, c)` is True; a caller that asks this for many `a`
+    complements `c` once."""
     if not b.deterministic:
         raise ValueError("right-hand side must be deterministic")
-    nodes, edges = _explore_product(a, complement_det(b), [(a.initial, b.initial)])
+    nodes, edges = _explore_product(a, b, [(a.initial, b.initial)])
     return not any(accepting for _, _, accepting in _even_pair_sccs(len(nodes), edges))
 
 

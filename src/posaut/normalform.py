@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .automaton import ParityAutomaton, Transition, tarjan_scc
+from .automaton import ParityAutomaton, tarjan_scc
 
 
 def _scc_of_states(n, trans_idx, transitions):
@@ -109,64 +109,3 @@ def is_normal(aut: ParityAutomaton) -> bool:
     return all(
         a.priority == b.priority for a, b in zip(aut.transitions, norm.transitions)
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle used by the tests: enumerate equivalent labellings and
-# take the pointwise minimum over cycle transitions.
-# ---------------------------------------------------------------------------
-
-
-def enumerate_cycles(aut: ParityAutomaton) -> list[frozenset[int]]:
-    """All transition subsets that form a strongly connected subgraph, i.e.
-    support a closed walk using exactly those transitions.  Exponential;
-    for small oracle automata only."""
-    from itertools import combinations
-
-    m = len(aut.transitions)
-    cycles = []
-    for size in range(1, m + 1):
-        for combo in combinations(range(m), size):
-            states = set()
-            for i in combo:
-                t = aut.transitions[i]
-                states.add(t.src)
-                states.add(t.dst)
-            remap = {q: k for k, q in enumerate(sorted(states))}
-            comps = tarjan_scc(
-                len(states),
-                ((remap[aut.transitions[i].src], remap[aut.transitions[i].dst]) for i in combo),
-            )
-            if len(comps) == 1 and (len(states) > 1 or combo):
-                # single SCC covering all touched states
-                cycles.append(frozenset(combo))
-    return cycles
-
-
-def brute_force_minimal_labelling(aut: ParityAutomaton, max_priority: int) -> dict[int, int]:
-    """Pointwise-minimal equivalent labelling restricted to cycle transitions.
-
-    Enumerates all labellings with priorities in [0, max_priority] that agree
-    with the original on the parity of every cycle's minimum and returns, per
-    cycle transition, the least priority any of them assigns.
-    """
-    from itertools import product
-
-    cycles = enumerate_cycles(aut)
-    cycle_trans = sorted({i for c in cycles for i in c})
-    orig = [t.priority for t in aut.transitions]
-    want = [min(orig[i] for i in c) % 2 for c in cycles]
-    best: dict[int, int] = {}
-    for labels in product(range(max_priority + 1), repeat=len(cycle_trans)):
-        assign = dict(zip(cycle_trans, labels))
-        ok = True
-        for c, parity in zip(cycles, want):
-            if min(assign[i] for i in c) % 2 != parity:
-                ok = False
-                break
-        if not ok:
-            continue
-        for i in cycle_trans:
-            if i not in best or assign[i] < best[i]:
-                best[i] = assign[i]
-    return best

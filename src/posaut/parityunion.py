@@ -13,16 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-def union_accepts(letters_inf, tuples) -> bool:
-    """Direct evaluation: some stream's minimum over the recurring letters is even."""
-    k = len(next(iter(tuples.values())))
-    for i in range(k):
-        m = min(tuples[a][i] for a in letters_inf)
-        if m % 2 == 0:
-            return True
-    return False
-
-
 @dataclass
 class ZNode:
     letters: frozenset
@@ -150,20 +140,3 @@ def union_parity_automaton(letters, tuples) -> UnionParityAutomaton:
             delta[(idx, a)] = (nxt, pr)
     prs = [p for (_, p) in delta.values()] or [0]
     return UnionParityAutomaton(len(leaves), 0, delta, (min(prs), max(prs)))
-
-
-def run_lasso(aut: UnionParityAutomaton, u, v) -> bool:
-    """Accept u . v^omega (min-even over the recurring priorities)."""
-    q = aut.initial
-    for a in u:
-        q, _ = aut.delta[(q, a)]
-    seen = {}
-    trace = []
-    pos = 0
-    while (q, pos) not in seen:
-        seen[(q, pos)] = len(trace)
-        q, pr = aut.delta[(q, v[pos])]
-        trace.append(pr)
-        pos = (pos + 1) % len(v)
-    start = seen[(q, pos)]
-    return min(trace[start:]) % 2 == 0

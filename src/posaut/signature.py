@@ -138,27 +138,6 @@ def _safe_refinement(aut: ParityAutomaton, x: int, prev: dict[int, int]):
     return _dense(keys)
 
 
-def compute_preorders(aut: ParityAutomaton, d: int | None = None):
-    """Semantic nested preorders of a deterministic automaton: level 0 from
-    residual inclusion, odd levels from safe components, even levels from
-    safe-language inclusion.  Raises if some level fails to be total."""
-    if d is None:
-        d = aut.d_max
-    rp = residual_preorder(aut)
-    if not rp.total:
-        raise ValueError("residual preorder not total")
-    levels = [dict(rp.rank)]
-    for x in range(2, d + 1, 2):
-        levels.append(_component_refinement(aut, x, levels[x - 2]))
-        ranks = _safe_refinement(aut, x, levels[x - 1])
-        if isinstance(ranks, tuple):
-            raise ValueError(f"safe languages not totally ordered at level {x}")
-        levels.append(ranks)
-    if len(levels) == d:  # trailing odd level: refine by (<d+1)-safe components
-        levels.append(_component_refinement(aut, d + 1, levels[d - 1]))
-    return NestedPreorders(tuple(levels[: d + 1]), d)
-
-
 # ---------------------------------------------------------------------------
 # Pipeline stages
 # ---------------------------------------------------------------------------
@@ -376,15 +355,16 @@ def redeterminise(
 # ---------------------------------------------------------------------------
 
 
-def _gtx_reach(aut: ParityAutomaton, x: int):
-    """Reachability closure of the (>x)-restriction."""
+def _reach(aut: ParityAutomaton, x: int, reflexive: bool):
+    """Per state, the states reached by a nonempty path of (>=x)-transitions,
+    plus the state itself when `reflexive`."""
     adj = [[] for _ in range(aut.n_states)]
     for t in aut.transitions:
-        if t.priority > x:
+        if t.priority >= x:
             adj[t.src].append(t.dst)
     reach = []
     for q in aut.states():
-        seen = {q}
+        seen = {q} if reflexive else set()
         stack = [q]
         while stack:
             s = stack.pop()
@@ -457,13 +437,11 @@ def polish(aut: ParityAutomaton, x: int, classes: Congruence):
     ("stuck", info) when a class is (>x)-connected but x-transitions are not
     uniform, which cannot happen for positional languages.
     """
-    reach_gtx = _gtx_reach(aut, x)
+    reach_gtx = _reach(aut, x + 1, reflexive=True)
     chosen = None
     for c in range(classes.n_classes):
         members = classes.members(c)
         if len(members) <= 1:
-            if members and not _x_letters_selfconsistent(aut, x, members):
-                pass
             continue
         bad = _class_unpolished(aut, x, members, reach_gtx)
         if bad is not None:
@@ -515,10 +493,6 @@ def polish(aut: ParityAutomaton, x: int, classes: Congruence):
         priority_range=(min(prs), max(prs)),
     )
     return "shrunk", shrunk
-
-
-def _x_letters_selfconsistent(aut, x, members):
-    return True
 
 
 def _canonicalise_x_targets(aut: ParityAutomaton, x: int, classes: Congruence):
@@ -703,7 +677,7 @@ def validate_signature(sig: SignatureAutomaton):
     reach_cache = {}
     for x in range(2, d + 1, 2):
         if x not in reach_cache:
-            reach_cache[x] = _geqx_reach(aut, x)
+            reach_cache[x] = _reach(aut, x, reflexive=False)
         reach = reach_cache[x]
         for q in aut.states():
             for p in aut.states():
@@ -760,7 +734,7 @@ def validate_signature(sig: SignatureAutomaton):
                                 )
     # classes (>x)-connected
     for x in range(0, d + 1):
-        reach = _gtx_reach(aut, x)
+        reach = _reach(aut, x + 1, reflexive=True)
         for q in aut.states():
             for p in aut.states():
                 if q != p and pre.same(x, q, p) and p not in reach[q]:
@@ -778,25 +752,6 @@ def validate_signature(sig: SignatureAutomaton):
                         f"not safe centralised at level {x}: Safe({q}) <= Safe({p})"
                     )
     return True if not problems else problems
-
-
-def _geqx_reach(aut, x):
-    adj = [[] for _ in range(aut.n_states)]
-    for t in aut.transitions:
-        if t.priority >= x:
-            adj[t.src].append(t.dst)
-    out = []
-    for q in aut.states():
-        seen = set()
-        stack = [q]
-        while stack:
-            s = stack.pop()
-            for u in adj[s]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        out.append(seen)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Shared fixtures: the automaton zoo plus independent semantic membership
-oracles for each fixture language, used to validate the automata themselves."""
+oracles for each fixture language, used to validate the automata themselves,
+and brute-force oracles for the normal form and the union automata."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -176,6 +178,87 @@ def blowup(aut, k, seed):
     return build(
         aut.n_states * k, aut.alphabet, aut.initial * k, trans, deterministic=True
     ).trim()
+
+
+def enumerate_cycles(aut):
+    """All transition subsets that form a strongly connected subgraph, i.e.
+    support a closed walk using exactly those transitions.  Exponential;
+    for small oracle automata only."""
+    from posaut.automaton import tarjan_scc
+
+    m = len(aut.transitions)
+    cycles = []
+    for size in range(1, m + 1):
+        for combo in itertools.combinations(range(m), size):
+            states = set()
+            for i in combo:
+                t = aut.transitions[i]
+                states.add(t.src)
+                states.add(t.dst)
+            remap = {q: k for k, q in enumerate(sorted(states))}
+            comps = tarjan_scc(
+                len(states),
+                ((remap[aut.transitions[i].src], remap[aut.transitions[i].dst]) for i in combo),
+            )
+            if len(comps) == 1 and (len(states) > 1 or combo):
+                # single SCC covering all touched states
+                cycles.append(frozenset(combo))
+    return cycles
+
+
+def brute_force_minimal_labelling(aut, max_priority):
+    """Pointwise-minimal equivalent labelling restricted to cycle transitions.
+
+    Enumerates all labellings with priorities in [0, max_priority] that agree
+    with the original on the parity of every cycle's minimum and returns, per
+    cycle transition, the least priority any of them assigns.
+    """
+    cycles = enumerate_cycles(aut)
+    cycle_trans = sorted({i for c in cycles for i in c})
+    orig = [t.priority for t in aut.transitions]
+    want = [min(orig[i] for i in c) % 2 for c in cycles]
+    best: dict[int, int] = {}
+    for labels in itertools.product(range(max_priority + 1), repeat=len(cycle_trans)):
+        assign = dict(zip(cycle_trans, labels))
+        ok = True
+        for c, parity in zip(cycles, want):
+            if min(assign[i] for i in c) % 2 != parity:
+                ok = False
+                break
+        if not ok:
+            continue
+        for i in cycle_trans:
+            if i not in best or assign[i] < best[i]:
+                best[i] = assign[i]
+    return best
+
+
+def union_accepts(letters_inf, tuples) -> bool:
+    """Direct evaluation: some stream's minimum over the recurring letters is even."""
+    k = len(next(iter(tuples.values())))
+    for i in range(k):
+        m = min(tuples[a][i] for a in letters_inf)
+        if m % 2 == 0:
+            return True
+    return False
+
+
+def run_lasso(aut, u, v) -> bool:
+    """Does the union automaton `aut` accept u . v^omega (min-even over the
+    recurring priorities)?"""
+    q = aut.initial
+    for a in u:
+        q, _ = aut.delta[(q, a)]
+    seen = {}
+    trace = []
+    pos = 0
+    while (q, pos) not in seen:
+        seen[(q, pos)] = len(trace)
+        q, pr = aut.delta[(q, v[pos])]
+        trace.append(pr)
+        pos = (pos + 1) % len(v)
+    start = seen[(q, pos)]
+    return min(trace[start:]) % 2 == 0
 
 
 @pytest.fixture(scope="session")

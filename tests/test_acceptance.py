@@ -17,7 +17,7 @@ from posaut.epscomplete import (
 )
 from posaut.games import brute_force_positional, gadget_for_witness, solve, GameArena, EVE
 from posaut.lang import incl_nd_in_det, lang_equal_det
-from posaut.normalform import brute_force_minimal_labelling, normalize
+from posaut.normalform import normalize
 from posaut.progress import check_full_progress_consistency, decide_bipositionality
 from posaut.signature import build_structured_signature, decide_positionality_p1
 from posaut.ugraph import (
@@ -42,7 +42,12 @@ from posaut.zoo import (
     aut_tail_const_or_two_c,
 )
 
-from conftest import FIXTURES, random_automaton, random_upword
+from conftest import (
+    FIXTURES,
+    brute_force_minimal_labelling,
+    random_automaton,
+    random_upword,
+)
 
 SEED = 20240601
 RANDOM_COUNT = 500

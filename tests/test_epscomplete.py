@@ -1,8 +1,10 @@
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
+from posaut import epscomplete
 from posaut.automaton import EPS, Transition, build, up_membership, upword
 from posaut.epscomplete import (
     EpsCompleteAutomaton,
@@ -47,6 +49,14 @@ def test_preference_order():
     d = 4
     order = sorted(range(0, d + 2), key=lambda y: preference_rank(y, d))
     assert order == [1, 3, 5, 4, 2, 0]
+
+
+def test_min_monotone_in_preference_order():
+    # priority_close keeps one most preferred priority per transition on this
+    for d in range(0, 9, 2):
+        for y, y2, c in itertools.product(range(d + 2), repeat=3):
+            if preference_rank(y, d) <= preference_rank(y2, d):
+                assert preference_rank(min(y, c), d) <= preference_rank(min(y2, c), d)
 
 
 def test_preference_remark_on_sequences():
@@ -157,6 +167,104 @@ def test_close_idempotent_and_language_preserving(rng):
     for _ in range(100):
         u, v = random_upword(rng, core.alphabet)
         assert up_membership(once, upword(u, v)) == up_membership(core, upword(u, v))
+
+
+def reference_priority_close(aut, d):
+    """The closure computed round by round on the full transition set: each
+    round adds every preference variant and every eps-letter-eps composite
+    of the transitions present, until a round adds nothing."""
+    trans = set((t.src, t.letter, t.priority, t.dst) for t in aut.transitions)
+    changed = True
+    while changed:
+        changed = False
+        new = set()
+        for (s, a, y, t) in trans:
+            for y2 in range(0, d + 2):
+                if preference_rank(y2, d) < preference_rank(y, d):
+                    key = (s, a, y2, t)
+                    if key not in trans:
+                        new.add(key)
+        eps_out: dict[int, list[tuple[int, int]]] = {}
+        eps_in: dict[int, list[tuple[int, int]]] = {}
+        for (s, a, y, t) in trans:
+            if a == EPS:
+                eps_out.setdefault(s, []).append((y, t))
+                eps_in.setdefault(t, []).append((y, s))
+        for (s, a, y, t) in trans:
+            for (y1, p) in eps_in.get(s, ()):
+                for (y3, pp) in eps_out.get(t, ()):
+                    key = (p, a, min(y1, y, y3), pp)
+                    if key not in trans:
+                        new.add(key)
+        if new:
+            trans |= new
+            changed = True
+    ordered = list(aut.transitions)
+    seen = set((t.src, t.letter, t.priority, t.dst) for t in aut.transitions)
+    for key in sorted(trans - seen):
+        ordered.append(Transition(*key))
+    prs = [t.priority for t in ordered]
+    return replace(
+        aut,
+        transitions=tuple(ordered),
+        priority_range=(min(prs), max(prs)),
+        deterministic=False,
+    )
+
+
+def random_eps_automaton(rng, d):
+    n = rng.randint(1, 6)
+    letters = ("a", "b")[: rng.randint(1, 2)]
+    trans = [
+        (
+            rng.randrange(n),
+            rng.choice(letters + (EPS,)),
+            rng.randint(0, d + 1),
+            rng.randrange(n),
+        )
+        for _ in range(rng.randint(1, 3 * n))
+    ]
+    return build(n, letters, 0, trans, deterministic=False, priority_range=(0, d + 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_close_matches_reference_on_random_eps_automata(seed):
+    rng = random.Random(seed)
+    for i in range(60):
+        d = (0, 2, 4, 6)[i % 4]
+        aut = random_eps_automaton(rng, d)
+        assert priority_close(aut, d) == reference_priority_close(aut, d), (seed, i)
+
+
+def test_close_matches_reference_on_p2_inputs(monkeypatch):
+    calls = []
+
+    def spy(aut, d):
+        calls.append((aut, d))
+        return priority_close(aut, d)
+
+    monkeypatch.setattr(epscomplete, "priority_close", spy)
+    for name, (mk, _) in FIXTURES.items():
+        decide_positionality_p2(mk())
+    assert len(calls) == 2 * len(POSITIONAL_FIXTURES)
+    for aut, d in calls:
+        assert priority_close(aut, d).transitions == reference_priority_close(aut, d).transitions
+
+
+@pytest.mark.parametrize("name", POSITIONAL_FIXTURES)
+def test_p2_certificate_same_with_reference_close(name, monkeypatch):
+    aut = FIXTURES[name][0]()
+    res = decide_positionality_p2(aut)
+    monkeypatch.setattr(epscomplete, "priority_close", reference_priority_close)
+    assert decide_positionality_p2(aut) == res
+
+
+def test_close_rejects_priorities_outside_the_order():
+    aut = build(1, ("a",), 0, [(0, "a", 4, 0)], deterministic=False)
+    with pytest.raises(ValueError):
+        priority_close(aut, 2)
+    with pytest.raises(ValueError):
+        priority_close(aut, 3)
 
 
 # -- validation ----------------------------------------------------------------------

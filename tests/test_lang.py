@@ -14,9 +14,9 @@ from posaut.automaton import (
 from posaut.epscomplete import decide_positionality_p2
 from posaut.lang import (
     complement_det,
+    disjoint_from_det,
     incl_det,
     incl_nd_in_det,
-    incl_nd_in_det_holds,
     noninclusion_pairs,
     residual_automaton,
     residual_congruence,
@@ -212,7 +212,9 @@ def test_residual_relations_match_pairwise(index):
     assert noninclusion_pairs(aut, states) == set(cex)
     for q in states[:3]:
         for p in states[:3]:
-            holds = incl_nd_in_det_holds(aut.with_initial(q), aut.with_initial(p))
+            holds = disjoint_from_det(
+                aut.with_initial(q), complement_det(aut.with_initial(p))
+            )
             assert holds == ((q, p) not in cex), (q, p)
 
     rp = residual_preorder(aut)
@@ -236,8 +238,8 @@ def test_completion_failure_words_match_direct_inclusion(name):
     with_odd = replace(
         base, transitions=base.transitions + (Transition(wit.p, EPS, wit.x + 1, wit.q),)
     )
-    assert not incl_nd_in_det_holds(with_even, aut)
-    assert not incl_nd_in_det_holds(with_odd, aut)
+    assert not disjoint_from_det(with_even, complement_det(aut))
+    assert not disjoint_from_det(with_odd, complement_det(aut))
     assert wit.cex1 == incl_nd_in_det(with_even, aut)
     assert wit.cex2 == incl_nd_in_det(with_odd, aut)
 

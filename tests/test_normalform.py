@@ -1,14 +1,15 @@
 import random
 
 from posaut.automaton import build, up_membership, upword
-from posaut.normalform import (
+from posaut.normalform import is_normal, normalize
+
+from conftest import (
+    FIXTURES,
     brute_force_minimal_labelling,
     enumerate_cycles,
-    is_normal,
-    normalize,
+    random_automaton,
+    random_upword,
 )
-
-from conftest import FIXTURES, random_automaton, random_upword
 
 
 def test_idempotent_on_fixtures():

@@ -1,12 +1,9 @@
 import itertools
 import random
 
-from posaut.parityunion import (
-    run_lasso,
-    union_accepts,
-    union_parity_automaton,
-    zielonka_tree,
-)
+from posaut.parityunion import union_parity_automaton, zielonka_tree
+
+from conftest import run_lasso, union_accepts
 
 
 def test_small_exhaustive():

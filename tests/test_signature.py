@@ -13,8 +13,8 @@ from posaut.normalform import normalize
 from posaut.signature import (
     NestedPreorders,
     SignatureAutomaton,
+    _preorders_up_to,
     check_total_safe_order,
-    compute_preorders,
     decide_positionality_p1,
     emit_sig,
     parse_sig,
@@ -63,6 +63,15 @@ def test_three_priorities_certificate_preorders():
     # level 2: strict chain q1 < q2 < q3
     assert lvl2[0] < lvl2[1] < lvl2[2]
     assert sig.validated
+
+
+def test_certificate_preorders_are_semantic():
+    # the certificate's levels are the nested preorders recomputed from its
+    # automaton: residual inclusion, safe components, safe-language inclusion
+    for name in POSITIONAL_FIXTURES:
+        sig = decide_positionality_p1(FIXTURES[name][0]()).certificate
+        pre = _preorders_up_to(sig.automaton, sig.automaton.d_max)
+        assert pre.levels == sig.preorders.levels, name
 
 
 def test_reach_aa_progress_failure():
