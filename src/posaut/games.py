@@ -12,8 +12,11 @@ its composite objective.
 
 from __future__ import annotations
 
+import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import product as iproduct
 
 from .automaton import (
     EPS,
@@ -38,8 +41,18 @@ class GameArena:
     alphabet: tuple[str, ...]
     labels: tuple[str, ...] | None = None  # human-readable vertex names
 
+    @cached_property
+    def by_src(self) -> tuple[tuple[tuple[int, tuple[int, str, int]], ...], ...]:
+        """Per vertex, its (edge index, edge) pairs in edge order; edges
+        whose source is out of range (see `validate`) are left out."""
+        out = [[] for _ in range(self.n_vertices)]
+        for i, e in enumerate(self.edges):
+            if 0 <= e[0] < self.n_vertices:
+                out[e[0]].append((i, e))
+        return tuple(tuple(es) for es in out)
+
     def out_edges(self, v):
-        return [(i, e) for i, e in enumerate(self.edges) if e[0] == v]
+        return list(self.by_src[v])
 
     def validate(self) -> list[str]:
         issues = []
@@ -142,26 +155,33 @@ def _preds(game: _Game):
 
 
 def _attractor_fast(game: _Game, pred, player: int, target, alive):
+    """`player`'s attractor to `target` within `alive`, in time linear in the
+    part of the subgame it touches: an opponent vertex gets its count of live
+    successors when a predecessor edge first reaches it."""
     attr = set(v for v in target if v in alive)
     strategy = {}
-    count = {v: 0 for v in alive}
-    for v in alive:
-        count[v] = sum(1 for w in game.succ[v] if w in alive)
+    count = {}  # opponent vertex -> live successors not yet attracted
     queue = deque(attr)
+    succ, owner = game.succ, game.owner
     while queue:
         u = queue.popleft()
         for v in pred[u]:
             if v not in alive or v in attr:
                 continue
-            if game.owner[v] == player:
+            if owner[v] == player:
                 attr.add(v)
                 strategy[v] = u
                 queue.append(v)
+                continue
+            left = count.get(v)
+            if left is None:
+                left = sum(1 for w in succ[v] if w in alive)
+            left -= 1
+            if left == 0:
+                attr.add(v)
+                queue.append(v)
             else:
-                count[v] -= 1
-                if count[v] == 0:
-                    attr.add(v)
-                    queue.append(v)
+                count[v] = left
     return attr, strategy
 
 
@@ -216,70 +236,105 @@ class SolveResult:
         return (vertex, self.initial_state) in self.eve_region
 
 
-def _product_game(arena: GameArena, objective: ParityAutomaton):
-    """Subdivided product: original nodes carry a neutral priority, one extra
-    node per product edge carries the transition priority."""
+def _letter_rows(arena: GameArena, objective: ParityAutomaton):
+    """Per letter of an arena edge, the objective's transition from every
+    state, in state order."""
     if not objective.deterministic or objective.has_eps:
         raise ValueError("objective must be deterministic and eps-free")
-    nodes = {}
-    order = []
+    rows = {}
+    for (_, a, _) in arena.edges:
+        if a != EPS and a not in rows:
+            rows[a] = [objective.dsucc(q, a) for q in objective.states()]
+    return rows
 
-    def nid(v, q):
-        if (v, q) not in nodes:
-            nodes[(v, q)] = len(order)
-            order.append((v, q))
-        return nodes[(v, q)]
 
-    for v in range(arena.n_vertices):
-        for q in objective.states():
-            nid(v, q)
-    moves = []  # (product src id, edge index, priority, product dst id)
-    for idx, (s, a, t) in enumerate(arena.edges):
-        for q in objective.states():
-            if a == EPS:
-                moves.append((nodes[(s, q)], idx, None, nodes[(t, q)]))
+def _neutral(objective: ParityAutomaton) -> int:
+    """The priority of product nodes and eps-moves: odd and above every
+    transition priority (the least odd number >= d_max + 2)."""
+    return (objective.d_max + 2) | 1
+
+
+def _product_game(arena: GameArena, objective: ParityAutomaton):
+    """Subdivided product: node v*m + q is the pair (v, q), with m objective
+    states, and carries a neutral priority; node base + idx*m + q, with
+    base = n_vertices*m, is the move along arena edge idx from (v, q) and
+    carries the transition priority.  Returns (game, m)."""
+    rows = _letter_rows(arena, objective)
+    neutral = _neutral(objective)
+    m = objective.n_states
+    base = arena.n_vertices * m
+    owner = [0 if o == EVE else 1 for o in arena.owner for _ in range(m)]
+    priority = [neutral] * base
+    succ = [[] for _ in range(base)]
+    for (s, a, t) in arena.edges:
+        row = rows.get(a)
+        for q in range(m):
+            if row is None:
+                priority.append(neutral)
+                dst = t * m + q
             else:
-                tr = objective.dsucc(q, a)
-                moves.append((nodes[(s, q)], idx, tr.priority, nodes[(t, tr.dst)]))
-    neutral = max([objective.d_max + 1] + [objective.d_max + 2])
-    if neutral % 2 == 0:
-        neutral += 1
-    base = len(order)
-    owner = []
-    priority = []
-    succ = []
-    for (v, q) in order:
-        owner.append(0 if arena.owner[v] == EVE else 1)
-        priority.append(neutral)
-        succ.append([])
-    move_info = {}
-    for k, (src, idx, pr, dst) in enumerate(moves):
-        mid = base + k
-        owner.append(1)
-        priority.append(neutral if pr is None else pr)
-        succ.append([dst])
-        succ[src].append(mid)
-        move_info[mid] = (src, idx)
-    return _Game(owner, priority, succ), nodes, move_info, base
+                tr = row[q]
+                priority.append(tr.priority)
+                dst = t * m + tr.dst
+            succ[s * m + q].append(len(succ))
+            succ.append([dst])
+    owner.extend([1] * (len(succ) - base))
+    return _Game(owner, priority, succ), m
 
 
 def solve(arena: GameArena, objective: ParityAutomaton) -> SolveResult:
     """Exact winning regions per (vertex, automaton-state) pair, with Eve's
     winning strategy (memory = automaton state)."""
     arena.check_valid()
-    game, nodes, move_info, base = _product_game(arena, objective)
-    pred = _preds(game)
-    alive = set(range(len(game.owner)))
-    w0, w1, s0, _ = _zielonka(game, pred, alive)
-    eve = frozenset(vq for vq, i in nodes.items() if i in w0)
-    adam = frozenset(vq for vq, i in nodes.items() if i in w1)
-    strategy = {}
-    for vq, i in nodes.items():
-        if i in s0 and i in w0:
-            mid = s0[i]
-            if mid in move_info:
-                strategy[vq] = move_info[mid][1]
+    game, m = _product_game(arena, objective)
+    w0, w1, s0, _ = _zielonka(game, _preds(game), set(range(len(game.owner))))
+    base = arena.n_vertices * m
+    pairs = [divmod(i, m) for i in range(base)]
+    eve = frozenset(pairs[i] for i in range(base) if i in w0)
+    adam = frozenset(pairs[i] for i in range(base) if i in w1)
+    # Eve's move at pair node i is the subdivision node base + idx*m + q
+    strategy = {pairs[i]: (s0[i] - base) // m for i in range(base) if i in s0 and i in w0}
     return SolveResult(eve, adam, strategy, objective.initial)
+
+
+def _eve_wins_initial(arena: GameArena, objective: ParityAutomaton) -> frozenset:
+    """The vertices v from which Eve wins (v, objective.initial).
+
+    Solves only the part of the product game reachable from those pairs.
+    That part is closed under moves, so its winning regions are the whole
+    game's restricted to it."""
+    rows = _letter_rows(arena, objective)
+    neutral = _neutral(objective)
+    owner, priority, succ = [], [], []
+    node = {}  # (v, q) -> node id
+    queue = deque()
+
+    def pair(v, q):
+        i = node.get((v, q))
+        if i is None:
+            i = node[(v, q)] = len(owner)
+            owner.append(0 if arena.owner[v] == EVE else 1)
+            priority.append(neutral)
+            succ.append([])
+            queue.append((v, q, i))
+        return i
+
+    roots = [pair(v, objective.initial) for v in range(arena.n_vertices)]
+    while queue:
+        v, q, i = queue.popleft()
+        for _, (_, a, t) in arena.by_src[v]:
+            row = rows.get(a)
+            if row is None:
+                pr, dst = neutral, pair(t, q)
+            else:
+                pr, dst = row[q].priority, pair(t, row[q].dst)
+            succ[i].append(len(owner))
+            owner.append(1)
+            priority.append(pr)
+            succ.append([dst])
+    game = _Game(owner, priority, succ)
+    w0 = _zielonka(game, _preds(game), set(range(len(owner))))[0]
+    return frozenset(v for v, i in enumerate(roots) if i in w0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +364,9 @@ class NoUniformStrategy:
 def _strategy_wins(arena, comp, restricted_edges, vertex) -> bool:
     """All infinite plays from `vertex` under the restriction satisfy the
     objective: no reachable cycle of the complement-product has an even
-    minimal priority (with at least one letter consumed)."""
+    minimal priority.  Eps-moves carry no priority; the check relies on
+    `GameArena.validate` rejecting eps-cycles, so that every cycle consumes
+    a letter and has a minimal priority."""
     nodes = {}
     edges = []
 
@@ -360,40 +417,25 @@ def _strategy_wins(arena, comp, restricted_edges, vertex) -> bool:
 def brute_force_positional(arena: GameArena, objective: ParityAutomaton, bound=None):
     """Enumerate Eve's positional strategies; succeed iff one wins from her
     entire winning region (evaluated from the objective's initial state)."""
-    import os
-
     if bound is None:
         bound = int(os.environ.get("POSAUT_LIMIT", "1000000"))
     arena.check_valid()
-    res = solve(arena, objective)
-    region0 = frozenset(
-        v for v in range(arena.n_vertices) if res.eve_wins_from(v)
-    )
+    region0 = _eve_wins_initial(arena, objective)
     eve_vertices = [v for v in range(arena.n_vertices) if arena.owner[v] == EVE]
-    per_vertex = [arena.out_edges(v) for v in eve_vertices]
+    per_vertex = [arena.by_src[v] for v in eve_vertices]
     total = 1
     for outs in per_vertex:
         total *= max(len(outs), 1)
         if total > bound:
             raise ValueError(f"strategy space exceeds bound {bound}")
     comp = complement_det(objective)
-
-    def assemble(choice):
-        restricted = [[] for _ in range(arena.n_vertices)]
-        for v in range(arena.n_vertices):
-            if arena.owner[v] == EVE:
-                idx = choice[v]
-                restricted[v] = [arena.edges[idx]]
-            else:
-                restricted[v] = [e for e in arena.edges if e[0] == v]
-        return restricted
-
-    from itertools import product as iproduct
-
+    # Adam's moves are fixed; each strategy overwrites Eve's rows
+    restricted = [[e for _, e in outs] for outs in arena.by_src]
     index_lists = [[i for (i, _) in outs] for outs in per_vertex]
     for combo in iproduct(*index_lists):
         choice = dict(zip(eve_vertices, combo))
-        restricted = assemble(choice)
+        for v, idx in choice.items():
+            restricted[v] = [arena.edges[idx]]
         if all(_strategy_wins(arena, comp, restricted, v) for v in region0):
             return UniformlyPositional(PositionalStrategy(choice))
     return NoUniformStrategy(region0)

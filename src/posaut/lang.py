@@ -32,7 +32,7 @@ def complement_det(aut: ParityAutomaton) -> ParityAutomaton:
     """Complement of a deterministic automaton: shift all priorities by one."""
     if not aut.deterministic or aut.has_eps:
         raise ValueError("complement_det needs a deterministic eps-free automaton")
-    trans = tuple(replace(t, priority=t.priority + 1) for t in aut.transitions)
+    trans = tuple(Transition(t.src, t.letter, t.priority + 1, t.dst) for t in aut.transitions)
     return replace(
         aut,
         transitions=trans,

@@ -1,13 +1,16 @@
 import random
+from collections import deque
 
 import pytest
 
-from posaut.automaton import build, up_membership, upword
+from posaut import games
+from posaut.automaton import EPS, build, up_membership, upword
 from posaut.epscomplete import decide_positionality_p2
 from posaut.games import (
     ADAM,
     EVE,
     GameArena,
+    SolveResult,
     brute_force_positional,
     completion_gadget,
     emit_arena,
@@ -19,6 +22,7 @@ from posaut.games import (
     solve,
 )
 from posaut.lang import complement_det, incl_nd_in_det
+from posaut.normalform import normalize
 from posaut.signature import decide_positionality_p1
 from posaut.witnesses import NotPositional, Positional
 from posaut.zoo import (
@@ -28,7 +32,7 @@ from posaut.zoo import (
     aut_reach_aa,
 )
 
-from conftest import random_automaton
+from conftest import FIXTURES, NOT_POSITIONAL_FIXTURES, random_automaton
 
 
 def game_ab_prefix():
@@ -156,6 +160,146 @@ def _assert_strategy_wins(arena, objective, res):
             for (s, t, p) in edges
             if p is not None and p >= x
         ), "strategy admits a rejected play"
+
+
+# -- the solver against an eager-count reference --------------------------------------
+
+
+def reference_solve(arena, objective):
+    """Zielonka on the subdivided product with a dict of node ids and
+    attractors that count the live successors of every live vertex up
+    front; node numbering and visiting order are those `solve` keeps."""
+    arena.check_valid()
+    nodes, order = {}, []
+    for v in range(arena.n_vertices):
+        for q in objective.states():
+            nodes[(v, q)] = len(order)
+            order.append((v, q))
+    moves = []
+    for idx, (s, a, t) in enumerate(arena.edges):
+        for q in objective.states():
+            if a == EPS:
+                moves.append((nodes[(s, q)], idx, None, nodes[(t, q)]))
+            else:
+                tr = objective.dsucc(q, a)
+                moves.append((nodes[(s, q)], idx, tr.priority, nodes[(t, tr.dst)]))
+    neutral = objective.d_max + 2
+    if neutral % 2 == 0:
+        neutral += 1
+    base = len(order)
+    owner = [0 if arena.owner[v] == EVE else 1 for (v, _) in order]
+    priority = [neutral] * base
+    succ = [[] for _ in order]
+    move_edge = {}
+    for k, (src, idx, pr, dst) in enumerate(moves):
+        owner.append(1)
+        priority.append(neutral if pr is None else pr)
+        succ.append([dst])
+        succ[src].append(base + k)
+        move_edge[base + k] = idx
+    pred = [[] for _ in succ]
+    for v, outs in enumerate(succ):
+        for w in outs:
+            pred[w].append(v)
+
+    def attractor(player, target, alive):
+        attr = set(v for v in target if v in alive)
+        strategy = {}
+        count = {v: sum(1 for w in succ[v] if w in alive) for v in alive}
+        queue = deque(attr)
+        while queue:
+            u = queue.popleft()
+            for v in pred[u]:
+                if v not in alive or v in attr:
+                    continue
+                if owner[v] == player:
+                    attr.add(v)
+                    strategy[v] = u
+                    queue.append(v)
+                else:
+                    count[v] -= 1
+                    if count[v] == 0:
+                        attr.add(v)
+                        queue.append(v)
+        return attr, strategy
+
+    def zielonka(alive):
+        if not alive:
+            return set(), set(), {}, {}
+        p = min(priority[v] for v in alive)
+        player = p % 2
+        attr, astrat = attractor(player, {v for v in alive if priority[v] == p}, alive)
+        w0, w1, s0, s1 = zielonka(alive - attr)
+        wins, strats = (w0, w1), (s0, s1)
+        if not wins[1 - player]:
+            strat = dict(strats[player])
+            strat.update(astrat)
+            for v in alive:
+                if owner[v] == player and v not in strat:
+                    strat[v] = next(w for w in succ[v] if w in alive)
+            return (set(alive), set(), strat, {}) if player == 0 else (set(), set(alive), {}, strat)
+        opp = 1 - player
+        battr, bstrat = attractor(opp, wins[opp], alive)
+        w0b, w1b, s0b, s1b = zielonka(alive - battr)
+        if opp == 0:
+            return w0 | battr | w0b, w1b, {**s0, **bstrat, **s0b}, s1b
+        return w0b, w1 | battr | w1b, s0b, {**s1, **bstrat, **s1b}
+
+    w0, w1, s0, _ = zielonka(set(range(len(owner))))
+    eve = frozenset(vq for vq, i in nodes.items() if i in w0)
+    adam = frozenset(vq for vq, i in nodes.items() if i in w1)
+    strategy = {vq: move_edge[s0[i]] for vq, i in nodes.items() if i in s0 and i in w0}
+    return SolveResult(eve, adam, strategy, objective.initial)
+
+
+def random_arena(rng, n, letters):
+    """Both owners; eps-edges only go to higher vertices, so no eps-cycle."""
+    edges = []
+    for v in range(n):
+        for _ in range(rng.randint(1, 3)):
+            t = rng.randrange(n)
+            if t > v and rng.random() < 0.3:
+                edges.append((v, EPS, t))
+            else:
+                edges.append((v, rng.choice(letters), t))
+    return GameArena(n, tuple(rng.choice((EVE, ADAM)) for _ in range(n)), tuple(edges), letters)
+
+
+def solver_cases():
+    rng = random.Random(2024)
+    for i in range(150):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        arena = random_arena(rng, rng.randint(1, 6), letters)
+        objective = random_automaton(rng, rng.randint(1, 4), letters, dmax=rng.randint(0, 4))
+        yield f"random{i}", arena, objective
+    for name in NOT_POSITIONAL_FIXTURES:
+        aut = FIXTURES[name][0]()
+        p1 = gadget_for_witness(decide_positionality_p1(aut).witness, normalize(aut.trim()))
+        p2 = gadget_for_witness(decide_positionality_p2(aut).witness, aut, aut=aut, w_det=aut)
+        yield f"{name}/p1", p1.arena, p1.objective
+        yield f"{name}/p2", p2.arena, p2.objective
+
+
+def test_solve_matches_eager_reference():
+    for name, arena, objective in solver_cases():
+        got, ref = solve(arena, objective), reference_solve(arena, objective)
+        assert got.eve_region == ref.eve_region, name
+        assert got.adam_region == ref.adam_region, name
+        assert list(got.strategy.items()) == list(ref.strategy.items()), name
+
+
+def test_oracle_region_is_solve_region():
+    for name, arena, objective in solver_cases():
+        res = solve(arena, objective)
+        expected = frozenset(v for v in range(arena.n_vertices) if res.eve_wins_from(v))
+        assert games._eve_wins_initial(arena, objective) == expected, name
+
+
+def test_out_edges_per_vertex():
+    arena = GameArena(3, (EVE, ADAM, EVE), ((0, "a", 1), (1, "a", 2), (0, "b", 2), (2, "a", 0)), ("a", "b"))
+    assert arena.out_edges(0) == [(0, (0, "a", 1)), (2, (0, "b", 2))]
+    assert arena.out_edges(1) == [(1, (1, "a", 2))]
+    assert arena.out_edges(2) == [(3, (2, "a", 0))]
 
 
 # -- gadgets -----------------------------------------------------------------------
