@@ -86,6 +86,12 @@ class ParityAutomaton:
             raise ValueError(f"state {q} has {len(ts)} transitions on {letter!r}")
         return ts[0]
 
+    @cached_property
+    def delta(self) -> dict[str, tuple[Transition, ...]]:
+        """Per letter of the alphabet, the unique letter-transition from every
+        state, in state order (deterministic automata; `dsucc` as a table)."""
+        return {a: tuple(self.dsucc(q, a) for q in self.states()) for a in self.alphabet}
+
     @property
     def d_min(self):
         return self.priority_range[0]
@@ -306,53 +312,58 @@ def congruence_from_classes(n_states: int, classes) -> Congruence:
 
 def tarjan_scc(n: int, edges) -> list[list[int]]:
     """Iterative Tarjan; returns components in reverse topological order."""
-    adj = [[] for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    dst: list[int] = []
     for u, v in edges:
-        adj[u].append(v)
+        adj[u].append(len(dst))
+        dst.append(v)
+    _, comps = tarjan_edges(range(n), adj, dst, n)
+    return [sorted(comp) for comp in comps]
+
+
+def tarjan_edges(roots, adj, dst, n):
+    """Iterative Tarjan over nodes 0..n-1, started from `roots` in order;
+    `adj[v]` lists edge ids and `dst[e]` is the target of edge e.  Returns
+    the component id of each node (-1 when not reached) and the components
+    as member lists, in reverse topological order."""
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
+    comp_of = [-1] * n
     comps: list[list[int]] = []
+    stack: list[int] = []
     counter = 0
-    for root in range(n):
+    for root in roots:
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        work = [(root, iter(adj[root]), len(stack))]
+        stack.append(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
+            v, it, pos = work[-1]
+            for e in it:
+                w = dst[e]
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    work.append((w, iter(adj[w]), len(stack)))
+                    stack.append(w)
                     break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
+                if comp_of[w] == -1 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    c = len(comps)
+                    members = stack[pos:]
+                    del stack[pos:]
+                    for w in members:
+                        comp_of[w] = c
+                    comps.append(members)
+                elif lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
+    return comp_of, comps
 
 
 def scc_decompose(aut: ParityAutomaton) -> list[Scc]:

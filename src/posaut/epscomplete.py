@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .automaton import EPS, ParityAutomaton, Transition
-from .lang import complement_det, disjoint_from_det, incl_nd_in_det
+from .lang import DetProduct, complement_det, incl_nd_in_det
 from .witnesses import CompletionFailure, NotPositional, Positional
 
 
@@ -202,9 +202,20 @@ def merge_top_equivalent(aut: ParityAutomaton, d: int) -> ParityAutomaton:
 
 
 def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None = None):
-    """Procedure 2.  `w_det` is an equivalent deterministic automaton (the
-    input itself when it is deterministic).  Returns
-    Positional(EpsCompleteAutomaton) or NotPositional(CompletionFailure)."""
+    """Procedure 2.  Returns Positional(EpsCompleteAutomaton) or
+    NotPositional(CompletionFailure).
+
+    `w_det` is a deterministic automaton for the language of `aut`, which
+    may then be nondeterministic and carry eps-transitions; it defaults to
+    `aut` itself, which must then be deterministic.  Only L(aut) ⊆ L(w_det)
+    is checked (ValueError otherwise); the reverse inclusion is the
+    caller's duty.
+
+    Each candidate eps-edge is kept iff the automaton with it stays
+    disjoint from the complement of W.  That is tested on one product with
+    the complement, built once: a candidate's copies are pushed for the
+    test and popped again when it fails, an accepted edge's copies stay.
+    """
     if w_det is None:
         if not aut.deterministic or aut.has_eps:
             raise ValueError(
@@ -214,38 +225,36 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     else:
         chk = incl_nd_in_det(aut, w_det)
         if chk is not True:
-            raise ValueError(f"L(A) != L(W_det): extra word {chk}")
-    co_w = complement_det(w_det)
+            raise ValueError(
+                f"L(A) is not included in L(W_det): extra word {chk} "
+                "(the reverse inclusion is not checked)"
+            )
     d = even_bound(aut)
     current = replace(aut, priority_range=(0, d + 1), deterministic=False)
-
-    def has(s, y, t):
-        return any(
-            tr.is_eps and tr.priority == y and tr.dst == t for tr in current.by_src[s]
-        )
-
+    product = DetProduct(current, complement_det(w_det))
+    present = {(t.src, t.priority, t.dst) for t in current.transitions if t.is_eps}
+    added: list[Transition] = []
     for x in range(0, d + 1, 2):
-        for q in sorted(current.states()):
-            for p in sorted(current.states()):
-                if has(q, x, p) or has(p, x + 1, q):
+        for q in current.states():
+            for p in current.states():
+                if (q, x, p) in present or (p, x + 1, q) in present:
                     continue
-                with_even = replace(
-                    current,
-                    transitions=current.transitions + (Transition(q, EPS, x, p),),
-                )
-                if disjoint_from_det(with_even, co_w):
-                    current = with_even
-                    continue
-                with_odd = replace(
-                    current,
-                    transitions=current.transitions + (Transition(p, EPS, x + 1, q),),
-                )
-                if disjoint_from_det(with_odd, co_w):
-                    current = with_odd
-                    continue
-                r1 = incl_nd_in_det(with_even, w_det)
-                r2 = incl_nd_in_det(with_odd, w_det)
-                return NotPositional(CompletionFailure(q, p, x, r1, r2, current))
+                even, odd = Transition(q, EPS, x, p), Transition(p, EPS, x + 1, q)
+                for t in (even, odd):
+                    product.push(t)
+                    if not product.has_common_word():
+                        added.append(t)
+                        present.add((t.src, t.priority, t.dst))
+                        break
+                    product.pop()
+                else:
+                    base = replace(current, transitions=current.transitions + tuple(added))
+                    r1, r2 = (
+                        incl_nd_in_det(replace(base, transitions=base.transitions + (t,)), w_det)
+                        for t in (even, odd)
+                    )
+                    return NotPositional(CompletionFailure(q, p, x, r1, r2, base))
+    current = replace(current, transitions=current.transitions + tuple(added))
     current = _close_relations(current, d)
     current = priority_close(current, d)
     current = merge_top_equivalent(current, d)

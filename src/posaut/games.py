@@ -237,14 +237,14 @@ class SolveResult:
 
 
 def _letter_rows(arena: GameArena, objective: ParityAutomaton):
-    """Per letter of an arena edge, the objective's transition from every
-    state, in state order."""
+    """Per letter, the objective's transition from every state, in state
+    order (`objective.delta`); every letter of an arena edge must have one."""
     if not objective.deterministic or objective.has_eps:
         raise ValueError("objective must be deterministic and eps-free")
-    rows = {}
+    rows = objective.delta
     for (_, a, _) in arena.edges:
         if a != EPS and a not in rows:
-            rows[a] = [objective.dsucc(q, a) for q in objective.states()]
+            raise ValueError(f"objective has no transitions on {a!r}")
     return rows
 
 

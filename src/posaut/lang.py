@@ -9,11 +9,14 @@ containing both a coordinate-1 priority-x and a coordinate-2 priority-y
 transition; the witness is a shortest lasso through both.  The residual
 relations come from one such product over all pairs of states at once
 (`noninclusion_pairs`); counterexamples are built only for the pair a
-caller reports.
+caller reports.  Emptiness alone is decided on `DetProduct`, integer arrays
+over all state pairs that a caller can extend and shrink in place, by one
+recursive SCC decomposition instead of a pass per even pair.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -24,6 +27,7 @@ from .automaton import (
     Transition,
     UPWord,
     congruence_from_classes,
+    tarjan_edges,
     tarjan_scc,
 )
 
@@ -255,11 +259,106 @@ def disjoint_from_det(a: ParityAutomaton, b: ParityAutomaton) -> bool:
 
     With `b` the complement of a deterministic `c` this is whether
     `incl_nd_in_det(a, c)` is True; a caller that asks this for many `a`
-    complements `c` once."""
-    if not b.deterministic:
-        raise ValueError("right-hand side must be deterministic")
-    nodes, edges = _explore_product(a, b, [(a.initial, b.initial)])
-    return not any(accepting for _, _, accepting in _even_pair_sccs(len(nodes), edges))
+    that differ by added transitions extends one `DetProduct` instead."""
+    return not DetProduct(a, b).has_common_word()
+
+
+STUTTER = sys.maxsize  # second priority of a product edge on which `b` stutters
+
+
+class DetProduct:
+    """The product of an automaton `a` (may be nondeterministic and carry
+    eps) with a deterministic `b`, over all n·m state pairs as integer
+    arrays; pair (q, w) has id q·m + w.
+
+    Each transition of `a` adds m consecutive edges, one from each pair
+    (src, w): to (dst, w) for an eps-transition (coordinate 2 stutters and
+    has no priority, `STUTTER` in `pr2`), else to (dst, w') along b's
+    letter-transition w -> w'.  `push` appends the copies of one more
+    transition and `pop` removes the last pushed ones again, so a caller
+    that tests many extensions of `a` builds the product once.
+    """
+
+    def __init__(self, a: ParityAutomaton, b: ParityAutomaton):
+        if not b.deterministic:
+            raise ValueError("right-hand side must be deterministic")
+        self.m = b.n_states
+        self.start = a.initial * self.m + b.initial
+        self.rows = b.delta
+        self.out: list[list[int]] = [[] for _ in range(a.n_states * self.m)]
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.pr1: list[int] = []
+        self.pr2: list[int] = []
+        for t in a.transitions:
+            self.push(t)
+
+    def push(self, t: Transition) -> None:
+        m, out = self.m, self.out
+        first, src = len(self.dst), t.src * m
+        if t.is_eps:
+            self.dst.extend(range(t.dst * m, t.dst * m + m))
+            self.pr2.extend([STUTTER] * m)
+        else:
+            row = self.rows.get(t.letter)
+            if row is None:
+                raise ValueError(f"right-hand side has no transitions on {t.letter!r}")
+            base = t.dst * m
+            self.dst.extend([base + u.dst for u in row])
+            self.pr2.extend([u.priority for u in row])
+        self.src.extend(range(src, src + m))
+        self.pr1.extend([t.priority] * m)
+        for w in range(m):
+            out[src + w].append(first + w)
+
+    def pop(self) -> None:
+        """Remove the copies of the last pushed transition."""
+        m = self.m
+        for v in self.src[-m:]:
+            self.out[v].pop()
+        del self.src[-m:], self.dst[-m:], self.pr1[-m:], self.pr2[-m:]
+
+    def has_common_word(self) -> bool:
+        """Whether a pair reachable from (a.initial, b.initial) lies on a
+        cycle that reads a letter and whose least first and least second
+        priorities (stutters carry none) are both even.
+
+        Recursive SCC decomposition (Emerson and Lei): an SCC whose internal
+        edges have least priorities (x, y) holds such a cycle if x and y are
+        both even and none if it reads no letter; otherwise its candidate
+        cycles avoid the edges that carry an odd x or an odd y, and what is
+        left is decomposed at the next level.  Each level raises an odd
+        least priority, so there are at most as many levels as odd
+        priorities; one Tarjan pass finds all SCCs of a level.  The first
+        pass starts at the initial pair only, so unreachable pairs never
+        count."""
+        src, dst, pr1, pr2 = self.src, self.dst, self.pr1, self.pr2
+        adj = self.out
+        roots = [self.start]
+        while True:
+            comp_of, comps = tarjan_edges(roots, adj, dst, len(self.out))
+            keep = []
+            for c, members in enumerate(comps):
+                inner = [e for v in members for e in adj[v] if comp_of[dst[e]] == c]
+                if not inner:
+                    continue
+                y = min(map(pr2.__getitem__, inner))
+                if y == STUTTER:
+                    continue
+                x = min(map(pr1.__getitem__, inner))
+                if x % 2 == 0 and y % 2 == 0:
+                    return True
+                if x % 2:
+                    inner = [e for e in inner if pr1[e] != x]
+                if y % 2:
+                    inner = [e for e in inner if pr2[e] != y]
+                keep.extend(inner)
+            if not keep:
+                return False
+            adj = [[] for _ in range(len(self.out))]
+            for e in keep:
+                adj[src[e]].append(e)
+            roots = [src[e] for e in keep]
 
 
 def noninclusion_pairs(aut: ParityAutomaton, states) -> set[tuple[int, int]]:

@@ -264,3 +264,75 @@ def run_lasso(aut, u, v) -> bool:
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(12345)
+
+
+def reference_disjoint(a, co):
+    """`lang.disjoint_from_det` as it was before the integer product: explore
+    the reachable product afresh and run one Tarjan pass per even pair."""
+    from posaut.lang import _even_pair_sccs, _explore_product
+
+    nodes, edges = _explore_product(a, co, [(a.initial, co.initial)])
+    return not any(accepting for _, _, accepting in _even_pair_sccs(len(nodes), edges))
+
+
+def reference_p2(aut, w_det=None):
+    """`decide_positionality_p2` with its greedy loop as it was before the
+    integer product: a fresh automaton and a fresh product per candidate."""
+    from dataclasses import replace
+
+    from posaut.automaton import EPS, Transition
+    from posaut.epscomplete import (
+        EpsCompleteAutomaton,
+        _close_relations,
+        _prune_even_eps,
+        even_bound,
+        merge_top_equivalent,
+        priority_close,
+        validate_eps_complete,
+    )
+    from posaut.lang import complement_det, incl_nd_in_det
+    from posaut.witnesses import CompletionFailure, NotPositional, Positional
+
+    if w_det is None:
+        assert aut.deterministic and not aut.has_eps
+        w_det = aut
+    else:
+        assert incl_nd_in_det(aut, w_det) is True
+    co_w = complement_det(w_det)
+    d = even_bound(aut)
+    current = replace(aut, priority_range=(0, d + 1), deterministic=False)
+
+    def has(s, y, t):
+        return any(
+            tr.is_eps and tr.priority == y and tr.dst == t for tr in current.by_src[s]
+        )
+
+    for x in range(0, d + 1, 2):
+        for q in sorted(current.states()):
+            for p in sorted(current.states()):
+                if has(q, x, p) or has(p, x + 1, q):
+                    continue
+                with_even = replace(
+                    current,
+                    transitions=current.transitions + (Transition(q, EPS, x, p),),
+                )
+                if reference_disjoint(with_even, co_w):
+                    current = with_even
+                    continue
+                with_odd = replace(
+                    current,
+                    transitions=current.transitions + (Transition(p, EPS, x + 1, q),),
+                )
+                if reference_disjoint(with_odd, co_w):
+                    current = with_odd
+                    continue
+                r1 = incl_nd_in_det(with_even, w_det)
+                r2 = incl_nd_in_det(with_odd, w_det)
+                return NotPositional(CompletionFailure(q, p, x, r1, r2, current))
+    current = _close_relations(current, d)
+    current = priority_close(current, d)
+    current = merge_top_equivalent(current, d)
+    current = priority_close(current, d)
+    current = _prune_even_eps(current, d)
+    assert validate_eps_complete(current, d) is True
+    return Positional(EpsCompleteAutomaton(current, d))

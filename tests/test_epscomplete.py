@@ -20,11 +20,20 @@ from posaut.signature import decide_positionality_p1
 from posaut.witnesses import CompletionFailure, NotPositional, Positional
 from posaut.zoo import (
     aut_accept_all,
+    aut_fin_nested_c_factors,
     aut_inf_a_or_fin_bb,
+    aut_min_letter_even,
     aut_reach_aa,
 )
 
-from conftest import FIXTURES, POSITIONAL_FIXTURES, random_automaton, random_upword
+from conftest import (
+    FIXTURES,
+    POSITIONAL_FIXTURES,
+    blowup,
+    random_automaton,
+    random_upword,
+    reference_p2,
+)
 
 EXPECTED_EPS_TREE = {
     # states 0 < 1 < 2 in the level-2 chain: the completion tree plus odd self-loops
@@ -334,3 +343,82 @@ def test_p2_agreement_with_p1_on_fixtures():
         p1 = decide_positionality_p1(aut)
         p2 = decide_positionality_p2(aut)
         assert isinstance(p1, Positional) == isinstance(p2, Positional), name
+
+
+# -- the greedy loop on one product against the rebuild-per-candidate loop ---------
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_p2_matches_reference_on_fixtures(name):
+    aut = FIXTURES[name][0]()
+    assert decide_positionality_p2(aut) == reference_p2(aut)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_p2_matches_reference_on_random_dpas(chunk):
+    for seed in range(25 * chunk, 25 * chunk + 25):
+        rng = random.Random(seed)
+        letters = ("a", "b", "c")[: rng.randint(2, 3)]
+        aut = random_automaton(rng, rng.randint(3, 9), letters, dmax=rng.randint(1, 5))
+        aut = aut.trim()
+        assert decide_positionality_p2(aut) == reference_p2(aut), seed
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_p2_matches_reference_on_blowups(k, seed):
+    aut = blowup(aut_fin_nested_c_factors(), k, seed)
+    res = decide_positionality_p2(aut)
+    assert isinstance(res, Positional)
+    assert res == reference_p2(aut)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_p2_matches_reference_on_min_letter_even(d):
+    aut = aut_min_letter_even(d)
+    assert decide_positionality_p2(aut) == reference_p2(aut)
+
+
+# -- p2 with a separate deterministic automaton w_det -------------------------------
+
+
+def with_redundant_copy(aut, s, a):
+    """`aut` plus a copy of the a-successor q of s, with the copy's own
+    transitions, and a second a-transition from s into the copy (same
+    priority): nondeterministic, and the copy is bisimilar to q, so the
+    language is unchanged."""
+    t = aut.dsucc(s, a)
+    n = aut.n_states
+    trans = [(u.src, u.letter, u.priority, u.dst) for u in aut.transitions]
+    trans += [(n, u.letter, u.priority, u.dst) for u in aut.by_src[t.dst]]
+    trans.append((s, a, t.priority, n))
+    return build(n + 1, aut.alphabet, aut.initial, trans, deterministic=False)
+
+
+@pytest.mark.parametrize("name", POSITIONAL_FIXTURES)
+def test_p2_on_own_certificate_with_w_det(name):
+    aut = FIXTURES[name][0]()
+    cert = decide_positionality_p2(aut).certificate.automaton
+    assert cert.has_eps and not cert.deterministic
+    res = decide_positionality_p2(cert, aut)
+    assert res == reference_p2(cert, aut)
+    # the certificate is eps-complete already: no candidate is tested, and
+    # the post-processing gives it back unchanged
+    assert isinstance(res, Positional) and res.certificate.automaton == cert
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_p2_on_redundant_nondeterministic_transition(name):
+    aut = FIXTURES[name][0]()
+    nd = with_redundant_copy(aut, aut.initial, aut.alphabet[0])
+    res = decide_positionality_p2(nd, aut)
+    assert isinstance(res, type(decide_positionality_p2(aut)))
+    assert res == reference_p2(nd, aut)
+
+
+def test_p2_w_det_must_include_the_input():
+    with pytest.raises(ValueError, match="not included in L\\(W_det\\)"):
+        decide_positionality_p2(aut_accept_all(), aut_reach_aa())
+    # only L(aut) ⊆ L(w_det) is checked: a smaller input language passes
+    res = decide_positionality_p2(aut_reach_aa(), aut_accept_all())
+    assert res == reference_p2(aut_reach_aa(), aut_accept_all())

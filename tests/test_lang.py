@@ -13,6 +13,7 @@ from posaut.automaton import (
 )
 from posaut.epscomplete import decide_positionality_p2
 from posaut.lang import (
+    DetProduct,
     complement_det,
     disjoint_from_det,
     incl_det,
@@ -39,6 +40,7 @@ from conftest import (
     blowup,
     random_automaton,
     random_upword,
+    reference_disjoint,
 )
 
 
@@ -242,6 +244,77 @@ def test_completion_failure_words_match_direct_inclusion(name):
     assert not disjoint_from_det(with_odd, complement_det(aut))
     assert wit.cex1 == incl_nd_in_det(with_even, aut)
     assert wit.cex2 == incl_nd_in_det(with_odd, aut)
+
+
+def random_eps_automaton(rng, letters):
+    """A random automaton with eps-transitions, possibly nondeterministic and
+    incomplete, over `letters`, with priorities in 0..4."""
+    n = rng.randint(1, 5)
+    trans = [
+        (rng.randrange(n), rng.choice(letters + (EPS, EPS)), rng.randint(0, 4), rng.randrange(n))
+        for _ in range(rng.randint(1, 4 * n))
+    ]
+    return build(n, letters, rng.randrange(n), trans, deterministic=False)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_matches_lasso_search(seed):
+    rng = random.Random(seed)
+    for i in range(60):
+        letters = ("a", "b")[: rng.randint(1, 2)]
+        a = random_eps_automaton(rng, letters)
+        c = random_automaton(rng, rng.randint(1, 4), letters, dmax=rng.randint(0, 4))
+        co = complement_det(c)
+        included = incl_nd_in_det(a, c) is True
+        assert DetProduct(a, co).has_common_word() == (not included), (seed, i)
+        assert disjoint_from_det(a, co) == included == reference_disjoint(a, co), (seed, i)
+
+
+def test_kernel_push_and_pop():
+    # pushing one transition gives the product of the extended automaton,
+    # popping it gives back the product before
+    rng = random.Random(7)
+    for i in range(40):
+        a = random_eps_automaton(rng, ("a", "b"))
+        c = random_automaton(rng, rng.randint(1, 4), ("a", "b"))
+        product = DetProduct(a, complement_det(c))
+
+        def arrays():
+            return [list(map(list, product.out)), product.src[:], product.dst[:],
+                    product.pr1[:], product.pr2[:]]
+
+        before = arrays()
+        t = Transition(
+            rng.randrange(a.n_states), rng.choice(("a", EPS)), rng.randint(0, 4),
+            rng.randrange(a.n_states),
+        )
+        product.push(t)
+        extended = replace(a, transitions=a.transitions + (t,))
+        fresh = DetProduct(extended, complement_det(c))
+        assert arrays() == [fresh.out, fresh.src, fresh.dst, fresh.pr1, fresh.pr2], i
+        assert product.has_common_word() == (incl_nd_in_det(extended, c) is not True), i
+        product.pop()
+        assert arrays() == before, i
+
+
+def test_kernel_rejects_even_eps_only_cycle():
+    # 0 and 1 form a cycle of eps:0 edges, which reads no letter; the only
+    # letter cycle (at 2) has odd priority, so L(a) is empty
+    a = build(3, ("a",), 0, [(0, EPS, 0, 1), (1, EPS, 0, 0), (0, "a", 1, 2), (2, "a", 1, 2)])
+    c = aut_reject_all(("a",))
+    assert not DetProduct(a, complement_det(c)).has_common_word()
+    assert incl_nd_in_det(a, c) is True
+
+
+def test_kernel_ignores_unreachable_pairs():
+    # a accepts a^omega; c accepts it from its initial state 0, and its
+    # unreachable state 1 rejects it, so the product pair (0, 1) lies on an
+    # accepting cycle that the initial pair (0, 0) does not reach
+    a = build(1, ("a",), 0, [(0, "a", 0, 0)])
+    c = build(2, ("a",), 0, [(0, "a", 0, 0), (1, "a", 1, 1)], deterministic=True)
+    assert not DetProduct(a, complement_det(c)).has_common_word()
+    assert incl_nd_in_det(a, c) is True
+    assert DetProduct(a, complement_det(c.with_initial(1))).has_common_word()
 
 
 def test_residual_automaton_shapes():
