@@ -53,7 +53,6 @@ from .progress import (
     check_progress_consistency,
     decide_bipositionality,
     finite_path_language,
-    warmup_fast_path,
 )
 from .signature import (
     NestedPreorders,

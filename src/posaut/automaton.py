@@ -8,9 +8,11 @@ it never belongs to the declared alphabet.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 import re
+import sys
 
 EPS = "eps"
 
@@ -103,10 +105,6 @@ class ParityAutomaton:
     @cached_property
     def has_eps(self):
         return any(t.is_eps for t in self.transitions)
-
-    @cached_property
-    def priorities_used(self) -> tuple[int, ...]:
-        return tuple(sorted({t.priority for t in self.transitions}))
 
     def states(self):
         return range(self.n_states)
@@ -239,8 +237,6 @@ def access_word(aut: ParityAutomaton, target: int) -> tuple[str, ...] | None:
     """Shortest word reaching `target` from the initial state (eps-free BFS)."""
     if target == aut.initial:
         return ()
-    from collections import deque
-
     prev: dict[int, tuple[int, str]] = {aut.initial: None}
     queue = deque([aut.initial])
     while queue:
@@ -364,6 +360,133 @@ def tarjan_edges(roots, adj, dst, n):
                 elif lv < low[work[-1][0]]:
                     low[work[-1][0]] = lv
     return comp_of, comps
+
+
+# ---------------------------------------------------------------------------
+# The parity-cycle kernel
+# ---------------------------------------------------------------------------
+
+STUTTER = sys.maxsize  # second priority of a product edge that reads no letter
+
+
+class EdgeGraph:
+    """A directed multigraph as integer arrays, the input of `even_cycle_sccs`.
+
+    Edge e runs from src[e] to dst[e] with priorities pr1[e] and pr2[e],
+    where pr2[e] is `STUTTER` when the edge reads no letter; out[v] lists the
+    ids of the edges leaving v in the order they were added, and label[e] is
+    any value attached to the edge when it was added."""
+
+    def __init__(self, n: int = 0):
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.pr1: list[int] = []
+        self.pr2: list[int] = []
+        self.label: list = []
+
+    def add(self, u: int, v: int, p1: int, p2: int, label=None) -> None:
+        self.out[u].append(len(self.dst))
+        self.src.append(u)
+        self.dst.append(v)
+        self.pr1.append(p1)
+        self.pr2.append(p2)
+        self.label.append(label)
+
+
+def explore(starts, step) -> tuple[EdgeGraph, dict]:
+    """The part of a product graph reachable from the node keys `starts`,
+    explored breadth first.  Nodes are numbered in discovery order, `starts`
+    first; `step(key)` yields one (key', p1, p2, label) per edge leaving
+    `key`, and edges are numbered in that order.  Returns the graph and the
+    map from node keys to ids."""
+    g = EdgeGraph()
+    ids: dict = {}
+    queue = deque()
+
+    def node(key):
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(g.out)
+            g.out.append([])
+            queue.append(key)
+        return i
+
+    for key in starts:
+        node(key)
+    while queue:
+        key = queue.popleft()
+        s = ids[key]
+        for key2, p1, p2, label in step(key):
+            g.add(s, node(key2), p1, p2, label)
+    return g, ids
+
+
+def even_cycle_sccs(g, roots):
+    """Lazily yield, for each accepting SCC of `g` reachable from `roots`,
+    the ids of its inner edges.  `g` is an `EdgeGraph` or has its five
+    integer arrays (`out`, `src`, `dst`, `pr1`, `pr2`).
+
+    An SCC accepts when it holds a cycle that reads a letter and whose least
+    first and least second priorities are both even; `STUTTER` never counts
+    as a least priority.  Recursive SCC decomposition (Emerson and Lei): an
+    SCC whose inner edges have least priorities (x, y) accepts if x and y
+    are both even and is dropped if it reads no letter; otherwise its
+    candidate cycles avoid the edges that carry an odd x or an odd y, and
+    what is left is decomposed at the next level.  Each level raises an odd
+    least priority, so there are at most as many levels as odd priorities;
+    one Tarjan pass finds all SCCs of a level.  The edges yielded are
+    exactly the edges on such cycles reachable from `roots`, each once."""
+    src, dst, pr1, pr2 = g.src, g.dst, g.pr1, g.pr2
+    n = len(g.out)
+    adj = g.out
+    while True:
+        comp_of, comps = tarjan_edges(roots, adj, dst, n)
+        keep = []
+        for c, members in enumerate(comps):
+            inner = [e for v in members for e in adj[v] if comp_of[dst[e]] == c]
+            if not inner:
+                continue
+            y = min(map(pr2.__getitem__, inner))
+            if y == STUTTER:
+                continue
+            x = min(map(pr1.__getitem__, inner))
+            if x % 2 == 0 and y % 2 == 0:
+                yield inner
+                continue
+            if x % 2:
+                inner = [e for e in inner if pr1[e] != x]
+            if y % 2:
+                inner = [e for e in inner if pr2[e] != y]
+            keep.extend(inner)
+        if not keep:
+            return
+        adj = [[] for _ in range(n)]
+        for e in keep:
+            adj[src[e]].append(e)
+        roots = [src[e] for e in keep]
+
+
+def reaches_even_cycle(g, roots) -> list[bool]:
+    """Per node of `g`, whether it reaches an accepting SCC of
+    `even_cycle_sccs(g, roots)`: one backward search from their members."""
+    bad = [False] * len(g.out)
+    stack = []
+    for inner in even_cycle_sccs(g, roots):
+        for e in inner:
+            v = g.src[e]
+            if not bad[v]:
+                bad[v] = True
+                stack.append(v)
+    pred: list[list[int]] = [[] for _ in g.out]
+    for s, d in zip(g.src, g.dst):
+        pred[d].append(s)
+    while stack:
+        for u in pred[stack.pop()]:
+            if not bad[u]:
+                bad[u] = True
+                stack.append(u)
+    return bad
 
 
 def scc_decompose(aut: ParityAutomaton) -> list[Scc]:
@@ -535,70 +658,21 @@ def _up_membership_det(aut: ParityAutomaton, w: UPWord) -> bool:
 
 
 def _up_membership_nd(aut: ParityAutomaton, w: UPWord) -> bool:
-    # product of the automaton with the lasso graph; a word is accepted iff
-    # some reachable cycle has even minimal priority and consumes a letter
-    ulen, vlen = len(w.u), len(w.v)
-    total = ulen + vlen
+    # the product of the automaton with the lasso graph of w, whose position
+    # i reads letter i of u.v; an eps move keeps its position and reads none
+    word, ulen = w.u + w.v, len(w.u)
+    last = len(word) - 1
 
-    def advance(pos):
-        nxt = pos + 1
-        return ulen if nxt == total else nxt
-
-    def letter_at(pos):
-        return w.u[pos] if pos < ulen else w.v[pos - ulen]
-
-    nodes = {}
-
-    def node_id(q, pos):
-        key = (q, pos)
-        if key not in nodes:
-            nodes[key] = len(nodes)
-        return nodes[key]
-
-    edges = []  # (src_id, dst_id, priority, consumes)
-    stack = [(aut.initial, 0)]
-    node_id(aut.initial, 0)
-    seen = {(aut.initial, 0)}
-    while stack:
-        q, pos = stack.pop()
-        sid = nodes[(q, pos)]
+    def step(key):
+        q, pos = key
         for t in aut.by_src[q]:
             if t.is_eps:
-                tgt = (t.dst, pos)
-                consumes = False
-            elif t.letter == letter_at(pos):
-                tgt = (t.dst, advance(pos))
-                consumes = True
-            else:
-                continue
-            tid = node_id(*tgt)
-            edges.append((sid, tid, t.priority, consumes))
-            if tgt not in seen:
-                seen.add(tgt)
-                stack.append(tgt)
-    n = len(nodes)
-    priorities = sorted({p for (_, _, p, _) in edges})
-    for x in priorities:
-        if x % 2 != 0:
-            continue
-        sub = [(s, d, p, c) for (s, d, p, c) in edges if p >= x]
-        comps = tarjan_scc(n, ((s, d) for (s, d, _, _) in sub))
-        comp_of = {}
-        for i, comp in enumerate(comps):
-            for v_ in comp:
-                comp_of[v_] = i
-        per_comp_x = set()
-        per_comp_consume = set()
-        for s, d, p, c in sub:
-            if comp_of[s] == comp_of[d]:
-                if p == x:
-                    per_comp_x.add(comp_of[s])
-                if c:
-                    per_comp_consume.add(comp_of[s])
-        good = per_comp_x & per_comp_consume
-        if good:
-            return True
-    return False
+                yield (t.dst, pos), t.priority, STUTTER, None
+            elif t.letter == word[pos]:
+                yield (t.dst, ulen if pos == last else pos + 1), t.priority, 0, None
+
+    g, _ = explore([(aut.initial, 0)], step)
+    return next(even_cycle_sccs(g, [0]), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,13 @@ from itertools import product as iproduct
 
 from .automaton import (
     EPS,
+    STUTTER,
     FormatError,
     ParityAutomaton,
     Transition,
     UPWord,
+    even_cycle_sccs,
+    explore,
     tarjan_scc,
 )
 from .lang import complement_det
@@ -363,55 +366,22 @@ class NoUniformStrategy:
 
 def _strategy_wins(arena, comp, restricted_edges, vertex) -> bool:
     """All infinite plays from `vertex` under the restriction satisfy the
-    objective: no reachable cycle of the complement-product has an even
-    minimal priority.  Eps-moves carry no priority; the check relies on
-    `GameArena.validate` rejecting eps-cycles, so that every cycle consumes
-    a letter and has a minimal priority."""
-    nodes = {}
-    edges = []
+    objective: the product with the complement, reachable from (vertex,
+    comp.initial), has no accepting cycle of the kernel.  Eps-moves stutter
+    the complement; the check relies on `GameArena.validate` rejecting
+    eps-cycles, so that every cycle consumes a letter."""
 
-    def nid(v, q):
-        if (v, q) not in nodes:
-            nodes[(v, q)] = len(nodes)
-        return nodes[(v, q)]
-
-    start = nid(vertex, comp.initial)
-    queue = deque([(vertex, comp.initial)])
-    seen = {(vertex, comp.initial)}
-    while queue:
-        v, q = queue.popleft()
-        sid = nodes[(v, q)]
-        for (s, a, t) in restricted_edges[v]:
+    def step(key):
+        v, q = key
+        for (_, a, t) in restricted_edges[v]:
             if a == EPS:
-                tgt = (t, q)
-                pr = None
+                yield (t, q), 0, STUTTER, None
             else:
                 tr = comp.dsucc(q, a)
-                tgt = (t, tr.dst)
-                pr = tr.priority
-            tid = nid(*tgt)
-            edges.append((sid, tid, pr))
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    n = len(nodes)
-    prios = sorted({p for (_, _, p) in edges if p is not None})
-    for x in prios:
-        if x % 2 != 0:
-            continue
-        sub = [(s, t, p) for (s, t, p) in edges if p is None or p >= x]
-        comps = tarjan_scc(n, ((s, t) for (s, t, _) in sub))
-        comp_of = {}
-        for i, c in enumerate(comps):
-            for u in c:
-                comp_of[u] = i
-        marked = set()
-        for (s, t, p) in sub:
-            if comp_of[s] == comp_of[t] and p == x:
-                marked.add(comp_of[s])
-        if marked:
-            return False
-    return True
+                yield (t, tr.dst), 0, tr.priority, None
+
+    g, _ = explore([(vertex, comp.initial)], step)
+    return next(even_cycle_sccs(g, [0]), None) is None
 
 
 def brute_force_positional(arena: GameArena, objective: ParityAutomaton, bound=None):

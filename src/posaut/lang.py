@@ -2,33 +2,36 @@
 
 Complementation of deterministic automata, inclusion with ultimately
 periodic counterexamples, the residual preorder and automaton of residuals,
-and safe-language inclusion.  Inclusion is decided on the product with the
-complement: the product accepts a common word iff for some even pair (x, y)
-its restriction to coordinate priorities >= (x, y) has a reachable SCC
-containing both a coordinate-1 priority-x and a coordinate-2 priority-y
-transition; the witness is a shortest lasso through both.  The residual
-relations come from one such product over all pairs of states at once
-(`noninclusion_pairs`); counterexamples are built only for the pair a
-caller reports.  Emptiness alone is decided on `DetProduct`, integer arrays
-over all state pairs that a caller can extend and shrink in place, by one
-recursive SCC decomposition instead of a pass per even pair.
+and safe-language inclusion.  Inclusion is emptiness of the product with the
+complement, decided by the parity-cycle kernel (`automaton.even_cycle_sccs`):
+a common word exists iff a reachable cycle reads a letter and has even least
+priorities in both coordinates.  Only then is the witness lasso built, on the
+same arrays: for each even pair (x, y), a shortest cycle through a
+coordinate-1 priority-x and a coordinate-2 priority-y edge inside one SCC of
+the edges >= (x, y), behind a BFS path; the shortest such lasso, made
+canonical, is the witness.  The residual relations come from one product over
+all pairs of states at once (`noninclusion_pairs`), and the eps-completion
+loop extends one `DetProduct` in place.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, replace
 
 from .automaton import (
     EPS,
+    STUTTER,
     Congruence,
+    EdgeGraph,
     ParityAutomaton,
     Transition,
     UPWord,
     congruence_from_classes,
+    even_cycle_sccs,
+    explore,
+    reaches_even_cycle,
     tarjan_edges,
-    tarjan_scc,
 )
 
 
@@ -45,200 +48,134 @@ def complement_det(aut: ParityAutomaton) -> ParityAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Product graphs and the even-pair cycle search
+# Products, the kernel's verdicts and their lassos
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PEdge:
-    src: int
-    dst: int
-    letter: str  # EPS when only the first coordinate moved
-    pr1: int
-    pr2: int | None  # None when the second coordinate stuttered
-
-
-def _explore_product(a1: ParityAutomaton, a2: ParityAutomaton, starts):
+def _product(a1: ParityAutomaton, a2: ParityAutomaton, starts) -> tuple[EdgeGraph, dict]:
     """Product of a1 (may have eps) with deterministic a2, reachable from the
-    (q1, q2) pairs in `starts`, which get the first node ids in that order.
+    (q1, q2) pairs in `starts`, explored breadth first (`explore`).
 
-    Eps moves of a1 stutter a2 and carry no second-coordinate priority.
-    Returns (node index map, edge list).
-    """
-    nodes: dict[tuple[int, int], int] = {}
+    Eps moves of a1 stutter a2 (second priority `STUTTER`); each edge is
+    labelled with the letter it reads, or EPS."""
 
-    def nid(key):
-        if key not in nodes:
-            nodes[key] = len(nodes)
-            queue.append(key)
-        return nodes[key]
-
-    queue: deque[tuple[int, int]] = deque()
-    for key in starts:
-        nid(key)
-    edges: list[_PEdge] = []
-    while queue:
-        s, t = queue.popleft()
-        sid = nodes[(s, t)]
+    def step(key):
+        s, t = key
         for tr in a1.by_src[s]:
             if tr.is_eps:
-                edges.append(_PEdge(sid, nid((tr.dst, t)), EPS, tr.priority, None))
+                yield (tr.dst, t), tr.priority, STUTTER, EPS
             else:
                 u = a2.dsucc(t, tr.letter)
-                edges.append(
-                    _PEdge(sid, nid((tr.dst, u.dst)), tr.letter, tr.priority, u.priority)
-                )
-    return nodes, edges
+                yield (tr.dst, u.dst), tr.priority, u.priority, tr.letter
+
+    return explore(starts, step)
 
 
-def _even_pair_sccs(n, edges):
-    """For each even pair (x, y): the edges with coordinate priorities
-    >= (x, y), their SCC map, and the accepting SCCs among them.
-
-    An SCC is accepting when it holds a coordinate-1 priority-x edge and a
-    coordinate-2 priority-y edge inside it; it maps to those anchor edges.
-    Coordinate-2 stutters (pr2 None) may lie on its cycles but never anchor
-    them, which excludes cycles that are all-eps in coordinate 1.  The
-    product accepts a common word from a node iff the node reaches an
-    accepting SCC of some even pair.
-    """
-    pr1s = sorted({e.pr1 for e in edges if e.pr1 % 2 == 0})
-    pr2s = sorted({e.pr2 for e in edges if e.pr2 is not None and e.pr2 % 2 == 0})
-    for x in pr1s:
-        for y in pr2s:
-            sub = [e for e in edges if e.pr1 >= x and (e.pr2 is None or e.pr2 >= y)]
-            comp_of = _scc_map(n, sub)
-            comps_x: dict[int, list[_PEdge]] = {}
-            comps_y: dict[int, list[_PEdge]] = {}
-            for e in sub:
-                if comp_of[e.src] == comp_of[e.dst]:
-                    c = comp_of[e.src]
-                    if e.pr1 == x:
-                        comps_x.setdefault(c, []).append(e)
-                    if e.pr2 == y:
-                        comps_y.setdefault(c, []).append(e)
-            accepting = {
-                c: (comps_x[c], comps_y[c]) for c in sorted(comps_x.keys() & comps_y.keys())
-            }
-            yield sub, comp_of, accepting
+def _included(g: EdgeGraph):
+    """True when the product `g` has no common word from node 0 (the
+    kernel decides), else its shortest lasso."""
+    if next(even_cycle_sccs(g, [0]), None) is None:
+        return True
+    return _shortest_lasso(g)
 
 
-def _even_pair_lasso(nodes, edges, start) -> UPWord | None:
-    """Shortest lasso from `start` through an accepting SCC of some even pair,
-    or None; every node of the product must be reachable from `start`."""
-    n = len(nodes)
+def _shortest_lasso(g: EdgeGraph) -> UPWord:
+    """The canonical shortest lasso from node 0 of a product with a common
+    word.
+
+    For each even pair (x, y), the edges with priorities >= (x, y) are split
+    into SCCs.  Each SCC that holds an edge of first priority x and one of
+    second priority y (a stutter is never one) gives a candidate: the BFS
+    path from node 0 to the shortest cycle through such a pair of anchor
+    edges.  The candidate with the fewest letters wins, then the least
+    (u, v)."""
+    src, dst, pr1, pr2, label = g.src, g.dst, g.pr1, g.pr2, g.label
+    n = len(g.out)
+    pred: list[int | None] = [None] * n  # BFS tree edge into each node
+    seen = [False] * n
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        for e in g.out[queue.popleft()]:
+            if not seen[dst[e]]:
+                seen[dst[e]] = True
+                pred[dst[e]] = e
+                queue.append(dst[e])
     best: tuple[int, tuple, tuple] | None = None  # (length, u, v)
-    pred = _bfs_tree(n, edges, start)
-    for sub, comp_of, accepting in _even_pair_sccs(n, edges):
-        for c, (x_edges, y_edges) in accepting.items():
-            entry, cycle_edges = _cycle_through(sub, comp_of, c, x_edges, y_edges)
-            u = _path_letters(pred, start, entry)
-            v = tuple(e.letter for e in cycle_edges if e.letter != EPS)
-            cand = (len(u) + len(v), u, v)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None
+    for x in sorted({p for p in pr1 if p % 2 == 0}):
+        for y in sorted({p for p in pr2 if p % 2 == 0}):  # STUTTER is odd
+            adj = [[e for e in es if pr1[e] >= x and pr2[e] >= y] for es in g.out]
+            comp_of, _ = tarjan_edges(range(n), adj, dst, n)
+            xs: dict[int, list[int]] = {}
+            ys: dict[int, list[int]] = {}
+            for e in range(len(dst)):
+                c = comp_of[src[e]]
+                if c == comp_of[dst[e]] and pr1[e] >= x and pr2[e] >= y:
+                    if pr1[e] == x:
+                        xs.setdefault(c, []).append(e)
+                    if pr2[e] == y:
+                        ys.setdefault(c, []).append(e)
+            for c in xs.keys() & ys.keys():
+                cycle = _cycle_through(adj, src, dst, comp_of, c, xs[c], ys[c])
+                u, e = [], pred[src[cycle[0]]]
+                while e is not None:
+                    u.append(label[e])
+                    e = pred[src[e]]
+                u = tuple(a for a in reversed(u) if a != EPS)
+                v = tuple(label[e] for e in cycle if label[e] != EPS)
+                cand = (len(u) + len(v), u, v)
+                if best is None or cand < best:
+                    best = cand
     return UPWord(best[1], best[2]).canonical()
 
 
-def _bfs_tree(n, edges, start):
-    adj = [[] for _ in range(n)]
-    for e in edges:
-        adj[e.src].append(e)
-    pred: list[_PEdge | None] = [None] * n
-    seen = [False] * n
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for e in adj[v]:
-            if not seen[e.dst]:
-                seen[e.dst] = True
-                pred[e.dst] = e
-                queue.append(e.dst)
-    return pred
+def _cycle_through(adj, src, dst, comp_of, c, xs, ys) -> list[int]:
+    """Shortest cycle inside SCC c through one edge of `xs` and one of `ys`:
+    the anchor pair that comes first among the shortest, joined by BFS
+    paths.  One BFS tree per start node serves every pair."""
+    trees: dict[int, tuple[dict, dict]] = {}  # start -> (tree edge, depth)
 
+    def tree(a):
+        if a not in trees:
+            prev, depth = {a: None}, {a: 0}
+            queue = deque([a])
+            while queue:
+                v = queue.popleft()
+                for e in adj[v]:
+                    w = dst[e]
+                    if w not in prev and comp_of[w] == c:
+                        prev[w], depth[w] = e, depth[v] + 1
+                        queue.append(w)
+            trees[a] = prev, depth
+        return trees[a]
 
-def _path_letters(pred, start, target):
-    letters = []
-    v = target
-    while v != start:
-        e = pred[v]
-        if e.letter != EPS:
-            letters.append(e.letter)
-        v = e.src
-    return tuple(reversed(letters))
+    def path(a, b):
+        prev, out = tree(a)[0], []
+        while b != a:
+            out.append(prev[b])
+            b = src[prev[b]]
+        return out[::-1]
 
-
-def _scc_map(n, edges):
-    comps = tarjan_scc(n, ((e.src, e.dst) for e in edges))
-    comp_of = [0] * n
-    for i, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = i
-    return comp_of
-
-
-def _cycle_through(sub, comp_of, comp, x_edges, y_edges):
-    """Shortest cycle inside one SCC through one x-anchor and one y-anchor."""
-    adj: dict[int, list[_PEdge]] = {}
-    for e in sub:
-        if comp_of[e.src] == comp and comp_of[e.dst] == comp:
-            adj.setdefault(e.src, []).append(e)
-
-    def shortest(src, dst):
-        if src == dst:
-            return []
-        dist = {src: None}
-        queue = deque([src])
-        prev = {}
-        while queue:
-            v = queue.popleft()
-            for e in adj.get(v, ()):
-                if e.dst not in dist:
-                    dist[e.dst] = True
-                    prev[e.dst] = e
-                    if e.dst == dst:
-                        path = []
-                        w = dst
-                        while w != src:
-                            path.append(prev[w])
-                            w = prev[w].src
-                        return list(reversed(path))
-                    queue.append(e.dst)
-        return None
-
-    best = None
-    for ex in x_edges:
-        for ey in y_edges:
-            if ex is ey:
-                back = shortest(ex.dst, ex.src)
-                if back is None:
-                    continue
-                cyc = [ex] + back
+    best = None  # (length, ex, ey)
+    for ex in xs:
+        for ey in ys:
+            if ex == ey:
+                length = 1 + tree(dst[ex])[1][src[ex]]
             else:
-                mid = shortest(ex.dst, ey.src)
-                if mid is None:
-                    continue
-                back = shortest(ey.dst, ex.src)
-                if back is None:
-                    continue
-                cyc = [ex] + mid + [ey] + back
-            if best is None or len(cyc) < len(best):
-                best = cyc
-    if best is None:
-        return None
-    return best[0].src, best
+                length = 2 + tree(dst[ex])[1][src[ey]] + tree(dst[ey])[1][src[ex]]
+            if best is None or length < best[0]:
+                best = (length, ex, ey)
+    _, ex, ey = best
+    if ex == ey:
+        return [ex] + path(dst[ex], src[ex])
+    return [ex] + path(dst[ex], src[ey]) + [ey] + path(dst[ey], src[ex])
 
 
 def incl_det(a: ParityAutomaton, q: int, b: ParityAutomaton, p: int):
     """L(a from q) included in L(b from p)?  True, or a counterexample UPWord."""
     if not (a.deterministic and b.deterministic):
         raise ValueError("incl_det needs deterministic automata")
-    nodes, edges = _explore_product(a, complement_det(b), [(q, p)])
-    witness = _even_pair_lasso(nodes, edges, 0)
-    return True if witness is None else witness
+    return _included(_product(a, complement_det(b), [(q, p)])[0])
 
 
 def incl_nd_in_det(a: ParityAutomaton, b: ParityAutomaton, q=None, p=None):
@@ -248,9 +185,7 @@ def incl_nd_in_det(a: ParityAutomaton, b: ParityAutomaton, q=None, p=None):
         raise ValueError("right-hand side must be deterministic")
     q = a.initial if q is None else q
     p = b.initial if p is None else p
-    nodes, edges = _explore_product(a, complement_det(b), [(q, p)])
-    witness = _even_pair_lasso(nodes, edges, 0)
-    return True if witness is None else witness
+    return _included(_product(a, complement_det(b), [(q, p)])[0])
 
 
 def disjoint_from_det(a: ParityAutomaton, b: ParityAutomaton) -> bool:
@@ -263,20 +198,17 @@ def disjoint_from_det(a: ParityAutomaton, b: ParityAutomaton) -> bool:
     return not DetProduct(a, b).has_common_word()
 
 
-STUTTER = sys.maxsize  # second priority of a product edge on which `b` stutters
-
-
 class DetProduct:
     """The product of an automaton `a` (may be nondeterministic and carry
-    eps) with a deterministic `b`, over all n·m state pairs as integer
-    arrays; pair (q, w) has id q·m + w.
+    eps) with a deterministic `b`, over all n·m state pairs as the kernel's
+    integer arrays (`even_cycle_sccs`); pair (q, w) has id q·m + w.
 
     Each transition of `a` adds m consecutive edges, one from each pair
-    (src, w): to (dst, w) for an eps-transition (coordinate 2 stutters and
-    has no priority, `STUTTER` in `pr2`), else to (dst, w') along b's
-    letter-transition w -> w'.  `push` appends the copies of one more
-    transition and `pop` removes the last pushed ones again, so a caller
-    that tests many extensions of `a` builds the product once.
+    (src, w): to (dst, w) for an eps-transition (coordinate 2 stutters,
+    `STUTTER` in `pr2`), else to (dst, w') along b's letter-transition
+    w -> w'.  `push` appends the copies of one more transition and `pop`
+    removes the last pushed ones again, so a caller that tests many
+    extensions of `a` builds the product once.
     """
 
     def __init__(self, a: ParityAutomaton, b: ParityAutomaton):
@@ -321,72 +253,23 @@ class DetProduct:
     def has_common_word(self) -> bool:
         """Whether a pair reachable from (a.initial, b.initial) lies on a
         cycle that reads a letter and whose least first and least second
-        priorities (stutters carry none) are both even.
-
-        Recursive SCC decomposition (Emerson and Lei): an SCC whose internal
-        edges have least priorities (x, y) holds such a cycle if x and y are
-        both even and none if it reads no letter; otherwise its candidate
-        cycles avoid the edges that carry an odd x or an odd y, and what is
-        left is decomposed at the next level.  Each level raises an odd
-        least priority, so there are at most as many levels as odd
-        priorities; one Tarjan pass finds all SCCs of a level.  The first
-        pass starts at the initial pair only, so unreachable pairs never
-        count."""
-        src, dst, pr1, pr2 = self.src, self.dst, self.pr1, self.pr2
-        adj = self.out
-        roots = [self.start]
-        while True:
-            comp_of, comps = tarjan_edges(roots, adj, dst, len(self.out))
-            keep = []
-            for c, members in enumerate(comps):
-                inner = [e for v in members for e in adj[v] if comp_of[dst[e]] == c]
-                if not inner:
-                    continue
-                y = min(map(pr2.__getitem__, inner))
-                if y == STUTTER:
-                    continue
-                x = min(map(pr1.__getitem__, inner))
-                if x % 2 == 0 and y % 2 == 0:
-                    return True
-                if x % 2:
-                    inner = [e for e in inner if pr1[e] != x]
-                if y % 2:
-                    inner = [e for e in inner if pr2[e] != y]
-                keep.extend(inner)
-            if not keep:
-                return False
-            adj = [[] for _ in range(len(self.out))]
-            for e in keep:
-                adj[src[e]].append(e)
-            roots = [src[e] for e in keep]
+        priorities are both even; pairs the initial pair does not reach
+        never count."""
+        return next(even_cycle_sccs(self, [self.start]), None) is not None
 
 
 def noninclusion_pairs(aut: ParityAutomaton, states) -> set[tuple[int, int]]:
     """Every pair (q, p) of `states` with L(aut from q) not included in
     L(aut from p): the pairs where `incl_det(aut, q, aut, p)` is not True.
 
-    One product of `aut` with its complement is explored from all start
-    pairs at once; a start pair is not included iff it reaches an accepting
-    SCC of some even pair, found by one backward search.
+    One product of `aut` with its complement, explored from all start pairs
+    at once; a start pair is not included iff it reaches an accepting SCC of
+    the kernel (`reaches_even_cycle`).
     """
     starts = [(q, p) for q in states for p in states]
-    nodes, edges = _explore_product(aut, complement_det(aut), starts)
-    n = len(nodes)
-    bad = [False] * n
-    for _, comp_of, accepting in _even_pair_sccs(n, edges):
-        for v in range(n):
-            if comp_of[v] in accepting:
-                bad[v] = True
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        radj[e.dst].append(e.src)
-    stack = [v for v in range(n) if bad[v]]
-    while stack:
-        for u in radj[stack.pop()]:
-            if not bad[u]:
-                bad[u] = True
-                stack.append(u)
-    return {key for key in starts if bad[nodes[key]]}
+    g, ids = _product(aut, complement_det(aut), starts)
+    bad = reaches_even_cycle(g, [ids[key] for key in starts])
+    return {key for key in starts if bad[ids[key]]}
 
 
 def lang_equal_det(a: ParityAutomaton, b: ParityAutomaton):
@@ -397,46 +280,6 @@ def lang_equal_det(a: ParityAutomaton, b: ParityAutomaton):
     r = incl_det(b, b.initial, a, a.initial)
     if r is not True:
         return ("right-minus-left", r)
-    return True
-
-
-def lang_empty_from(aut: ParityAutomaton, q: int) -> bool:
-    """Is L(aut from q) empty?  Existential over runs (eps allowed)."""
-    nodes: dict[int, int] = {}
-
-    def nid(s):
-        if s not in nodes:
-            nodes[s] = len(nodes)
-        return nodes[s]
-
-    nid(q)
-    edges = []
-    stack, seen = [q], {q}
-    while stack:
-        s = stack.pop()
-        for t in aut.by_src[s]:
-            edges.append(
-                _PEdge(nodes[s], nid(t.dst), t.letter, t.priority, t.priority)
-            )
-            if t.dst not in seen:
-                seen.add(t.dst)
-                stack.append(t.dst)
-    n = len(nodes)
-    for x in sorted({t.priority for t in aut.transitions}):
-        if x % 2 != 0:
-            continue
-        sub = [e for e in edges if e.pr1 >= x]
-        comp_of = _scc_map(n, sub)
-        marked = set()
-        consuming = set()
-        for e in sub:
-            if comp_of[e.src] == comp_of[e.dst]:
-                if e.pr1 == x:
-                    marked.add(comp_of[e.src])
-                if e.letter != EPS:
-                    consuming.add(comp_of[e.src])
-        if marked & consuming:
-            return False
     return True
 
 

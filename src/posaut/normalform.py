@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .automaton import ParityAutomaton, tarjan_scc
+from .automaton import EdgeGraph, ParityAutomaton, even_cycle_sccs, tarjan_scc
 
 
 def _scc_of_states(n, trans_idx, transitions):
@@ -29,25 +29,17 @@ def _scc_of_states(n, trans_idx, transitions):
 
 def _opposite_cycle_exists(trans, idxs, parity):
     """For each transition index in `idxs`, does some cycle (closed walk) through
-    it within `idxs` have minimal priority of parity != `parity`?"""
+    it within `idxs` have minimal priority of parity != `parity`?  These are
+    the kernel's accepting cycles once priorities are shifted by 1 - parity."""
     idxs = list(idxs)
-    result = {i: False for i in idxs}
-    priorities = sorted({trans[i].priority for i in idxs})
     n = max(max(trans[i].src, trans[i].dst) for i in idxs) + 1
-    for y in priorities:
-        if y % 2 == parity:
-            continue
-        sub = [i for i in idxs if trans[i].priority >= y]
-        comp_of = _scc_of_states(n, sub, trans)
-        marked = set()
-        for i in sub:
-            t = trans[i]
-            if t.priority == y and comp_of[t.src] == comp_of[t.dst]:
-                marked.add(comp_of[t.src])
-        for i in sub:
-            t = trans[i]
-            if comp_of[t.src] == comp_of[t.dst] and comp_of[t.src] in marked:
-                result[i] = True
+    g = EdgeGraph(n)
+    for i in idxs:
+        g.add(trans[i].src, trans[i].dst, trans[i].priority + 1 - parity, 0)
+    result = dict.fromkeys(idxs, False)
+    for inner in even_cycle_sccs(g, range(n)):
+        for e in inner:
+            result[idxs[e]] = True
     return result
 
 

@@ -1,10 +1,11 @@
-"""Progress consistency, its full variant, warm-up fast paths, and
-bipositionality.
+"""Progress consistency, its full variant, and bipositionality.
 
 Both consistency checks reduce to emptiness of intersections of finite-word
 languages: words routing q to p without small priorities, against words
 looping at p with an odd minimal priority.  Witnesses are found shortest
-first per ordered pair.
+first per ordered pair.  No parity-cycle search happens here: the residual
+preorder comes from `lang`, whose inclusions run on the kernel
+(`automaton.even_cycle_sccs`).
 """
 
 from __future__ import annotations
@@ -12,17 +13,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import ParityAutomaton, access_word, safe_components, tarjan_scc
-from .lang import (
-    complement_det,
-    lang_empty_from,
-    lang_equal_det,
-    residual_congruence,
-    residual_preorder,
-    safe_incl,
-)
-from .normalform import normalize
-from .witnesses import IncomparableResiduals, ProgressWitness
+from .automaton import ParityAutomaton, access_word
+from .lang import complement_det, residual_preorder
+# unused here, but bench/tracing.py rebinds both names in this module
+from .lang import safe_incl  # noqa: F401
+from .normalform import normalize  # noqa: F401
+from .witnesses import ProgressWitness
 
 
 # ---------------------------------------------------------------------------
@@ -202,167 +198,6 @@ def check_full_progress_consistency(sig):
                 w = intersect_shortest(route, odd_cycle_dfa(aut, p))
                 if w is not None:
                     return ProgressWitness(kind="full", q=q, p=p, w=w, level_x=x)
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Warm-up fast paths
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FastPathResult:
-    tag: str  # safety | reachability | buchi | cobuchi | none
-    verdict: object | None  # Positional / NotPositional, or None when inconclusive
-
-
-def is_closed_language(aut: ParityAutomaton) -> bool:
-    """Semantic test: rejection always has a finite cause.
-
-    Equivalent to: every state reached by a rejecting prefix has empty
-    language, i.e. no odd-dominated cycle among nonempty-language states.
-    """
-    aut = aut.trim()
-    nonempty = [q for q in aut.states() if not lang_empty_from(aut, q)]
-    keep = set(nonempty)
-    trans = [t for t in aut.transitions if t.src in keep and t.dst in keep]
-    for y in sorted({t.priority for t in trans}):
-        if y % 2 == 0:
-            continue
-        sub = [(t.src, t.dst) for t in trans if t.priority >= y]
-        comps = tarjan_scc(aut.n_states, sub)
-        comp_of = {}
-        for i, c in enumerate(comps):
-            for s in c:
-                comp_of[s] = i
-        for t in trans:
-            if (
-                t.priority == y
-                and comp_of.get(t.src) is not None
-                and comp_of.get(t.src) == comp_of.get(t.dst)
-                and len(comps[comp_of[t.src]]) > 0
-                and _on_cycle(comp_of, sub, t)
-            ):
-                return False
-    return True
-
-
-def _on_cycle(comp_of, edges, t):
-    if comp_of[t.src] != comp_of[t.dst]:
-        return False
-    comp = comp_of[t.src]
-    size = sum(1 for (u, v) in edges if comp_of[u] == comp and comp_of[v] == comp)
-    if size == 0:
-        return False
-    # src and dst in the same SCC of the restriction: some cycle uses t
-    return True
-
-
-def warmup_fast_path(aut: ParityAutomaton) -> FastPathResult:
-    """Advisory fast-path verdicts for the four warm-up classes.
-
-    The tag is detected syntactically on the normalized automaton; the
-    verdict, when produced, matches the general procedures (the sufficient
-    conditions used here are exact for safety/reachability and one-sided for
-    Buchi/coBuchi shapes, which fall through to None when inconclusive).
-    """
-    from .witnesses import NotPositional, Positional, ProgressFailure
-
-    aut = normalize(aut.trim())
-    used = set(aut.priorities_used)
-    rp = residual_preorder(aut)
-
-    def not_total():
-        q, p, w1, w2 = rp.incomparable_witness
-        return NotPositional(
-            IncomparableResiduals(
-                q, p, w1, w2, access_word(aut, q), access_word(aut, p)
-            )
-        )
-
-    if used <= {1, 2} and is_closed_language(aut):
-        if not rp.total:
-            return FastPathResult("safety", not_total())
-        return FastPathResult("safety", Positional(None))
-    open_lang = used <= {0, 1} and is_closed_language(complement_det(aut))
-    if open_lang:
-        if not rp.total:
-            return FastPathResult("reachability", not_total())
-        pc = check_progress_consistency(aut, rp)
-        if pc is not True:
-            return FastPathResult("reachability", NotPositional(ProgressFailure(pc)))
-        return FastPathResult("reachability", Positional(None))
-    if used <= {0, 1}:
-        if not rp.total:
-            return FastPathResult("buchi", not_total())
-        pc = check_progress_consistency(aut, rp)
-        if pc is not True:
-            return FastPathResult("buchi", NotPositional(ProgressFailure(pc)))
-        if _buchi_on_residuals(aut):
-            return FastPathResult("buchi", Positional(None))
-        return FastPathResult("buchi", None)
-    if used <= {1, 2}:
-        if not rp.total:
-            return FastPathResult("cobuchi", not_total())
-        pc = check_progress_consistency(aut, rp)
-        if pc is not True:
-            return FastPathResult("cobuchi", NotPositional(ProgressFailure(pc)))
-        if _cobuchi_safe_order(aut):
-            return FastPathResult("cobuchi", Positional(None))
-        return FastPathResult("cobuchi", None)
-    return FastPathResult("none", None)
-
-
-def _buchi_on_residuals(aut: ParityAutomaton) -> bool:
-    """Can a Buchi automaton on top of the residual automaton recognise the
-    language?  Tries the canonical candidate (a class-letter is accepting
-    when some member state accepts it) and verifies language equality."""
-    from .automaton import Transition, ParityAutomaton as PA
-
-    cong = residual_congruence(aut)
-    k = cong.n_classes
-    trans = []
-    seen = set()
-    for c in range(k):
-        rep_members = cong.members(c)
-        for a in aut.alphabet:
-            target = cong.class_of[aut.dsucc(rep_members[0], a).dst]
-            pr = (
-                0
-                if any(aut.dsucc(q, a).priority == 0 for q in rep_members)
-                else 1
-            )
-            key = (c, a, pr, target)
-            if key not in seen:
-                seen.add(key)
-                trans.append(Transition(*key))
-    candidate = PA(
-        n_states=k,
-        alphabet=aut.alphabet,
-        initial=cong.class_of[aut.initial],
-        transitions=tuple(trans),
-        priority_range=(0, 1),
-        deterministic=True,
-    )
-    return lang_equal_det(candidate, aut) is True
-
-
-def _cobuchi_safe_order(aut: ParityAutomaton) -> bool:
-    """Each (<2)-safe component sits inside one residual class and its states
-    are totally ordered by safe-language inclusion."""
-    cong = residual_congruence(aut)
-    comps, _rec = safe_components(aut, 2)
-    for c in range(comps.n_classes):
-        members = comps.members(c)
-        if len({cong.class_of[q] for q in members}) > 1:
-            return False
-        for q in members:
-            for p in members:
-                if q < p:
-                    if safe_incl(aut, 2, q, p) is not True and safe_incl(
-                        aut, 2, p, q
-                    ) is not True:
-                        return False
     return True
 
 

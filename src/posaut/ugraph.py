@@ -9,11 +9,17 @@ property are checked exhaustively at desk scale.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .automaton import EPS, FormatError, ParityAutomaton, tarjan_scc
+from .automaton import (
+    EdgeGraph,
+    FormatError,
+    ParityAutomaton,
+    even_cycle_sccs,
+    explore,
+    reaches_even_cycle,
+)
 from .lang import complement_det
 
 
@@ -114,25 +120,25 @@ def with_top(g: MonotoneGraph) -> MonotoneGraph:
 
 
 def all_cycles_even_min(g: MonotoneGraph):
-    """Every cycle's minimal letter (read as a priority) must be even."""
-    prios = sorted({int(a) for (_, a, _) in g.edges})
-    for y in prios:
-        if y % 2 == 0:
-            continue
-        sub = [(s, t) for (s, a, t) in g.edges if int(a) >= y]
-        comps = tarjan_scc(g.n, sub)
-        comp_of = {}
-        for i, c in enumerate(comps):
-            for v in c:
-                comp_of[v] = i
-        for (s, a, t) in g.edges:
-            if int(a) == y and comp_of[s] == comp_of[t]:
-                size = sum(
-                    1 for (u, w) in sub if comp_of[u] == comp_of[s] == comp_of[w]
-                )
-                if size:
-                    return f"odd-dominated cycle with priority {y} via {s}->{t}"
-    return True
+    """Every cycle's minimal letter (read as a priority) must be even.
+
+    The kernel runs on the graph with every letter shifted by one, so that
+    its accepting cycles are the odd-dominated ones; the report names the
+    least odd minimum y and the first y-edge on such a cycle."""
+    kernel = EdgeGraph(g.n)
+    for (s, a, t) in g.edges:
+        kernel.add(s, t, int(a) + 1, 0)
+    bad = [
+        (kernel.pr1[e] - 1, e)
+        for inner in even_cycle_sccs(kernel, range(g.n))
+        for e in inner
+        if kernel.pr1[e] % 2 == 0
+    ]
+    if not bad:
+        return True
+    y, e = min(bad)
+    s, _, t = g.edges[e]
+    return f"odd-dominated cycle with priority {y} via {s}->{t}"
 
 
 # ---------------------------------------------------------------------------
@@ -213,59 +219,42 @@ def build_uaut(eps_aut, n: int, limit=200000) -> tuple[MonotoneGraph, dict]:
     return g, {names[i]: v for i, v in enumerate(vertices)}
 
 
+def _complement_product(edges, core: ParityAutomaton, starts):
+    """Product of a letter-graph with the complement of the deterministic
+    `core`, reachable from the (vertex, state) pairs `starts`; the first
+    priority is the complement's."""
+    comp = complement_det(core)
+    succ: dict[int, list] = {}
+    for (s, a, t) in edges:
+        succ.setdefault(s, []).append((a, t))
+
+    def step(key):
+        v, q = key
+        for (a, t) in succ.get(v, ()):
+            tr = comp.dsucc(q, a)
+            yield (t, tr.dst), tr.priority, 0, None
+
+    return explore(starts, step)
+
+
 def all_paths_satisfy(g: MonotoneGraph, core: ParityAutomaton, start_state):
     """Every infinite path from every vertex (q, ...) must lie in q^-1 W:
     the product with the complement of the deterministic core has no
     reachable cycle whose minimal complement priority is even.
 
-    `start_state` maps a graph vertex to the core state it asserts."""
-    comp = complement_det(core)
-    nodes = {}
-    edges = []
-
-    def nid(v, q):
-        if (v, q) not in nodes:
-            nodes[(v, q)] = len(nodes)
-        return nodes[(v, q)]
-
-    queue = deque()
-    for v in range(g.n):
-        q = start_state(v)
-        if q is None:
-            continue
-        if (v, q) not in nodes:
-            nid(v, q)
-            queue.append((v, q))
-    seen = set(nodes)
-    succ = {}
-    for (s, a, t) in g.edges:
-        succ.setdefault(s, []).append((a, t))
-    while queue:
-        v, q = queue.popleft()
-        sid = nodes[(v, q)]
-        for (a, t) in succ.get(v, ()):
-            tr = comp.dsucc(q, a)
-            tgt = (t, tr.dst)
-            tid = nid(*tgt)
-            edges.append((sid, tid, tr.priority))
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    nn = len(nodes)
-    for x in sorted({p for (_, _, p) in edges}):
-        if x % 2 != 0:
-            continue
-        sub = [(s, t) for (s, t, p) in edges if p >= x]
-        comps = tarjan_scc(nn, sub)
-        comp_of = {}
-        for i, c in enumerate(comps):
-            for u in c:
-                comp_of[u] = i
-        for (s, t, p) in edges:
-            if p == x and p >= x and comp_of.get(s) == comp_of.get(t):
-                in_scc = [e for e in sub if comp_of[e[0]] == comp_of[s] == comp_of[e[1]]]
-                if in_scc:
-                    return f"bad cycle: complement priority {x} reachable"
+    `start_state` maps a graph vertex to the core state it asserts.  The
+    report names the least such minimum."""
+    starts = [(v, start_state(v)) for v in range(g.n)]
+    starts = [key for key in starts if key[1] is not None]
+    product, _ = _complement_product(g.edges, core, starts)
+    bad = [
+        product.pr1[e]
+        for inner in even_cycle_sccs(product, range(len(starts)))
+        for e in inner
+        if product.pr1[e] % 2 == 0
+    ]
+    if bad:
+        return f"bad cycle: complement priority {min(bad)} reachable"
     return True
 
 
@@ -276,51 +265,12 @@ def all_paths_satisfy(g: MonotoneGraph, core: ParityAutomaton, start_state):
 
 def _graph_satisfying(n, edges, objective: ParityAutomaton):
     """Vertices of a sinkless letter-graph from which all paths satisfy the
-    deterministic objective."""
-    comp = complement_det(objective)
-    sat = []
-    for v in range(n):
-        nodes = {}
-        pedges = []
-
-        def nid(u, q):
-            if (u, q) not in nodes:
-                nodes[(u, q)] = len(nodes)
-            return nodes[(u, q)]
-
-        start = nid(v, comp.initial)
-        queue = deque([(v, comp.initial)])
-        seen = {(v, comp.initial)}
-        while queue:
-            u, q = queue.popleft()
-            for (s, a, t) in edges:
-                if s != u:
-                    continue
-                tr = comp.dsucc(q, a)
-                tgt = (t, tr.dst)
-                tid = nid(*tgt)
-                pedges.append((nodes[(u, q)], tid, tr.priority))
-                if tgt not in seen:
-                    seen.add(tgt)
-                    queue.append(tgt)
-        bad = False
-        for x in sorted({p for (_, _, p) in pedges}):
-            if x % 2 != 0:
-                continue
-            sub = [(s, t) for (s, t, p) in pedges if p >= x]
-            comps = tarjan_scc(len(nodes), sub)
-            comp_of = {}
-            for i, c in enumerate(comps):
-                for w in c:
-                    comp_of[w] = i
-            if any(
-                p == x and comp_of[s] == comp_of[t] for (s, t, p) in pedges if p >= x
-            ):
-                bad = True
-                break
-        if not bad:
-            sat.append(v)
-    return sat
+    deterministic objective: one product with its complement for all
+    vertices, in which a vertex fails iff it reaches an accepting cycle."""
+    starts = [(v, objective.initial) for v in range(n)]  # node ids 0..n-1
+    product, _ = _complement_product(edges, objective, starts)
+    bad = reaches_even_cycle(product, range(n))
+    return [v for v in range(n) if not bad[v]]
 
 
 def _find_morphism(n, edges, sat, target: MonotoneGraph, target_sat):

@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
 from posaut import zoo
+from posaut.automaton import EPS, UPWord, tarjan_scc
 
 
 def _expand(u, v, n):
@@ -162,6 +165,19 @@ def random_automaton(rng, n, letters, dmax=3, initial=0):
     return build(n, letters, initial, trans)
 
 
+def random_eps_automaton(rng, letters):
+    """A random automaton with eps-transitions, possibly nondeterministic and
+    incomplete, over `letters`, with priorities in 0..4."""
+    from posaut.automaton import build
+
+    n = rng.randint(1, 5)
+    trans = [
+        (rng.randrange(n), rng.choice(letters + (EPS, EPS)), rng.randint(0, 4), rng.randrange(n))
+        for _ in range(rng.randint(1, 4 * n))
+    ]
+    return build(n, letters, rng.randrange(n), trans, deterministic=False)
+
+
 def blowup(aut, k, seed):
     """k copies of every state of the deterministic `aut`; each copied
     transition goes to a copy of its target drawn by random.Random(seed).
@@ -266,11 +282,208 @@ def rng():
     return random.Random(12345)
 
 
+# ---------------------------------------------------------------------------
+# The even-pair product search, as `lang` ran it before the parity-cycle
+# kernel: the reference for every parity-cycle question and every lasso
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _PEdge:
+    src: int
+    dst: int
+    letter: str  # EPS when only the first coordinate moved
+    pr1: int
+    pr2: int | None  # None when the second coordinate stuttered
+
+
+def _explore_product(a1: ParityAutomaton, a2: ParityAutomaton, starts):
+    """Product of a1 (may have eps) with deterministic a2, reachable from the
+    (q1, q2) pairs in `starts`, which get the first node ids in that order.
+
+    Eps moves of a1 stutter a2 and carry no second-coordinate priority.
+    Returns (node index map, edge list).
+    """
+    nodes: dict[tuple[int, int], int] = {}
+
+    def nid(key):
+        if key not in nodes:
+            nodes[key] = len(nodes)
+            queue.append(key)
+        return nodes[key]
+
+    queue: deque[tuple[int, int]] = deque()
+    for key in starts:
+        nid(key)
+    edges: list[_PEdge] = []
+    while queue:
+        s, t = queue.popleft()
+        sid = nodes[(s, t)]
+        for tr in a1.by_src[s]:
+            if tr.is_eps:
+                edges.append(_PEdge(sid, nid((tr.dst, t)), EPS, tr.priority, None))
+            else:
+                u = a2.dsucc(t, tr.letter)
+                edges.append(
+                    _PEdge(sid, nid((tr.dst, u.dst)), tr.letter, tr.priority, u.priority)
+                )
+    return nodes, edges
+
+
+def _even_pair_sccs(n, edges):
+    """For each even pair (x, y): the edges with coordinate priorities
+    >= (x, y), their SCC map, and the accepting SCCs among them.
+
+    An SCC is accepting when it holds a coordinate-1 priority-x edge and a
+    coordinate-2 priority-y edge inside it; it maps to those anchor edges.
+    Coordinate-2 stutters (pr2 None) may lie on its cycles but never anchor
+    them, which excludes cycles that are all-eps in coordinate 1.  The
+    product accepts a common word from a node iff the node reaches an
+    accepting SCC of some even pair.
+    """
+    pr1s = sorted({e.pr1 for e in edges if e.pr1 % 2 == 0})
+    pr2s = sorted({e.pr2 for e in edges if e.pr2 is not None and e.pr2 % 2 == 0})
+    for x in pr1s:
+        for y in pr2s:
+            sub = [e for e in edges if e.pr1 >= x and (e.pr2 is None or e.pr2 >= y)]
+            comp_of = _scc_map(n, sub)
+            comps_x: dict[int, list[_PEdge]] = {}
+            comps_y: dict[int, list[_PEdge]] = {}
+            for e in sub:
+                if comp_of[e.src] == comp_of[e.dst]:
+                    c = comp_of[e.src]
+                    if e.pr1 == x:
+                        comps_x.setdefault(c, []).append(e)
+                    if e.pr2 == y:
+                        comps_y.setdefault(c, []).append(e)
+            accepting = {
+                c: (comps_x[c], comps_y[c]) for c in sorted(comps_x.keys() & comps_y.keys())
+            }
+            yield sub, comp_of, accepting
+
+
+def _even_pair_lasso(nodes, edges, start) -> UPWord | None:
+    """Shortest lasso from `start` through an accepting SCC of some even pair,
+    or None; every node of the product must be reachable from `start`."""
+    n = len(nodes)
+    best: tuple[int, tuple, tuple] | None = None  # (length, u, v)
+    pred = _bfs_tree(n, edges, start)
+    for sub, comp_of, accepting in _even_pair_sccs(n, edges):
+        for c, (x_edges, y_edges) in accepting.items():
+            entry, cycle_edges = _cycle_through(sub, comp_of, c, x_edges, y_edges)
+            u = _path_letters(pred, start, entry)
+            v = tuple(e.letter for e in cycle_edges if e.letter != EPS)
+            cand = (len(u) + len(v), u, v)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return None
+    return UPWord(best[1], best[2]).canonical()
+
+
+def _bfs_tree(n, edges, start):
+    adj = [[] for _ in range(n)]
+    for e in edges:
+        adj[e.src].append(e)
+    pred: list[_PEdge | None] = [None] * n
+    seen = [False] * n
+    seen[start] = True
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for e in adj[v]:
+            if not seen[e.dst]:
+                seen[e.dst] = True
+                pred[e.dst] = e
+                queue.append(e.dst)
+    return pred
+
+
+def _path_letters(pred, start, target):
+    letters = []
+    v = target
+    while v != start:
+        e = pred[v]
+        if e.letter != EPS:
+            letters.append(e.letter)
+        v = e.src
+    return tuple(reversed(letters))
+
+
+def _scc_map(n, edges):
+    comps = tarjan_scc(n, ((e.src, e.dst) for e in edges))
+    comp_of = [0] * n
+    for i, comp in enumerate(comps):
+        for q in comp:
+            comp_of[q] = i
+    return comp_of
+
+
+def _cycle_through(sub, comp_of, comp, x_edges, y_edges):
+    """Shortest cycle inside one SCC through one x-anchor and one y-anchor."""
+    adj: dict[int, list[_PEdge]] = {}
+    for e in sub:
+        if comp_of[e.src] == comp and comp_of[e.dst] == comp:
+            adj.setdefault(e.src, []).append(e)
+
+    def shortest(src, dst):
+        if src == dst:
+            return []
+        dist = {src: None}
+        queue = deque([src])
+        prev = {}
+        while queue:
+            v = queue.popleft()
+            for e in adj.get(v, ()):
+                if e.dst not in dist:
+                    dist[e.dst] = True
+                    prev[e.dst] = e
+                    if e.dst == dst:
+                        path = []
+                        w = dst
+                        while w != src:
+                            path.append(prev[w])
+                            w = prev[w].src
+                        return list(reversed(path))
+                    queue.append(e.dst)
+        return None
+
+    best = None
+    for ex in x_edges:
+        for ey in y_edges:
+            if ex is ey:
+                back = shortest(ex.dst, ex.src)
+                if back is None:
+                    continue
+                cyc = [ex] + back
+            else:
+                mid = shortest(ex.dst, ey.src)
+                if mid is None:
+                    continue
+                back = shortest(ey.dst, ex.src)
+                if back is None:
+                    continue
+                cyc = [ex] + mid + [ey] + back
+            if best is None or len(cyc) < len(best):
+                best = cyc
+    if best is None:
+        return None
+    return best[0].src, best
+
+
+def reference_incl(a, q, b, p):
+    """`lang.incl_nd_in_det(a, b, q, p)` (and `incl_det`) by the even-pair
+    search: True, or the shortest canonical lasso."""
+    from posaut.lang import complement_det
+
+    nodes, edges = _explore_product(a, complement_det(b), [(q, p)])
+    witness = _even_pair_lasso(nodes, edges, 0)
+    return True if witness is None else witness
+
+
 def reference_disjoint(a, co):
     """`lang.disjoint_from_det` as it was before the integer product: explore
     the reachable product afresh and run one Tarjan pass per even pair."""
-    from posaut.lang import _even_pair_sccs, _explore_product
-
     nodes, edges = _explore_product(a, co, [(a.initial, co.initial)])
     return not any(accepting for _, _, accepting in _even_pair_sccs(len(nodes), edges))
 
@@ -280,7 +493,7 @@ def reference_p2(aut, w_det=None):
     integer product: a fresh automaton and a fresh product per candidate."""
     from dataclasses import replace
 
-    from posaut.automaton import EPS, Transition
+    from posaut.automaton import Transition
     from posaut.epscomplete import (
         EpsCompleteAutomaton,
         _close_relations,

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from posaut.automaton import build, up_membership, upword
+from posaut.automaton import build, parse_dpa, up_membership, upword
 from posaut.epscomplete import (
     EpsCompleteAutomaton,
     decide_positionality_p2,
@@ -19,7 +19,11 @@ from posaut.games import brute_force_positional, gadget_for_witness, solve, Game
 from posaut.lang import incl_nd_in_det, lang_equal_det
 from posaut.normalform import normalize
 from posaut.progress import check_full_progress_consistency, decide_bipositionality
-from posaut.signature import build_structured_signature, decide_positionality_p1
+from posaut.signature import (
+    PipelineError,
+    build_structured_signature,
+    decide_positionality_p1,
+)
 from posaut.ugraph import (
     all_cycles_even_min,
     all_paths_satisfy,
@@ -28,7 +32,7 @@ from posaut.ugraph import (
     check_monotone,
     check_universality_bounded,
 )
-from posaut.witnesses import Positional
+from posaut.witnesses import CompletionFailure, NotPositional, Positional
 from posaut.zoo import (
     aut_buchi_a_or_reach_aa,
     aut_fin_ac_or_fin_bb,
@@ -44,6 +48,7 @@ from posaut.zoo import (
 
 from conftest import (
     FIXTURES,
+    blowup,
     brute_force_minimal_labelling,
     random_automaton,
     random_upword,
@@ -372,3 +377,137 @@ def test_criterion_10_union_spot_check():
     p2 = decide_positionality_p2(aut)
     ok = isinstance(p1, Positional) and isinstance(p2, Positional)
     report(10, ok, "InfOften(a) union Reach(aa) verdicted positional by both procedures")
+
+
+def _metamorphic_variants(aut, seed):
+    """Language-preserving changes of the deterministic `aut`, by name."""
+    rng = random.Random(seed)
+    trans = [(t.src, t.letter, t.priority, t.dst) for t in aut.transitions]
+    yield "blow-up k=2", blowup(aut, 2, seed)
+    perm = list(aut.states())
+    rng.shuffle(perm)
+    renumbered = [(perm[s], a, pr, perm[d]) for (s, a, pr, d) in trans]
+    rng.shuffle(renumbered)
+    yield "renumbering", build(
+        aut.n_states, aut.alphabet, perm[aut.initial], renumbered, deterministic=True
+    )
+    n = aut.n_states + rng.randint(1, 3)
+    padding = [
+        (q, a, rng.randint(aut.d_min, aut.d_max), rng.randrange(n))
+        for q in range(aut.n_states, n)
+        for a in aut.alphabet
+    ]
+    yield "unreachable padding", build(
+        n, aut.alphabet, aut.initial, trans + padding, deterministic=True
+    )
+    # new names in reverse lexicographic order of the old ones
+    names = {a: f"l{i}" for i, a in enumerate(reversed(aut.alphabet))}
+    yield "letter renaming", build(
+        aut.n_states,
+        tuple(names[a] for a in aut.alphabet),
+        aut.initial,
+        [(s, names[a], pr, d) for (s, a, pr, d) in trans],
+        deterministic=True,
+    )
+    yield "priorities +2", build(
+        aut.n_states,
+        aut.alphabet,
+        aut.initial,
+        [(s, a, pr + 2, d) for (s, a, pr, d) in trans],
+        deterministic=True,
+    )
+
+
+def _metamorphic_check(name, aut, seed):
+    verdict = isinstance(decide_positionality_p1(aut), Positional)
+    changed = [
+        change
+        for change, variant in _metamorphic_variants(aut, seed)
+        if isinstance(decide_positionality_p1(variant), Positional) != verdict
+    ]
+    agree = isinstance(decide_positionality_p2(aut), Positional) == verdict
+    report(
+        11,
+        not changed and agree,
+        f"{name}: p1 verdict {verdict} kept under five language-preserving changes"
+        f" (changed by: {changed or 'none'}), p2 agrees: {agree}",
+    )
+
+
+def _metamorphic_dpa(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    letters = ("a", "b", "c")[: rng.randint(2, 3)]
+    return random_automaton(rng, n, letters, dmax=rng.randint(1, 5)).trim()
+
+
+# Seeds on which p1 raises (ROADMAP item 1); each is a strict xfail of its
+# own, to be removed with the fix, never dropped or re-seeded.
+METAMORPHIC_P1_RAISES: tuple[int, ...] = ()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_criterion_11_metamorphic_fixtures(name):
+    _metamorphic_check(name, FIXTURES[name][0](), 11)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(
+            s,
+            marks=pytest.mark.xfail(
+                strict=True, raises=PipelineError, reason="p1 crash, ROADMAP item 1"
+            ),
+        )
+        if s in METAMORPHIC_P1_RAISES
+        else s
+        for s in range(100)
+    ],
+)
+def test_criterion_11_metamorphic_random(seed):
+    _metamorphic_check(f"random DPA seed {seed}", _metamorphic_dpa(seed), seed)
+
+
+# Sweep seed 58 of ROADMAP item 1, trimmed: not positional, refuted by p2,
+# and p1 gets stuck in polish without a two-loop witness.
+SEED_58_DPA = """dpa
+alphabet: a b
+states: 7
+initial: 0
+priorities: 0 2
+deterministic: true
+trans: 0 a 2 3
+trans: 0 b 0 3
+trans: 1 a 1 5
+trans: 1 b 1 4
+trans: 2 a 1 6
+trans: 2 b 2 5
+trans: 3 a 1 1
+trans: 3 b 0 6
+trans: 4 a 0 6
+trans: 4 b 0 6
+trans: 5 a 0 1
+trans: 5 b 2 2
+trans: 6 a 1 0
+trans: 6 b 0 4
+"""
+
+
+def test_seed_58_p2_witness_passes_its_gadget():
+    aut = parse_dpa(SEED_58_DPA)
+    r = decide_positionality_p2(aut)
+    assert isinstance(r, NotPositional) and isinstance(r.witness, CompletionFailure)
+    g = gadget_for_witness(r.witness, aut, aut=aut, w_det=aut)
+    sv = solve(g.arena, g.objective)
+    assert all(sv.eve_wins_from(v) for v in g.designated)
+    assert not brute_force_positional(g.arena, g.objective).uniform
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PipelineError,
+    reason="ROADMAP item 1: find_two_loops misses the loops this DPA needs",
+)
+def test_seed_58_p1_refutes():
+    assert not decide_positionality_p1(parse_dpa(SEED_58_DPA)).positional

@@ -1,0 +1,306 @@
+"""The parity-cycle kernel (`automaton.even_cycle_sccs`) on hand-built
+graphs, and every caller that asks it a parity-cycle question, checked
+against the even-pair product search of `conftest` on seeded random inputs."""
+
+import random
+from itertools import product as iproduct
+
+import pytest
+
+from posaut.automaton import (
+    EPS,
+    STUTTER,
+    EdgeGraph,
+    build,
+    even_cycle_sccs,
+    reaches_even_cycle,
+    up_membership,
+    upword,
+)
+from posaut.games import (
+    ADAM,
+    EVE,
+    GameArena,
+    NoUniformStrategy,
+    PositionalStrategy,
+    UniformlyPositional,
+    brute_force_positional,
+    solve,
+)
+from posaut.lang import complement_det, incl_det, incl_nd_in_det, noninclusion_pairs
+from posaut import normalform
+from posaut.normalform import _opposite_cycle_exists, normalize
+from posaut.ugraph import (
+    MonotoneGraph,
+    _graph_satisfying,
+    all_cycles_even_min,
+    all_paths_satisfy,
+)
+
+from conftest import (
+    _PEdge,
+    _even_pair_sccs,
+    _explore_product,
+    random_automaton,
+    random_eps_automaton,
+    random_upword,
+    reference_disjoint,
+    reference_incl,
+)
+
+
+def _graph(n, edges):
+    g = EdgeGraph(n)
+    for e in edges:
+        g.add(*e)
+    return g
+
+
+def _accepting_edges(g, roots):
+    return sorted(e for inner in even_cycle_sccs(g, roots) for e in inner)
+
+
+# -- the kernel on hand-built graphs ---------------------------------------------
+
+
+def test_kernel_several_roots():
+    # 0 -> 1 -> 1 (an even loop) and 2 -> 3 <-> 4 (an odd cycle, then an
+    # even one at 4 that the odd cycle contains); each root sees its own part
+    g = _graph(5, [
+        (0, 1, 0, 0), (1, 1, 2, 0),
+        (2, 3, 0, 0), (3, 4, 1, 0), (4, 3, 2, 0), (4, 4, 2, 2),
+    ])
+    assert _accepting_edges(g, [0]) == [1]
+    assert _accepting_edges(g, [2]) == [5]
+    assert _accepting_edges(g, [0, 2]) == [1, 5]
+    assert _accepting_edges(g, [2, 0]) == [1, 5]
+    assert reaches_even_cycle(g, [0, 2]) == [True, True, True, True, True]
+
+
+def test_kernel_ignores_unreached_accepting_cycle():
+    # 1 <-> 2 is an even cycle and leads to 0, but root 0 reaches only its
+    # odd loop
+    g = _graph(3, [(0, 0, 1, 0), (1, 2, 0, 0), (2, 1, 2, 0), (1, 0, 0, 0)])
+    assert _accepting_edges(g, [0]) == []
+    assert _accepting_edges(g, [1]) == [1, 2]
+    assert reaches_even_cycle(g, [0]) == [False, False, False]
+    assert reaches_even_cycle(g, [0, 1]) == [False, True, True]
+
+
+def test_kernel_drops_even_eps_only_cycle():
+    # 0 <-> 1 by stutters of priority 0 reads no letter; the letter loop at
+    # 2 is odd in its second priority
+    g = _graph(3, [
+        (0, 1, 0, STUTTER), (1, 0, 0, STUTTER), (0, 2, 0, 0), (2, 2, 0, 1),
+    ])
+    assert _accepting_edges(g, [0]) == []
+    # a letter edge of even second priority closes the stutters into a word
+    g.add(1, 1, 0, 2)
+    assert _accepting_edges(g, [0]) == [0, 1, 4]
+
+
+def test_kernel_needs_both_minima_even():
+    # the loop at 0 has least priorities (0, 1) and the cycle 0 -> 1 -> 0
+    # has (1, 2): the first minimum is even only where the second is odd
+    g = _graph(2, [(0, 0, 0, 1), (0, 1, 1, 2), (1, 0, 2, 2)])
+    assert _accepting_edges(g, [0]) == []
+    # a loop of (0, 0) at 1 makes every edge lie on an accepting cycle
+    g.add(1, 1, 0, 0)
+    assert _accepting_edges(g, [0]) == [0, 1, 2, 3]
+
+
+# -- lang: inclusion witnesses and the residual relations ------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_incl_witnesses_match_reference(seed):
+    rng = random.Random(100 + seed)
+    for i in range(40):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        a = random_automaton(rng, rng.randint(1, 5), letters, dmax=rng.randint(0, 4))
+        b = random_automaton(rng, rng.randint(1, 5), letters, dmax=rng.randint(0, 4))
+        for q in a.states():
+            for p in b.states():
+                assert incl_det(a, q, b, p) == reference_incl(a, q, b, p), (seed, i, q, p)
+        e = random_eps_automaton(rng, letters)
+        assert incl_nd_in_det(e, b) == reference_incl(e, e.initial, b, b.initial), (seed, i)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_noninclusion_pairs_match_reference(seed):
+    rng = random.Random(200 + seed)
+    for i in range(30):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        aut = random_automaton(rng, rng.randint(1, 7), letters, dmax=rng.randint(0, 5))
+        states = sorted(rng.sample(range(aut.n_states), rng.randint(1, aut.n_states)))
+        want = {
+            (q, p) for q in states for p in states
+            if reference_incl(aut, q, aut, p) is not True
+        }
+        assert noninclusion_pairs(aut, states) == want, (seed, i)
+
+
+# -- membership of nondeterministic automata with eps moves ----------------------
+
+
+def _word_dpa(w, alphabet):
+    """A DPA accepting exactly u.v^omega: priority 0 along the word, and a
+    rejecting sink for every other letter."""
+    word = w.u + w.v
+    sink = len(word)
+    trans = [(sink, a, 1, sink) for a in alphabet]
+    for pos, letter in enumerate(word):
+        nxt = len(w.u) if pos == len(word) - 1 else pos + 1
+        trans += [(pos, a, 0 if a == letter else 1, nxt if a == letter else sink) for a in alphabet]
+    return build(sink + 1, alphabet, 0, trans, deterministic=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_membership_matches_reference(seed):
+    rng = random.Random(300 + seed)
+    for i in range(60):
+        letters = ("a", "b")
+        aut = random_eps_automaton(rng, letters)
+        for _ in range(4):
+            w = upword(*random_upword(rng, letters, max_u=3, max_v=3))
+            want = not reference_disjoint(aut, _word_dpa(w, letters))
+            assert up_membership(aut, w) == want, (seed, i, w)
+
+
+# -- games: the brute-force oracle on arenas with eps edges and Adam vertices ----
+
+
+def _random_arena(rng, letters):
+    n = rng.randint(2, 6)
+    owner = tuple(rng.choice((EVE, EVE, ADAM)) for _ in range(n))
+    edges = []
+    for s in range(n):
+        for _ in range(rng.randint(1, 2)):
+            t = rng.randrange(n)
+            # eps edges only go forward, so no eps-cycle arises
+            a = rng.choice(letters + (EPS,)) if t > s else rng.choice(letters)
+            edges.append((s, a, t))
+    return GameArena(n, owner, tuple(edges), letters)
+
+
+def _reference_brute_force(arena, objective):
+    """The positional strategies in the oracle's order, each judged from
+    Eve's winning region by the even-pair search on the restricted arena."""
+    sol = solve(arena, objective)
+    region0 = frozenset(v for v in range(arena.n_vertices) if sol.eve_wins_from(v))
+    eve = [v for v in range(arena.n_vertices) if arena.owner[v] == EVE]
+    co = complement_det(objective)
+    for combo in iproduct(*[[i for i, _ in arena.by_src[v]] for v in eve]):
+        choice = dict(zip(eve, combo))
+        kept = [
+            (s, a, 0, t) for i, (s, a, t) in enumerate(arena.edges)
+            if choice.get(s, i) == i
+        ]
+        plays = build(arena.n_vertices, objective.alphabet, 0, kept, deterministic=False)
+        if all(reference_disjoint(plays.with_initial(v), co) for v in region0):
+            return UniformlyPositional(PositionalStrategy(choice))
+    return NoUniformStrategy(region0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_brute_force_matches_reference(seed):
+    rng = random.Random(400 + seed)
+    for i in range(40):
+        arena = _random_arena(rng, ("a", "b"))
+        objective = random_automaton(rng, rng.randint(1, 4), ("a", "b"), dmax=rng.randint(1, 4))
+        got = brute_force_positional(arena, objective)
+        assert got == _reference_brute_force(arena, objective), (seed, i)
+
+
+# -- universal graphs: letter graphs against the even-pair search ----------------
+
+
+def _random_letter_graph(rng, n, letters):
+    edges = sorted({
+        (s, rng.choice(letters), rng.randrange(n))
+        for s in range(n) for _ in range(rng.randint(1, 3))
+    })
+    rng.shuffle(edges)
+    return MonotoneGraph(tuple(f"v{i}" for i in range(n)), tuple(edges), tuple(letters))
+
+
+def _as_automaton(g, initial=0):
+    trans = [(s, a, 0, t) for (s, a, t) in g.edges]
+    return build(g.n, g.alphabet, initial, trans, deterministic=False)
+
+
+def _reference_all_cycles_even_min(g):
+    edges = [_PEdge(s, t, a, int(a) + 1, 0) for (s, a, t) in g.edges]
+    for _, _, accepting in _even_pair_sccs(g.n, edges):
+        if accepting:
+            anchors = [e for x_edges, _ in accepting.values() for e in x_edges]
+            first = min(edges.index(e) for e in anchors)
+            s, a, t = g.edges[first]
+            return f"odd-dominated cycle with priority {a} via {s}->{t}"
+    return True
+
+
+def _reference_all_paths_satisfy(g, core, start_state):
+    starts = [(v, start_state(v)) for v in range(g.n) if start_state(v) is not None]
+    nodes, edges = _explore_product(_as_automaton(g), complement_det(core), starts)
+    for _, _, accepting in _even_pair_sccs(len(nodes), edges):
+        if accepting:
+            y = next(iter(accepting.values()))[1][0].pr2
+            return f"bad cycle: complement priority {y} reachable"
+    return True
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ugraph_checks_match_reference(seed):
+    rng = random.Random(500 + seed)
+    for i in range(60):
+        letters = tuple(str(x) for x in range(rng.randint(2, 6)))
+        g = _random_letter_graph(rng, rng.randint(1, 7), letters)
+        assert all_cycles_even_min(g) == _reference_all_cycles_even_min(g), (seed, i)
+        core = random_automaton(rng, rng.randint(1, 4), letters, dmax=rng.randint(1, 4))
+
+        def start(v):
+            return v % core.n_states if v % 3 else None
+
+        got = all_paths_satisfy(g, core, start)
+        assert got == _reference_all_paths_satisfy(g, core, start), (seed, i)
+        co = complement_det(core)
+        want = [
+            v for v in range(g.n)
+            if reference_disjoint(_as_automaton(g, v), co.with_initial(core.initial))
+        ]
+        assert _graph_satisfying(g.n, g.edges, core) == want, (seed, i)
+
+
+# -- normal form: the opposite-cycle test ----------------------------------------
+
+
+def _reference_opposite(trans, idxs, parity):
+    edges = [
+        _PEdge(trans[i].src, trans[i].dst, "a", trans[i].priority + 1 - parity, 0)
+        for i in idxs
+    ]
+    n = max(max(e.src, e.dst) for e in edges) + 1
+    result = dict.fromkeys(idxs, False)
+    for sub, comp_of, accepting in _even_pair_sccs(n, edges):
+        for k, e in enumerate(edges):
+            if e in sub and comp_of[e.src] == comp_of[e.dst] and comp_of[e.src] in accepting:
+                result[idxs[k]] = True
+    return result
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_opposite_cycles_match_reference(seed, monkeypatch):
+    rng = random.Random(600 + seed)
+    cases = []
+    for i in range(60):
+        aut = random_automaton(rng, rng.randint(1, 6), ("a", "b"), dmax=rng.randint(0, 5))
+        trans = aut.transitions
+        idxs = sorted(rng.sample(range(len(trans)), rng.randint(1, len(trans))))
+        for parity in (0, 1):
+            got = _opposite_cycle_exists(trans, idxs, parity)
+            assert got == _reference_opposite(trans, idxs, parity), (seed, i, parity)
+        cases.append((aut, normalize(aut)))
+    monkeypatch.setattr(normalform, "_opposite_cycle_exists", _reference_opposite)
+    for i, (aut, got) in enumerate(cases):
+        assert got.transitions == normalize(aut).transitions, (seed, i)

@@ -39,6 +39,7 @@ from conftest import (
     NOT_POSITIONAL_FIXTURES,
     blowup,
     random_automaton,
+    random_eps_automaton,
     random_upword,
     reference_disjoint,
 )
@@ -244,17 +245,6 @@ def test_completion_failure_words_match_direct_inclusion(name):
     assert not disjoint_from_det(with_odd, complement_det(aut))
     assert wit.cex1 == incl_nd_in_det(with_even, aut)
     assert wit.cex2 == incl_nd_in_det(with_odd, aut)
-
-
-def random_eps_automaton(rng, letters):
-    """A random automaton with eps-transitions, possibly nondeterministic and
-    incomplete, over `letters`, with priorities in 0..4."""
-    n = rng.randint(1, 5)
-    trans = [
-        (rng.randrange(n), rng.choice(letters + (EPS, EPS)), rng.randint(0, 4), rng.randrange(n))
-        for _ in range(rng.randint(1, 4 * n))
-    ]
-    return build(n, letters, rng.randrange(n), trans, deterministic=False)
 
 
 @pytest.mark.parametrize("seed", range(4))

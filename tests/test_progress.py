@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -14,13 +13,11 @@ from posaut.progress import (
     finite_path_language,
     intersect_shortest,
     odd_cycle_dfa,
-    warmup_fast_path,
 )
 from posaut.signature import NestedPreorders, SignatureAutomaton, decide_positionality_p1
 from posaut.witnesses import Positional, ProgressWitness
 from posaut.zoo import (
     aut_accept_all,
-    aut_buchi_a_or_reach_aa,
     aut_fin_ac_or_fin_bb,
     aut_fin_nested_c_factors,
     aut_inf_a_or_fin_bb,
@@ -30,7 +27,6 @@ from posaut.zoo import (
     aut_reach_two_a,
 )
 
-from conftest import FIXTURES
 
 
 # -- plain progress consistency -------------------------------------------------
@@ -140,54 +136,6 @@ def test_full_witness_verifies():
     dst, m = aut.run_min_priority(wit.q, wit.w)
     assert dst == wit.p and m >= wit.level_x
     assert not up_membership(aut.with_initial(wit.q), upword((), wit.w))
-
-
-# -- warm-up fast paths -------------------------------------------------------------
-
-
-def test_fastpath_reach_aa():
-    res = warmup_fast_path(aut_reach_aa())
-    assert res.tag == "reachability"
-    assert res.verdict is not None and not res.verdict.positional
-
-
-def test_fastpath_buchi():
-    res = warmup_fast_path(aut_buchi_a_or_reach_aa())
-    assert res.tag == "buchi"
-    assert res.verdict is not None and res.verdict.positional
-
-
-def test_fastpath_cobuchi():
-    res = warmup_fast_path(aut_fin_ac_or_fin_bb())
-    assert res.tag == "cobuchi"
-    assert res.verdict is not None and res.verdict.positional
-
-
-def test_fastpath_agrees_with_procedures():
-    from posaut.epscomplete import decide_positionality_p2
-
-    for name, (mk, _) in FIXTURES.items():
-        aut = mk()
-        res = warmup_fast_path(aut)
-        if res.verdict is None:
-            continue
-        p1 = decide_positionality_p1(aut)
-        p2 = decide_positionality_p2(aut)
-        assert res.verdict.positional == isinstance(p1, Positional), name
-        assert res.verdict.positional == isinstance(p2, Positional), name
-
-
-def test_fastpath_random_agreement():
-    from conftest import random_automaton
-
-    rng = random.Random(9)
-    for _ in range(120):
-        aut = random_automaton(rng, rng.randint(1, 4), ("a", "b"), dmax=rng.choice([1, 2]))
-        res = warmup_fast_path(aut)
-        if res.verdict is None:
-            continue
-        p1 = decide_positionality_p1(aut)
-        assert res.verdict.positional == isinstance(p1, Positional), aut.transitions
 
 
 # -- bipositionality -----------------------------------------------------------------
