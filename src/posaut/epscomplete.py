@@ -40,10 +40,6 @@ class EpsCompleteAutomaton:
             if t.is_eps and t.priority == y
         }
 
-    def geq_x(self, x: int) -> set[tuple[int, int]]:
-        """q >=_x q'  iff  q -eps:x+1-> q' (x even)."""
-        return self.eps_relation(x + 1)
-
 
 def even_bound(aut: ParityAutomaton) -> int:
     """The even d such that the completion uses priorities in [0, d+1]."""

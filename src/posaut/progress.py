@@ -44,29 +44,6 @@ class WordDfa:
             q = self.delta[(q, a)]
         return q in self.accepting
 
-    def shortest_accepted(self):
-        if self.initial in self.accepting:
-            return ()
-        prev = {self.initial: None}
-        queue = deque([self.initial])
-        while queue:
-            q = queue.popleft()
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    continue
-                nxt = self.delta[(q, a)]
-                if nxt not in prev:
-                    prev[nxt] = (q, a)
-                    if nxt in self.accepting:
-                        word = []
-                        s = nxt
-                        while prev[s] is not None:
-                            s, letter = prev[s]
-                            word.append(letter)
-                        return tuple(reversed(word))
-                    queue.append(nxt)
-        return None
-
 
 def intersect_shortest(d1: WordDfa, d2: WordDfa):
     """Shortest word accepted by both, or None."""
@@ -120,9 +97,7 @@ def finite_path_language(aut: ParityAutomaton, q: int, p: int, mode) -> WordDfa:
 
 def _tracker_dfa(aut: ParityAutomaton, q: int, accepting_pairs) -> WordDfa:
     """Product with a running-minimum tracker; state None means 'no step yet'."""
-    prios = sorted({t.priority for t in aut.transitions})
     states = {(q, None): 0}
-    order = [(q, None)]
     delta = {}
     queue = deque([(q, None)])
     while queue:
@@ -139,7 +114,6 @@ def _tracker_dfa(aut: ParityAutomaton, q: int, accepting_pairs) -> WordDfa:
             key = (t.dst, m2)
             if key not in states:
                 states[key] = len(states)
-                order.append(key)
                 queue.append(key)
             delta[(sid, a)] = states[key]
     accepting = frozenset(

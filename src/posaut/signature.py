@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cache, partial
+from itertools import permutations
 
 from .automaton import (
     Congruence,
@@ -22,6 +24,7 @@ from .automaton import (
     congruence_from_classes,
     emit_dpa,
     parse_dpa,
+    quotient_leq_x,
     safe_components,
     tarjan_scc,
     up_membership,
@@ -512,131 +515,143 @@ def _canonicalise_x_targets(aut: ParityAutomaton, x: int, classes: Congruence):
 
 
 # ---------------------------------------------------------------------------
-# Two-loop witness extraction (semantic, verified)
+# Two-loop witnesses
 # ---------------------------------------------------------------------------
 
 
-def _loop_candidates(aut: ParityAutomaton, r: int, max_extra=None):
-    """Per achievable minimal priority, a shortest word looping r back to r."""
-    out = []
-    seen_states = {(r, None): ()}
-    queue = deque([(r, None)])
+def _bisimulation_quotient(aut: ParityAutomaton) -> ParityAutomaton:
+    """The quotient of the deterministic `aut` by priority-preserving
+    bisimulation, by Moore refinement on (priority, target class) per letter."""
+    cls = (0,) * aut.n_states
+    while True:
+        ids: dict[tuple, int] = {}
+        new = tuple(
+            ids.setdefault(
+                (cls[q],) + tuple((ts[q].priority, cls[ts[q].dst]) for ts in aut.delta.values()),
+                len(ids),
+            )
+            for q in aut.states()
+        )
+        if len(ids) == max(cls) + 1:
+            return quotient_leq_x(aut, Congruence(cls), aut.d_max + aut.d_max % 2)
+        cls = new
+
+
+def _loops_back(aut: ParityAutomaton, r: int, s: int) -> dict[int, tuple[str, ...]]:
+    """Per priority m, a shortest word w with r -w-> r at an odd least
+    priority and s -w-> r at least priority m: one breadth-first search over
+    the two runs with their running minima."""
+    top = aut.d_max + 1
+    start = (r, s, top, top)
+    prev = {start: None}
+    queue = deque([start])
     found = {}
     while queue:
-        s, m = queue.popleft()
-        word = seen_states[(s, m)]
-        for a in aut.alphabet:
-            ts = aut.succ(s, a)
-            if len(ts) != 1:
+        node = queue.popleft()
+        s1, s2, m1, m2 = node
+        for a, ts in aut.delta.items():
+            t1, t2 = ts[s1], ts[s2]
+            nxt = (t1.dst, t2.dst, min(m1, t1.priority), min(m2, t2.priority))
+            if nxt in prev:
                 continue
-            t = ts[0]
-            m2 = t.priority if m is None else min(m, t.priority)
-            key = (t.dst, m2)
-            if key not in seen_states:
-                seen_states[key] = word + (a,)
-                if t.dst == r and m2 not in found:
-                    found[m2] = word + (a,)
-                queue.append(key)
-    return [found[m] for m in sorted(found)]
+            prev[nxt] = (node, a)
+            queue.append(nxt)
+            if nxt[0] == nxt[1] == r and nxt[2] % 2 and nxt[3] not in found:
+                word, back = [], nxt
+                while prev[back] is not None:
+                    back, letter = prev[back]
+                    word.append(letter)
+                found[nxt[3]] = tuple(reversed(word))
+    return found
 
 
-def _all_words(letters, max_len):
-    from itertools import product
-
-    for n in range(1, max_len + 1):
-        for combo in product(letters, repeat=n):
-            yield combo
-
-
-def find_two_loops(
-    aut: ParityAutomaton,
-    entries,
-    seeds=(),
-    max_pool=400,
-    max_rejected=150,
-) -> TwoLoopData | None:
-    """Search an entry word and two loop words such that each loop alone is
-    rejected but some alternation is accepted; verified with up_membership.
-
-    `entries` are candidate anchor states (their shortest access words become
-    u0); `seeds` are extra loop-word candidates from the failing construction.
-    """
-    letters = aut.alphabet
-    depth = 5 if len(letters) <= 2 else 4
-    short = list(_all_words(letters, depth))
-    for r in entries:
-        u0 = access_word(aut, r)
-        if u0 is None:
+def _hub_loops(aut: ParityAutomaton) -> TwoLoopData | None:
+    """Two loops around an ordered hub pair (r1, r2): l1 takes r1 back to r1
+    at an odd least priority and r2 to r1, l2 takes r2 back to r2 at an odd
+    least priority and r1 to r2, and the cycle r2 -l1-> r1 -l2-> r2 has an
+    even least priority; u0 is the access word of r1.  Exact for this shape,
+    and polynomial: one search per ordered state pair."""
+    loops_back = cache(partial(_loops_back, aut))
+    for r1, r2 in permutations(aut.states(), 2):
+        if not loops_back(r1, r2):
             continue
-        pool = []
-        seen = set()
-        for w in list(seeds) + _loop_candidates(aut, r) + short:
-            w = tuple(w)
-            if w and w not in seen:
-                seen.add(w)
-                pool.append(w)
-            if len(pool) >= max_pool:
-                break
-        rejected = [w for w in pool if not up_membership(aut, upword(u0, w))]
-        rejected = rejected[:max_rejected]
-        for i, l1 in enumerate(rejected):
-            for l2 in rejected[i + 1 :]:
-                if up_membership(aut, upword(u0, l1 + l2)):
-                    return TwoLoopData(u0, l1, l2)
-                if up_membership(aut, upword(u0, l2 + l1)):
-                    return TwoLoopData(u0, l2, l1)
+        pairs = [
+            (len(w1) + len(w2), w1, w2)
+            for m1, w1 in loops_back(r1, r2).items()
+            for m2, w2 in loops_back(r2, r1).items()
+            if min(m1, m2) % 2 == 0
+        ]
+        if pairs:
+            _, l1, l2 = min(pairs)
+            return TwoLoopData(access_word(aut, r1), l1, l2)
     return None
 
 
-def _full_progress_loops(aut, sig, wit) -> TwoLoopData | None:
-    """Loop data for a full-progress failure: the witness word w, and a word
-    u producing x-1 from q while routing p back to q at priority exactly x."""
-    x, q, p, w = wit.level_x, wit.q, wit.p, wit.w
-    seeds = [w]
-    target = None
-    start = (q, p, None, None)
-    prev = {start: None}
-    queue = deque([start])
-    while queue and target is None:
-        node = queue.popleft()
-        s1, s2, m1, m2 = node
-        for a in aut.alphabet:
-            t1s, t2s = aut.succ(s1, a), aut.succ(s2, a)
-            if len(t1s) != 1 or len(t2s) != 1:
-                continue
-            t1, t2 = t1s[0], t2s[0]
-            n1 = t1.priority if m1 is None else min(m1, t1.priority)
-            n2 = t2.priority if m2 is None else min(m2, t2.priority)
-            nxt = (t1.dst, t2.dst, n1, n2)
-            if nxt not in prev:
-                prev[nxt] = (node, a)
-                if t1.dst == q and t2.dst == q and n1 == x - 1 and n2 == x:
-                    target = nxt
-                    break
-                queue.append(nxt)
-    if target is not None:
-        word = []
-        node = target
-        while prev[node] is not None:
-            node, a = prev[node]
-            word.append(a)
-        seeds.insert(0, tuple(reversed(word)))
-    entries = [q] + sorted(set(aut.states()) - {q})
-    return find_two_loops(aut, entries, seeds)
+def _accepts_rounds(q: int, elements) -> bool:
+    """Is the run from q accepting that applies the monoid `elements` in
+    turn, forever?"""
+    seen, mins = {}, []
+    while q not in seen:
+        seen[q] = len(mins)
+        low = []
+        for e in elements:
+            q, m = e[q]
+            low.append(m)
+        mins.append(min(low))
+    return min(mins[seen[q]:]) % 2 == 0
 
 
-def _safe_order_loops(aut_det, orig_q, orig_p, sep_qp, sep_pq) -> TwoLoopData | None:
-    seeds = [tuple(sep_qp), tuple(sep_pq), tuple(sep_qp) + tuple(sep_pq),
-             tuple(sep_pq) + tuple(sep_qp)]
-    entries = [orig_q, orig_p] + sorted(set(aut_det.states()) - {orig_q, orig_p})
-    return find_two_loops(aut_det, entries, seeds)
+def _monoid_loops(aut: ParityAutomaton) -> TwoLoopData | None:
+    """Any two-loop witness, by the transition monoid of `aut`: each element
+    maps every state to (target, least priority) and comes with a shortest
+    word.  Exact for every two-loop witness, since the three facts depend
+    only on the state u0 reaches and the elements of l1 and l2; the monoid
+    can be exponential in the number of states."""
+    words = {}
+    queue = deque()
+    for a, ts in aut.delta.items():
+        e = tuple((t.dst, t.priority) for t in ts)
+        if e not in words:
+            words[e] = (a,)
+            queue.append(e)
+    while queue:
+        e = queue.popleft()
+        for a, ts in aut.delta.items():
+            f = tuple((ts[d].dst, min(m, ts[d].priority)) for d, m in e)
+            if f not in words:
+                words[f] = words[e] + (a,)
+                queue.append(f)
+    for q in aut.states():
+        rejected = [e for e in words if not _accepts_rounds(q, (e,))]
+        for e in rejected:
+            for f in rejected:
+                if _accepts_rounds(q, (e, f)):
+                    return TwoLoopData(access_word(aut, q), words[e], words[f])
+    return None
 
 
-def _polish_loops(aut, cex, extra_seeds=()) -> TwoLoopData | None:
-    v = tuple(cex.v)
-    rot = [v[i:] + v[:i] for i in range(len(v))]
-    seeds = list(extra_seeds) + [v, v + v] + rot
-    return find_two_loops(aut, sorted(aut.states()), seeds)
+def find_two_loops(aut: ParityAutomaton) -> TwoLoopData:
+    """An entry word u0 and loops l1, l2 for the deterministic `aut` with
+    u0.l1^omega and u0.l2^omega rejected and u0.(l1 l2)^omega accepted.
+
+    The search runs on the quotient of `aut` by priority-preserving
+    bisimulation: first over hub pairs, and only when no hub pair carries
+    two loops, over the transition monoid.  Raises PipelineError when no
+    two-loop witness exists: every stage failure refutes positionality, so
+    that is a bug, never a verdict.
+    """
+    quo = _bisimulation_quotient(aut)
+    loops = _hub_loops(quo) or _monoid_loops(quo)
+    if loops is None:
+        raise PipelineError("no two-loop witness exists")
+    u0, l1, l2 = loops.u0, loops.l1, loops.l2
+    if (
+        up_membership(aut, upword(u0, l1))
+        or up_membership(aut, upword(u0, l2))
+        or not up_membership(aut, upword(u0, l1 + l2))
+    ):
+        raise PipelineError(f"{loops} is no two-loop witness")
+    return loops
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +774,21 @@ def validate_signature(sig: SignatureAutomaton):
 # ---------------------------------------------------------------------------
 
 
-def decide_positionality_p1(aut: ParityAutomaton, collect_stats=None):
+def decide_positionality_p1(aut: ParityAutomaton):
     """Procedure 1.  Returns Positional(SignatureAutomaton) or
-    NotPositional(witness); raises PipelineError on internal breakage."""
-    return _run_pipeline(aut, full_pc=True, collect_stats=collect_stats)
+    NotPositional(witness); raises PipelineError on internal breakage.
+
+    A safe-order, polish or full-progress failure gets its two loops from
+    `find_two_loops` on the trimmed input; a stuck polish class also takes
+    u0.l1^omega as its word."""
+    out = _run_pipeline(aut, full_pc=True)
+    wit = getattr(out, "witness", None)
+    if not isinstance(wit, (SafeOrderFailure, PolishLanguageChange, FullProgressFailure)):
+        return out
+    loops = find_two_loops(aut.trim())
+    if isinstance(wit, PolishLanguageChange) and wit.w is None:
+        wit = replace(wit, w=upword(loops.u0, loops.l1))
+    return NotPositional(replace(wit, loops=loops))
 
 
 def build_structured_signature(aut: ParityAutomaton):
@@ -773,7 +799,7 @@ def build_structured_signature(aut: ParityAutomaton):
     return out.certificate if isinstance(out, Positional) else None
 
 
-def _run_pipeline(aut, full_pc, collect_stats=None):
+def _run_pipeline(aut, full_pc):
     aut.check_valid()
     if not aut.deterministic or aut.has_eps:
         raise ValueError("procedure 1 needs a deterministic eps-free automaton")
@@ -785,8 +811,6 @@ def _run_pipeline(aut, full_pc, collect_stats=None):
             raise PipelineError("restart bound exceeded")
         outcome = _one_pass(current, full_pc=full_pc)
         if isinstance(outcome, (Positional, NotPositional)):
-            if collect_stats is not None:
-                collect_stats["restarts"] = restarts
             return outcome
         current = normalize(outcome.trim())
         restarts += 1
@@ -814,7 +838,7 @@ def _one_pass(aut: ParityAutomaton, full_pc=True):
             return r
         return data
     if status == "stuck":
-        return _stuck_verdict(aut, 0, data)
+        return _stuck_verdict(0)
     aut = data
 
     d = aut.d_max
@@ -829,9 +853,7 @@ def _one_pass(aut: ParityAutomaton, full_pc=True):
         classes_xm1 = _intersect_classes(classes_c, comps)
         tso = check_total_safe_order(cen, x, classes_xm1)
         if tso is not True:
-            q, p, sep_qp, sep_pq = tso
-            loops = _safe_order_loops(aut, _map_back(cen, aut, q), _map_back(cen, aut, p), sep_qp, sep_pq)
-            return NotPositional(SafeOrderFailure(x, q, p, sep_qp, sep_pq, loops))
+            return NotPositional(SafeOrderFailure(x, *tso))
         rank_x = _rank_x_on(cen, x, classes_xm1)
         det = redeterminise(cen, x, classes_c, classes_xm1, rank_x)
         prex = _preorders_up_to(det, x)
@@ -845,7 +867,7 @@ def _one_pass(aut: ParityAutomaton, full_pc=True):
                 return r
             return data
         if status == "stuck":
-            return _stuck_verdict(det, x, data)
+            return _stuck_verdict(x)
         aut = data
 
     pre = _preorders_up_to(aut, aut.d_max)
@@ -859,8 +881,7 @@ def _one_pass(aut: ParityAutomaton, full_pc=True):
         return Positional(SignatureAutomaton(aut, pre, validated=True))
     fp = check_full_progress_consistency(sig)
     if fp is not True:
-        loops = _full_progress_loops(aut, sig, fp)
-        return NotPositional(FullProgressFailure(fp, loops))
+        return NotPositional(FullProgressFailure(fp))
     return Positional(SignatureAutomaton(aut, pre, validated=True))
 
 
@@ -886,9 +907,7 @@ def _preorders_up_to(aut, level):
         levels.append(_component_refinement(aut, x, levels[x - 2]))
         ranks = _safe_refinement(aut, x, levels[x - 1])
         if isinstance(ranks, tuple):
-            _, q, p, sep_qp, sep_pq = ranks
-            loops = _safe_order_loops(aut, q, p, sep_qp, sep_pq)
-            return NotPositional(SafeOrderFailure(x, q, p, sep_qp, sep_pq, loops))
+            return NotPositional(SafeOrderFailure(x, *ranks[1:]))
         levels.append(ranks)
     if len(levels) == level:  # trailing odd level
         levels.append(_component_refinement(aut, level + 1, levels[level - 1]))
@@ -911,41 +930,18 @@ def _rank_x_on(aut, x, classes_xm1):
     return ranks
 
 
-def _map_back(derived, base, q):
-    """Best-effort map from a derived automaton's state to the base automaton
-    via origin labels (identity when labels are plain ids)."""
-    label = derived.origin_label(q)
-    try:
-        cand = int(label.split("+")[0])
-    except ValueError:
-        return min(q, base.n_states - 1)
-    return cand if 0 <= cand < base.n_states else min(q, base.n_states - 1)
-
-
 def _check_polish_language(before, after, x):
     eq = lang_equal_det(after, before)
     if eq is True:
         return None
     _, cex = eq
-    loops = _polish_loops(before, cex)
-    return NotPositional(PolishLanguageChange(cex, x, loops))
+    return NotPositional(PolishLanguageChange(cex, x))
 
 
-def _stuck_verdict(aut, x, data):
-    c, members, bad = data
-    seeds = []
-    if bad[0] == "uniform":
-        _, q1, q2, a = bad
-        seeds.append((a,))
-    loops = find_two_loops(
-        aut, list(members) + sorted(set(aut.states()) - set(members)), seeds
-    )
-    if loops is None:
-        raise PipelineError(
-            f"polish stuck at level {x} on class {members} but no two-loop "
-            "witness found"
-        )
-    return NotPositional(PolishLanguageChange(upword((), loops.l1), x, loops))
+def _stuck_verdict(x):
+    # a stuck class has no word of its own: decide_positionality_p1 sets w
+    # to u0.l1^omega of the two loops
+    return NotPositional(PolishLanguageChange(None, x))
 
 
 # ---------------------------------------------------------------------------

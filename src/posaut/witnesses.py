@@ -129,7 +129,9 @@ class SafeOrderFailure:
 
 @dataclass(frozen=True)
 class PolishLanguageChange:
-    w: UPWord  # in the symmetric difference of the languages
+    # in the symmetric difference of the languages before and after
+    # polishing; for a stuck class, u0.l1^omega of the loops (rejected)
+    w: UPWord
     x: int
     loops: TwoLoopData | None = None
 

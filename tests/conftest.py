@@ -549,3 +549,28 @@ def reference_p2(aut, w_det=None):
     current = _prune_even_eps(current, d)
     assert validate_eps_complete(current, d) is True
     return Positional(EpsCompleteAutomaton(current, d))
+
+
+# Seed 58 of the random sweep in ROADMAP item 1, trimmed: not positional.
+# p1 gets stuck polishing level 0; its loops are words of length 6 and 12.
+SEED_58_DPA = """dpa
+alphabet: a b
+states: 7
+initial: 0
+priorities: 0 2
+deterministic: true
+trans: 0 a 2 3
+trans: 0 b 0 3
+trans: 1 a 1 5
+trans: 1 b 1 4
+trans: 2 a 1 6
+trans: 2 b 2 5
+trans: 3 a 1 1
+trans: 3 b 0 6
+trans: 4 a 0 6
+trans: 4 b 0 6
+trans: 5 a 0 1
+trans: 5 b 2 2
+trans: 6 a 1 0
+trans: 6 b 0 4
+"""

@@ -19,11 +19,7 @@ from posaut.games import brute_force_positional, gadget_for_witness, solve, Game
 from posaut.lang import incl_nd_in_det, lang_equal_det
 from posaut.normalform import normalize
 from posaut.progress import check_full_progress_consistency, decide_bipositionality
-from posaut.signature import (
-    PipelineError,
-    build_structured_signature,
-    decide_positionality_p1,
-)
+from posaut.signature import build_structured_signature, decide_positionality_p1
 from posaut.ugraph import (
     all_cycles_even_min,
     all_paths_satisfy,
@@ -48,6 +44,7 @@ from posaut.zoo import (
 
 from conftest import (
     FIXTURES,
+    SEED_58_DPA,
     blowup,
     brute_force_minimal_labelling,
     random_automaton,
@@ -418,8 +415,21 @@ def _metamorphic_variants(aut, seed):
     )
 
 
+def _passes_gadget(witness, objective):
+    """Eve wins the witness's gadget from every designated vertex, and no
+    uniform positional strategy does."""
+    g = gadget_for_witness(witness, objective)
+    sv = solve(g.arena, g.objective)
+    return all(sv.eve_wins_from(v) for v in g.designated) and not (
+        brute_force_positional(g.arena, g.objective).uniform
+    )
+
+
 def _metamorphic_check(name, aut, seed):
-    verdict = isinstance(decide_positionality_p1(aut), Positional)
+    p1 = decide_positionality_p1(aut)
+    verdict = isinstance(p1, Positional)
+    loops = getattr(getattr(p1, "witness", None), "loops", None)
+    gadget_ok = loops is None or _passes_gadget(p1.witness, aut)
     changed = [
         change
         for change, variant in _metamorphic_variants(aut, seed)
@@ -428,22 +438,18 @@ def _metamorphic_check(name, aut, seed):
     agree = isinstance(decide_positionality_p2(aut), Positional) == verdict
     report(
         11,
-        not changed and agree,
+        not changed and agree and gadget_ok,
         f"{name}: p1 verdict {verdict} kept under five language-preserving changes"
-        f" (changed by: {changed or 'none'}), p2 agrees: {agree}",
+        f" (changed by: {changed or 'none'}), p2 agrees: {agree}, two-loop"
+        f" gadget {'passes' if gadget_ok else 'fails'}",
     )
 
 
 def _metamorphic_dpa(seed):
     rng = random.Random(seed)
-    n = rng.randint(3, 9)
+    n = rng.randint(3, 12)
     letters = ("a", "b", "c")[: rng.randint(2, 3)]
     return random_automaton(rng, n, letters, dmax=rng.randint(1, 5)).trim()
-
-
-# Seeds on which p1 raises (ROADMAP item 1); each is a strict xfail of its
-# own, to be removed with the fix, never dropped or re-seeded.
-METAMORPHIC_P1_RAISES: tuple[int, ...] = ()
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -451,47 +457,9 @@ def test_criterion_11_metamorphic_fixtures(name):
     _metamorphic_check(name, FIXTURES[name][0](), 11)
 
 
-@pytest.mark.parametrize(
-    "seed",
-    [
-        pytest.param(
-            s,
-            marks=pytest.mark.xfail(
-                strict=True, raises=PipelineError, reason="p1 crash, ROADMAP item 1"
-            ),
-        )
-        if s in METAMORPHIC_P1_RAISES
-        else s
-        for s in range(100)
-    ],
-)
+@pytest.mark.parametrize("seed", range(200))
 def test_criterion_11_metamorphic_random(seed):
     _metamorphic_check(f"random DPA seed {seed}", _metamorphic_dpa(seed), seed)
-
-
-# Sweep seed 58 of ROADMAP item 1, trimmed: not positional, refuted by p2,
-# and p1 gets stuck in polish without a two-loop witness.
-SEED_58_DPA = """dpa
-alphabet: a b
-states: 7
-initial: 0
-priorities: 0 2
-deterministic: true
-trans: 0 a 2 3
-trans: 0 b 0 3
-trans: 1 a 1 5
-trans: 1 b 1 4
-trans: 2 a 1 6
-trans: 2 b 2 5
-trans: 3 a 1 1
-trans: 3 b 0 6
-trans: 4 a 0 6
-trans: 4 b 0 6
-trans: 5 a 0 1
-trans: 5 b 2 2
-trans: 6 a 1 0
-trans: 6 b 0 4
-"""
 
 
 def test_seed_58_p2_witness_passes_its_gadget():
@@ -504,10 +472,9 @@ def test_seed_58_p2_witness_passes_its_gadget():
     assert not brute_force_positional(g.arena, g.objective).uniform
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PipelineError,
-    reason="ROADMAP item 1: find_two_loops misses the loops this DPA needs",
-)
 def test_seed_58_p1_refutes():
-    assert not decide_positionality_p1(parse_dpa(SEED_58_DPA)).positional
+    base = parse_dpa(SEED_58_DPA)
+    for aut in (base, blowup(base, 2, 58)):
+        r = decide_positionality_p1(aut)
+        assert isinstance(r, NotPositional) and r.witness.loops is not None
+        assert _passes_gadget(r.witness, aut)

@@ -12,6 +12,8 @@ from posaut.zoo import (
     aut_reach_aa,
 )
 
+from conftest import SEED_58_DPA
+
 
 def write(path, aut):
     path.write_text(emit_dpa(aut), encoding="utf-8")
@@ -139,3 +141,22 @@ def test_zoo_and_seed_reproducibility(tmp_path, capsys):
     first = sig.read_text()
     main(["signature", fig3, "-o", str(sig)])
     assert sig.read_text() == first
+
+
+def test_seed_58_two_loops_round_trip(tmp_path, capsys):
+    dpa = tmp_path / "seed58.dpa"
+    dpa.write_text(SEED_58_DPA, encoding="utf-8")
+    assert main(["--format", "json", "positional", str(dpa), "--method", "signature"]) == 1
+    loops = json.loads(capsys.readouterr().out)["witness"]["loops"]
+    arena = tmp_path / "g.arena"
+    args = ["gadget", "two-loops", str(dpa), "-o", str(arena)]
+    for key in ("u0", "l1", "l2"):
+        args += [f"--{key}", " ".join(loops[key]) or "-"]
+    assert main(["--format", "json"] + args) == 0
+    designated = json.loads(capsys.readouterr().out)["designated"]
+    assert main(["--format", "json", "solve", str(arena), str(dpa)]) == 0
+    wins = json.loads(capsys.readouterr().out)["wins"]
+    initial = parse_dpa(SEED_58_DPA).initial
+    assert all([v, initial] in wins for v in designated)
+    assert main(["oracle", str(arena), str(dpa)]) == 1
+    assert capsys.readouterr().out.strip() == "no"

