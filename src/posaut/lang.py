@@ -11,7 +11,9 @@ coordinate-1 priority-x and a coordinate-2 priority-y edge inside one SCC of
 the edges >= (x, y), behind a BFS path; the shortest such lasso, made
 canonical, is the witness.  The residual relations come from one product over
 all pairs of states at once (`noninclusion_pairs`), and the eps-completion
-loop extends one `DetProduct` in place.
+loop extends one `DetProduct` in place.  Safe-language inclusion at a level
+x is likewise one backward search over all pairs of states
+(`SafeInclusion`), from which each separating word is rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -262,14 +264,36 @@ def noninclusion_pairs(aut: ParityAutomaton, states) -> set[tuple[int, int]]:
     """Every pair (q, p) of `states` with L(aut from q) not included in
     L(aut from p): the pairs where `incl_det(aut, q, aut, p)` is not True.
 
-    One product of `aut` with its complement, explored from all start pairs
-    at once; a start pair is not included iff it reaches an accepting SCC of
-    the kernel (`reaches_even_cycle`).
+    One product of `aut` with its complement over every pair of states that
+    `states` reach, built as integer arrays from `aut.delta`; a start pair
+    is not included iff it reaches an accepting SCC of the kernel
+    (`reaches_even_cycle`).
     """
+    if not aut.deterministic or aut.has_eps:
+        raise ValueError("noninclusion_pairs needs a deterministic eps-free automaton")
+    rows = aut.delta.values()
+    closure = list(dict.fromkeys(states))
+    idx = {q: i for i, q in enumerate(closure)}
+    for q in closure:  # grows while it is read: the successor closure
+        for row in rows:
+            if row[q].dst not in idx:
+                idx[row[q].dst] = len(closure)
+                closure.append(row[q].dst)
+    k = len(closure)
+    moves = [([idx[row[q].dst] for q in closure], [row[q].priority for q in closure]) for row in rows]
+    g = EdgeGraph(k * k)
+    for i in range(k):
+        for j in range(k):
+            v = i * k + j
+            for dst, pr in moves:
+                g.out[v].append(len(g.dst))
+                g.src.append(v)
+                g.dst.append(dst[i] * k + dst[j])
+                g.pr1.append(pr[i])
+                g.pr2.append(pr[j] + 1)  # the complement's priority
     starts = [(q, p) for q in states for p in states]
-    g, ids = _product(aut, complement_det(aut), starts)
-    bad = reaches_even_cycle(g, [ids[key] for key in starts])
-    return {key for key in starts if bad[ids[key]]}
+    bad = reaches_even_cycle(g, [idx[q] * k + idx[p] for q, p in starts])
+    return {(q, p) for q, p in starts if bad[idx[q] * k + idx[p]]}
 
 
 def lang_equal_det(a: ParityAutomaton, b: ParityAutomaton):
@@ -398,40 +422,95 @@ def check_det_over_geq(aut: ParityAutomaton, x: int):
     return True
 
 
+class SafeInclusion:
+    """Inclusion between the (<x)-safe languages of all pairs of states of
+    `aut`: the finite words a state reads with priorities >= x only.
+
+    Built on the first pair asked for, which raises ValueError unless `aut`
+    is deterministic over its >= x transitions.  One backward breadth-first
+    search over state pairs, O(n²·|Σ|), starts from the pairs (q, p) where q
+    has a >= x move on some letter and p has none, and records for every
+    pair that is not included the length of its shortest separating word.
+    """
+
+    def __init__(self, aut: ParityAutomaton, x: int):
+        self.aut = aut
+        self.x = x
+        self._step: list[list[int | None]] | None = None  # per letter, per state
+        self._dist: list[int] = []  # per pair q·n + p; 0 when included
+
+    def _relation(self):
+        if self._step is not None:
+            return self._step, self._dist
+        aut, x, n = self.aut, self.x, self.aut.n_states
+        ok = check_det_over_geq(aut, x)
+        if ok is not True:
+            raise ValueError(f"not deterministic over >= {x} transitions: {ok}")
+        step = [
+            [next((t.dst for t in aut.succ(q, a) if t.priority >= x), None) for q in aut.states()]
+            for a in aut.alphabet
+        ]
+        back = [[[] for _ in range(n)] for _ in step]
+        dist = [0] * (n * n)
+        queue = []
+        for row, pred in zip(step, back):
+            moving = []
+            for q, q2 in enumerate(row):
+                if q2 is not None:
+                    pred[q2].append(q)
+                    moving.append(q)
+            for q in moving:
+                for p, p2 in enumerate(row):
+                    if p2 is None and not dist[q * n + p]:
+                        dist[q * n + p] = 1
+                        queue.append(q * n + p)
+        for v in queue:  # grows while it is read: breadth first
+            q2, p2 = divmod(v, n)
+            d = dist[v] + 1
+            for pred in back:
+                ps = pred[p2]
+                if not ps:
+                    continue
+                for q in pred[q2]:
+                    for p in ps:
+                        if not dist[q * n + p]:
+                            dist[q * n + p] = d
+                            queue.append(q * n + p)
+        self._step, self._dist = step, dist
+        return step, dist
+
+    def holds(self, q: int, p: int) -> bool:
+        """Is the (<x)-safe language of q included in that of p?"""
+        return not self._relation()[1][q * self.aut.n_states + p]
+
+    def check(self, q: int, p: int):
+        """True, or the separating word `safe_incl` returns: the shortest
+        word readable (<x)-safely from q but not from p, least in alphabet
+        order.  Rebuilt letter by letter: each step takes the first letter
+        whose pair of successors is one letter closer to separation."""
+        step, dist = self._relation()
+        n, letters = self.aut.n_states, self.aut.alphabet
+        d = dist[q * n + p]
+        if not d:
+            return True
+        word = []
+        for left in range(d - 1, 0, -1):
+            a, q, p = next(
+                (a, row[q], row[p])
+                for a, row in zip(letters, step)
+                if row[q] is not None and row[p] is not None and dist[row[q] * n + row[p]] == left
+            )
+            word.append(a)
+        word.append(next(a for a, row in zip(letters, step) if row[q] is not None and row[p] is None))
+        return tuple(word)
+
+
 def safe_incl(aut: ParityAutomaton, x: int, q: int, p: int):
     """Is the (<x)-safe language of q included in that of p?
 
     Requires determinism over transitions with priority >= x.  Returns True
-    or a separating finite word (readable (<x)-safely from q but not p).
+    or a separating finite word (readable (<x)-safely from q but not p): the
+    shortest, least in alphabet order.  A caller asking about many pairs
+    builds one `SafeInclusion` instead.
     """
-    ok = check_det_over_geq(aut, x)
-    if ok is not True:
-        raise ValueError(f"not deterministic over >= {x} transitions: {ok}")
-
-    def step(s, a):
-        for t in aut.succ(s, a):
-            if t.priority >= x and not t.is_eps:
-                return t.dst
-        return None
-
-    start = (q, p)
-    prev: dict[tuple[int, int], tuple[tuple[int, int], str]] = {start: None}
-    queue = deque([start])
-    while queue:
-        s, t = queue.popleft()
-        for a in aut.alphabet:
-            s2 = step(s, a)
-            if s2 is None:
-                continue
-            t2 = step(t, a)
-            if t2 is None:
-                word = [a]
-                node = (s, t)
-                while prev[node] is not None:
-                    node, letter = prev[node]
-                    word.append(letter)
-                return tuple(reversed(word))
-            if (s2, t2) not in prev:
-                prev[(s2, t2)] = ((s, t), a)
-                queue.append((s2, t2))
-    return True
+    return SafeInclusion(aut, x).check(q, p)

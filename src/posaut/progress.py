@@ -2,10 +2,11 @@
 
 Both consistency checks reduce to emptiness of intersections of finite-word
 languages: words routing q to p without small priorities, against words
-looping at p with an odd minimal priority.  Witnesses are found shortest
-first per ordered pair.  No parity-cycle search happens here: the residual
-preorder comes from `lang`, whose inclusions run on the kernel
-(`automaton.even_cycle_sccs`).
+looping at p with an odd minimal priority.  One backward search per target p
+finds every failing q at once; only the first failing pair builds the two
+DFAs, whose intersection gives the shortest witness.  No parity-cycle search
+happens here: the residual preorder comes from `lang`, whose inclusions run
+on the kernel (`automaton.even_cycle_sccs`).
 """
 
 from __future__ import annotations
@@ -142,17 +143,11 @@ def check_progress_consistency(aut: ParityAutomaton, rp=None):
         rp = residual_preorder(aut)
     if not rp.total:
         raise ValueError("residual preorder is not total; use its witness instead")
-    states = sorted(rp.rank)
-    for q in states:
-        for p in states:
-            if rp.rank[q] >= rp.rank[p]:
-                continue
-            route = finite_path_language(aut, q, p, ("at-least", 0))
-            w = intersect_shortest(route, odd_cycle_dfa(aut, p))
-            if w is not None:
-                u = access_word(aut, q)
-                return ProgressWitness(kind="plain", q=q, p=p, w=w, context_u=u)
-    return True
+    found = _first_inconsistent_pair(aut, rp.rank, 0)
+    if found is None:
+        return True
+    q, p, w = found
+    return ProgressWitness(kind="plain", q=q, p=p, w=w, context_u=access_word(aut, q))
 
 
 def check_full_progress_consistency(sig):
@@ -163,16 +158,97 @@ def check_full_progress_consistency(sig):
     """
     aut = sig.automaton
     for x in range(0, sig.d + 1, 2):
-        rank = sig.preorders.levels[x]
-        for q in sorted(rank):
-            for p in sorted(rank):
-                if rank[q] >= rank[p]:
-                    continue
-                route = finite_path_language(aut, q, p, ("at-least", x))
-                w = intersect_shortest(route, odd_cycle_dfa(aut, p))
-                if w is not None:
-                    return ProgressWitness(kind="full", q=q, p=p, w=w, level_x=x)
+        found = _first_inconsistent_pair(aut, sig.preorders.levels[x], x)
+        if found is not None:
+            q, p, w = found
+            return ProgressWitness(kind="full", q=q, p=p, w=w, level_x=x)
     return True
+
+
+def _first_inconsistent_pair(aut: ParityAutomaton, rank: dict[int, int], x: int):
+    """The first pair (q, p) of `sorted(rank)` squared, q outer, with
+    rank[q] < rank[p] and a word w routing q to p with priorities >= x that
+    loops p back to p at an odd least priority, with the shortest such w
+    (`intersect_shortest`); None when there is none.
+
+    One backward search per target p finds every failing q at once
+    (`_odd_loop_sources`), and only the pair returned builds its two DFAs.
+    The determinism ValueErrors come where the pair-by-pair loop raised
+    them: the route DFA's at the first pair, p's run's at the first pair
+    with target p."""
+    states = sorted(rank)
+    pairs = [(q, p) for q in states for p in states if rank[q] < rank[p]]
+    if not pairs:
+        return None
+    route = finite_path_language(aut, *pairs[0], ("at-least", x))
+    sources = _odd_loop_sources(aut, route.delta)
+    failing: dict[int, set[int]] = {}
+    for q, p in pairs:
+        if p not in failing:
+            failing[p] = sources(p)
+        if q in failing[p]:
+            route = finite_path_language(aut, q, p, ("at-least", x))
+            return q, p, intersect_shortest(route, odd_cycle_dfa(aut, p))
+    return None
+
+
+def _odd_loop_sources(aut: ParityAutomaton, route: dict[tuple[int, str], int]):
+    """A function mapping a target p to the states q for which a nonempty
+    word w leads q to p along `route` ((state, letter) -> state) while the
+    run of p on w returns to p at an odd least priority: the q for which
+    `intersect_shortest` of the route DFA and `odd_cycle_dfa(aut, p)` is
+    not None.  Raises the ValueError of `odd_cycle_dfa(aut, p)` when p's run
+    meets a state with several transitions on one letter.
+
+    Each call is one backward search over the pairs (route state r, run
+    state s), O(n²·|Σ|·d).  The pair carries the bit mask of the running
+    minima m (bit m - lo, and a top bit for the empty run) from which
+    (r, s, m) reaches (p, p, odd): an s -a:y-> s2 step keeps the m < y that
+    are good at the successor pair, and adds every m >= y when y is."""
+    n = aut.n_states
+    prios = [t.priority for t in aut.transitions] or [0]
+    lo, hi = min(prios), max(prios)
+    top = 1 << (hi - lo + 1)
+    below = [(1 << b) - 1 for b in range(hi - lo + 1)]
+    above = [(top << 1) - 1 - m for m in below]
+    odd = sum(1 << (y - lo) for y in range(lo, hi + 1) if y % 2)
+    letter = {a: i for i, a in enumerate(aut.alphabet)}
+    route_back = [[[] for _ in range(n)] for _ in aut.alphabet]
+    for (r, a), r2 in route.items():
+        if a in letter:
+            route_back[letter[a]][r2].append(r)
+    run_back = [[[] for _ in range(n)] for _ in aut.alphabet]
+    for t in aut.transitions:
+        if t.letter in letter:
+            run_back[letter[t.letter]][t.dst].append((t.src, t.priority - lo))
+    forked = {q for (q, a), ts in aut.by_src_letter.items() if a in letter and len(ts) > 1}
+
+    def sources(p: int) -> set[int]:
+        if forked:
+            odd_cycle_dfa(aut, p)  # raises where p's run forks
+        good = [0] * (n * n)
+        good[p * n + p] = odd
+        stack = [p * n + p]
+        while stack:
+            v = stack.pop()
+            r2, s2 = divmod(v, n)
+            g = good[v]
+            for rs, runs in zip(route_back, run_back):
+                rs = rs[r2]
+                if not rs:
+                    continue
+                for s, b in runs[s2]:
+                    new = g & below[b] | above[b] if g >> b & 1 else g & below[b]
+                    if not new:
+                        continue
+                    for r in rs:
+                        u = r * n + s
+                        if new & ~good[u]:
+                            good[u] |= new
+                            stack.append(u)
+        return {q for q in aut.states() if good[q * n + p] & top}
+
+    return sources
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ over the level-(x-2) classes, centralise (<x)-safe components, check that
 safe-language inclusion totally orders each class, re-determinise with the
 round-robin component rule, and polish x-transitions.  Any shrink triggers a
 language check and a restart on the smaller automaton; the total number of
-restarts is bounded by d * |Q|.
+restarts is bounded by d * |Q|.  One decision computes the residual preorder
+of each automaton it meets once, and its safe-language inclusion once per
+level, each for all pairs of states at once.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ from .automaton import (
     up_membership,
     upword,
 )
-from .lang import (
-    lang_equal_det,
-    residual_preorder,
-    safe_incl,
-)
+from .lang import ResidualPreorder, SafeInclusion, lang_equal_det, residual_preorder
+# unused here, but bench/tracing.py rebinds it in this module
+from .lang import safe_incl  # noqa: F401
 from .normalform import normalize
 from .progress import check_full_progress_consistency, check_progress_consistency
 from .witnesses import (
@@ -113,32 +113,47 @@ def _component_refinement(aut: ParityAutomaton, x: int, prev: dict[int, int]):
     return _dense(keys)
 
 
-def _safe_refinement(aut: ParityAutomaton, x: int, prev: dict[int, int]):
-    """Refine the level-(x-1) ranks by (<x)-safe-language inclusion.
+def _safe_refinement(safe: SafeInclusion, prev: dict[int, int]):
+    """Refine the level-(x-1) ranks by the (<x)-safe-language inclusion
+    `safe`.
 
     Returns the rank map, or an incomparable pair (q, p, sep_qp, sep_pq).
     """
     groups: dict[int, list[int]] = {}
-    for q in aut.states():
+    for q in safe.aut.states():
         groups.setdefault(prev[q], []).append(q)
     keys = {}
     for cls, members in groups.items():
-        incl = {}
         for q in members:
             for p in members:
-                incl[(q, p)] = True if q == p else safe_incl(aut, x, q, p)
+                if q < p and not safe.holds(q, p) and not safe.holds(p, q):
+                    return ("incomparable", q, p, safe.check(q, p), safe.check(p, q))
         for q in members:
-            for p in members:
-                if q < p and incl[(q, p)] is not True and incl[(p, q)] is not True:
-                    return ("incomparable", q, p, incl[(q, p)], incl[(p, q)])
-        for q in members:
-            below = sum(
-                1
-                for p in members
-                if incl[(p, q)] is True and incl[(q, p)] is not True
-            )
+            below = sum(1 for p in members if safe.holds(p, q) and not safe.holds(q, p))
             keys[q] = (prev[q], below)
     return _dense(keys)
+
+
+def _residuals(aut: ParityAutomaton, memo) -> ResidualPreorder:
+    """`residual_preorder(aut)`, computed once per automaton in `memo`.
+
+    `memo` is None or a dict that one decision passes to every stage, so
+    that each relation is built once per automaton (and level); it maps
+    each automaton to its residual preorder and (automaton, x) to its
+    `SafeInclusion`."""
+    if memo is None:
+        return residual_preorder(aut)
+    if aut not in memo:
+        memo[aut] = residual_preorder(aut)
+    return memo[aut]
+
+
+def _safe(aut: ParityAutomaton, x: int, memo) -> SafeInclusion:
+    """The `SafeInclusion` of (aut, x), built once per `memo` (see
+    `_residuals`)."""
+    if memo is None:
+        return SafeInclusion(aut, x)
+    return memo.setdefault((aut, x), SafeInclusion(aut, x))
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +210,18 @@ def _restrict_classes(classes: Congruence, keep: list[int]) -> Congruence:
     return congruence_from_classes(len(keep), groups.values())
 
 
-def safe_centralise(aut: ParityAutomaton, x: int, classes: Congruence):
+def safe_centralise(aut: ParityAutomaton, x: int, classes: Congruence, memo=None):
     """Delete redundant (<x)-safe components until none remains.
 
     A component S is redundant if some q in S has a level-(x-2)-equivalent
     q' outside S with Safe(q) included in Safe(q').  Incoming transitions are
     redirected along the image of the first discovered safe run.  Returns
-    (automaton, classes restricted to the survivors).
+    (automaton, classes restricted to the survivors).  `memo` as in
+    `_residuals`.
     """
     while True:
         comps, _ = safe_components(aut, x)
-        target = _find_redundant(aut, x, comps, classes)
+        target = _find_redundant(_safe(aut, x, memo), comps, classes)
         if target is None:
             return aut, classes
         s_class, q0, q0p = target
@@ -235,16 +251,16 @@ def safe_centralise(aut: ParityAutomaton, x: int, classes: Congruence):
         classes = _restrict_classes(classes, keep)
 
 
-def _find_redundant(aut, x, comps, classes):
+def _find_redundant(safe: SafeInclusion, comps, classes):
     for s_class in range(comps.n_classes):
         members = comps.members(s_class)
         for q in members:
-            for qp in aut.states():
+            for qp in safe.aut.states():
                 if comps.class_of[qp] == s_class:
                     continue
                 if not classes.same(q, qp):
                     continue
-                if safe_incl(aut, x, q, qp) is True:
+                if safe.holds(q, qp):
                     return s_class, q, qp
     return None
 
@@ -281,21 +297,18 @@ def _pick_map(aut, x, q0, q0p, s_members):
     return pick
 
 
-def check_total_safe_order(aut: ParityAutomaton, x: int, classes_xm1: Congruence):
-    """Within every level-(x-1) class, all pairs must be safe-comparable."""
+def check_total_safe_order(
+    aut: ParityAutomaton, x: int, classes_xm1: Congruence, memo=None
+):
+    """Within every level-(x-1) class, all pairs must be safe-comparable.
+    `memo` as in `_residuals`."""
+    safe = _safe(aut, x, memo)
     for c in range(classes_xm1.n_classes):
         members = classes_xm1.members(c)
         for q in members:
             for p in members:
-                if q >= p:
-                    continue
-                qp = safe_incl(aut, x, q, p)
-                if qp is True:
-                    continue
-                pq = safe_incl(aut, x, p, q)
-                if pq is True:
-                    continue
-                return (q, p, qp, pq)
+                if q < p and not safe.holds(q, p) and not safe.holds(p, q):
+                    return (q, p, safe.check(q, p), safe.check(p, q))
     return True
 
 
@@ -379,20 +392,17 @@ def _reach(aut: ParityAutomaton, x: int, reflexive: bool):
     return reach
 
 
-def _class_unpolished(aut, x, members, reach_gtx):
-    """Return None if the class is x-polished, else ('connect', q1, q2) or
-    ('uniform', q1, q2, a)."""
-    for q1 in members:
-        for q2 in members:
-            if q1 != q2 and q2 not in reach_gtx[q1]:
-                return ("connect", q1, q2)
+def _class_unpolished(aut, x, members, reach_gtx) -> bool:
+    """Is the class not x-polished: some member fails to reach another by
+    (>x)-transitions, or some letter has an x-transition from some members
+    but not from all?"""
+    if any(q1 != q2 and q2 not in reach_gtx[q1] for q1 in members for q2 in members):
+        return True
     for a in aut.alphabet:
-        with_x = [q for q in members if any(t.priority == x for t in aut.succ(q, a))]
-        if with_x and len(with_x) != len(members):
-            q1 = with_x[0]
-            q2 = next(q for q in members if q not in with_x)
-            return ("uniform", q1, q2, a)
-    return None
+        with_x = sum(1 for q in members if any(t.priority == x for t in aut.succ(q, a)))
+        if with_x and with_x != len(members):
+            return True
+    return False
 
 
 def _aux_graph(aut, x, members):
@@ -437,22 +447,16 @@ def polish(aut: ParityAutomaton, x: int, classes: Congruence):
     Returns ("structured", A') with canonical x-transition targets when every
     class is already polished; ("shrunk", A') after cutting the first
     unpolished class to a final SCC of its auxiliary graph; or
-    ("stuck", info) when a class is (>x)-connected but x-transitions are not
-    uniform, which cannot happen for positional languages.
+    ("stuck", None) when that class is (>x)-connected but its x-transitions
+    are not uniform, which cannot happen for positional languages.
     """
     reach_gtx = _reach(aut, x + 1, reflexive=True)
-    chosen = None
     for c in range(classes.n_classes):
         members = classes.members(c)
-        if len(members) <= 1:
-            continue
-        bad = _class_unpolished(aut, x, members, reach_gtx)
-        if bad is not None:
-            chosen = (c, members, bad)
+        if len(members) > 1 and _class_unpolished(aut, x, members, reach_gtx):
             break
-    if chosen is None:
+    else:
         return "structured", _canonicalise_x_targets(aut, x, classes)
-    c, members, bad = chosen
     edges = _aux_graph(aut, x, members)
     remap = {q: i for i, q in enumerate(members)}
     comps = tarjan_scc(len(members), ((remap[u], remap[v]) for (u, v) in edges))
@@ -470,7 +474,7 @@ def polish(aut: ParityAutomaton, x: int, classes: Congruence):
     )
     s_states = set(final_sets[0])
     if s_states == set(members):
-        return "stuck", (c, members, bad)
+        return "stuck", None
     q0 = min(s_states)
     doomed = set(members) - s_states
     keep = [q for q in aut.states() if q not in doomed]
@@ -659,8 +663,9 @@ def find_two_loops(aut: ParityAutomaton) -> TwoLoopData:
 # ---------------------------------------------------------------------------
 
 
-def validate_signature(sig: SignatureAutomaton):
-    """Exhaustively check the signature conditions; True or a violation list."""
+def validate_signature(sig: SignatureAutomaton, memo=None):
+    """Exhaustively check the signature conditions; True or a violation list.
+    `memo` as in `_residuals`."""
     from .automaton import is_faithful
 
     aut = sig.automaton
@@ -674,7 +679,7 @@ def validate_signature(sig: SignatureAutomaton):
                 if pre.leq(x, q, p) and not pre.leq(x - 1, q, p):
                     problems.append(f"level {x} does not refine level {x-1} at ({q},{p})")
     # level 0 refines residual inclusion
-    rp = residual_preorder(aut)
+    rp = _residuals(aut, memo)
     if not rp.total:
         problems.append("residual preorder not total")
     else:
@@ -758,11 +763,12 @@ def validate_signature(sig: SignatureAutomaton):
                     )
     # safe centralisation
     for x in range(2, d + 1, 2):
+        safe = _safe(aut, x, memo)
         for q in aut.states():
             for p in aut.states():
                 if q == p or not pre.same(x - 2, q, p) or pre.same(x - 1, q, p):
                     continue
-                if safe_incl(aut, x, q, p) is True:
+                if safe.holds(q, p):
                     problems.append(
                         f"not safe centralised at level {x}: Safe({q}) <= Safe({p})"
                     )
@@ -806,20 +812,22 @@ def _run_pipeline(aut, full_pc):
     current = normalize(aut.trim())
     max_restarts = (current.d_max + 2) * current.n_states + 4
     restarts = 0
+    memo: dict = {}  # the relations of this decision, see `_residuals`
     while True:
         if restarts > max_restarts:
             raise PipelineError("restart bound exceeded")
-        outcome = _one_pass(current, full_pc=full_pc)
+        outcome = _one_pass(current, memo, full_pc=full_pc)
         if isinstance(outcome, (Positional, NotPositional)):
             return outcome
         current = normalize(outcome.trim())
         restarts += 1
 
 
-def _one_pass(aut: ParityAutomaton, full_pc=True):
-    """One pipeline pass; returns a verdict or a smaller automaton to restart on."""
+def _one_pass(aut: ParityAutomaton, memo, full_pc=True):
+    """One pipeline pass; returns a verdict or a smaller automaton to restart
+    on.  `memo` as in `_residuals`."""
     aut = replace(aut, origin=None)  # provenance is tracked per pass
-    rp = residual_preorder(aut)
+    rp = _residuals(aut, memo)
     if not rp.total:
         q, p, w1, w2 = rp.incomparable_witness
         return NotPositional(
@@ -843,20 +851,20 @@ def _one_pass(aut: ParityAutomaton, full_pc=True):
 
     d = aut.d_max
     for x in range(2, d + 1, 2):
-        pre = _preorders_up_to(aut, x - 2)
+        pre = _preorders_up_to(aut, x - 2, memo)
         if isinstance(pre, NotPositional):
             return pre
         classes_xm2 = pre.classes_at(x - 2, aut.n_states)
         sat = saturate(aut, x, classes_xm2)
-        cen, classes_c = safe_centralise(sat, x, classes_xm2)
+        cen, classes_c = safe_centralise(sat, x, classes_xm2, memo)
         comps, _ = safe_components(cen, x)
         classes_xm1 = _intersect_classes(classes_c, comps)
-        tso = check_total_safe_order(cen, x, classes_xm1)
+        tso = check_total_safe_order(cen, x, classes_xm1, memo)
         if tso is not True:
             return NotPositional(SafeOrderFailure(x, *tso))
-        rank_x = _rank_x_on(cen, x, classes_xm1)
+        rank_x = _rank_x_on(cen, x, classes_xm1, memo)
         det = redeterminise(cen, x, classes_c, classes_xm1, rank_x)
-        prex = _preorders_up_to(det, x)
+        prex = _preorders_up_to(det, x, memo)
         if isinstance(prex, NotPositional):
             return prex
         classes_x = prex.classes_at(x, det.n_states)
@@ -870,11 +878,11 @@ def _one_pass(aut: ParityAutomaton, full_pc=True):
             return _stuck_verdict(x)
         aut = data
 
-    pre = _preorders_up_to(aut, aut.d_max)
+    pre = _preorders_up_to(aut, aut.d_max, memo)
     if isinstance(pre, NotPositional):
         return pre
     sig = SignatureAutomaton(aut, pre)
-    problems = validate_signature(sig)
+    problems = validate_signature(sig, memo)
     if problems is not True:
         raise PipelineError("certificate failed validation: " + "; ".join(problems))
     if not full_pc:
@@ -892,11 +900,12 @@ def _classes_from_rank(rank: dict[int, int], n: int) -> Congruence:
     return congruence_from_classes(n, groups.values())
 
 
-def _preorders_up_to(aut, level):
+def _preorders_up_to(aut, level, memo=None):
     """Nested preorders up to `level`, or a NotPositional verdict when an even
     level fails to be safe-totally-ordered (possible on automata that were
-    never safe-centralised at that level in this pass)."""
-    rp = residual_preorder(aut)
+    never safe-centralised at that level in this pass).  `memo` as in
+    `_residuals`."""
+    rp = _residuals(aut, memo)
     if not rp.total:
         q, p, w1, w2 = rp.incomparable_witness
         return NotPositional(
@@ -905,7 +914,7 @@ def _preorders_up_to(aut, level):
     levels = [dict(rp.rank)]
     for x in range(2, level + 1, 2):
         levels.append(_component_refinement(aut, x, levels[x - 2]))
-        ranks = _safe_refinement(aut, x, levels[x - 1])
+        ranks = _safe_refinement(_safe(aut, x, memo), levels[x - 1])
         if isinstance(ranks, tuple):
             return NotPositional(SafeOrderFailure(x, *ranks[1:]))
         levels.append(ranks)
@@ -922,9 +931,9 @@ def _intersect_classes(c1: Congruence, c2: Congruence) -> Congruence:
     return congruence_from_classes(n, groups.values())
 
 
-def _rank_x_on(aut, x, classes_xm1):
+def _rank_x_on(aut, x, classes_xm1, memo=None):
     prev = {q: classes_xm1.class_of[q] for q in aut.states()}
-    ranks = _safe_refinement(aut, x, prev)
+    ranks = _safe_refinement(_safe(aut, x, memo), prev)
     if isinstance(ranks, tuple):
         raise PipelineError("safe order became incomparable after the check")
     return ranks

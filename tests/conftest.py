@@ -277,9 +277,95 @@ def run_lasso(aut, u, v) -> bool:
     return min(trace[start:]) % 2 == 0
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+# ---------------------------------------------------------------------------
+# Safe inclusion and progress consistency pair by pair, as `lang` and
+# `progress` decided them before the all-pairs searches: the references for
+# their relations, separating words and witnesses
+# ---------------------------------------------------------------------------
+
+
+def reference_safe_incl(aut, x, q, p):
+    """`lang.safe_incl` by one forward breadth-first search over pairs from
+    (q, p): True, or the first separating word it meets."""
+    from posaut.lang import check_det_over_geq
+
+    ok = check_det_over_geq(aut, x)
+    if ok is not True:
+        raise ValueError(f"not deterministic over >= {x} transitions: {ok}")
+
+    def step(s, a):
+        for t in aut.succ(s, a):
+            if t.priority >= x and not t.is_eps:
+                return t.dst
+        return None
+
+    start = (q, p)
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        s, t = queue.popleft()
+        for a in aut.alphabet:
+            s2 = step(s, a)
+            if s2 is None:
+                continue
+            t2 = step(t, a)
+            if t2 is None:
+                word = [a]
+                node = (s, t)
+                while prev[node] is not None:
+                    node, letter = prev[node]
+                    word.append(letter)
+                return tuple(reversed(word))
+            if (s2, t2) not in prev:
+                prev[(s2, t2)] = ((s, t), a)
+                queue.append((s2, t2))
+    return True
+
+
+def _reference_first_failure(aut, rank, x):
+    from posaut.progress import finite_path_language, intersect_shortest, odd_cycle_dfa
+
+    for q in sorted(rank):
+        for p in sorted(rank):
+            if rank[q] >= rank[p]:
+                continue
+            route = finite_path_language(aut, q, p, ("at-least", x))
+            w = intersect_shortest(route, odd_cycle_dfa(aut, p))
+            if w is not None:
+                return q, p, w
+    return None
+
+
+def reference_progress_consistency(aut, rp):
+    """`progress.check_progress_consistency(aut, rp)` with two DFAs and one
+    intersection per ordered pair."""
+    from posaut.automaton import access_word
+    from posaut.witnesses import ProgressWitness
+
+    if not rp.total:
+        raise ValueError("residual preorder is not total; use its witness instead")
+    found = _reference_first_failure(aut, rp.rank, 0)
+    if found is None:
+        return True
+    q, p, w = found
+    return ProgressWitness(kind="plain", q=q, p=p, w=w, context_u=access_word(aut, q))
+
+
+def reference_full_progress_consistency(sig):
+    """`progress.check_full_progress_consistency(sig)`, pair by pair."""
+    from posaut.witnesses import ProgressWitness
+
+    for x in range(0, sig.d + 1, 2):
+        found = _reference_first_failure(sig.automaton, sig.preorders.levels[x], x)
+        if found is not None:
+            q, p, w = found
+            return ProgressWitness(kind="full", q=q, p=p, w=w, level_x=x)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from conftest import (
     random_eps_automaton,
     random_upword,
     reference_disjoint,
+    reference_safe_incl,
 )
 
 
@@ -386,6 +387,43 @@ def test_safe_incl_requires_determinism_over_geq():
         deterministic=False,
     )
     assert safe_incl(ok, 2, 0, 1) is True
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_safe_incl_matches_reference(seed):
+    # every pair at every level, with the same separating word
+    rng = random.Random(300 + seed)
+    for i in range(25):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        aut = random_automaton(rng, rng.randint(2, 10), letters, dmax=rng.randint(1, 5))
+        for x in range(aut.d_max + 2):
+            for q in aut.states():
+                for p in aut.states():
+                    want = reference_safe_incl(aut, x, q, p)
+                    assert safe_incl(aut, x, q, p) == want, (seed, i, x, q, p)
+
+
+def test_safe_incl_errors_match_reference():
+    # nondeterministic automata: the same ValueError, or the same answer
+    # where the >= x transitions are deterministic
+    rng = random.Random(310)
+    raised = 0
+    for i in range(60):
+        aut = random_eps_automaton(rng, ("a", "b")[: rng.randint(1, 2)])
+        for x in range(6):
+            for q in aut.states():
+                for p in aut.states():
+                    want = _outcome(reference_safe_incl, aut, x, q, p)
+                    assert _outcome(safe_incl, aut, x, q, p) == want, (i, x, q, p)
+                    raised += isinstance(want, tuple) and want[0] == "ValueError"
+    assert raised
 
 
 def test_reject_all_included_everywhere():

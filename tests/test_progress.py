@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from posaut.automaton import build, up_membership, upword
-from posaut.lang import complement_det, residual_preorder
+from posaut.lang import ResidualPreorder, complement_det, residual_preorder
 from posaut.progress import (
     Bipositional,
     CharacterisationMismatch,
@@ -16,6 +17,15 @@ from posaut.progress import (
 )
 from posaut.signature import NestedPreorders, SignatureAutomaton, decide_positionality_p1
 from posaut.witnesses import Positional, ProgressWitness
+from conftest import (
+    FIXTURES,
+    POSITIONAL_FIXTURES,
+    blowup,
+    random_automaton,
+    random_eps_automaton,
+    reference_full_progress_consistency,
+    reference_progress_consistency,
+)
 from posaut.zoo import (
     aut_accept_all,
     aut_fin_ac_or_fin_bb,
@@ -136,6 +146,82 @@ def test_full_witness_verifies():
     dst, m = aut.run_min_priority(wit.q, wit.w)
     assert dst == wit.p and m >= wit.level_x
     assert not up_membership(aut.with_initial(wit.q), upword((), wit.w))
+
+
+# -- the all-pairs searches against the pair-by-pair references ---------------------
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _random_dpa(rng):
+    letters = ("a", "b", "c")[: rng.randint(1, 3)]
+    return random_automaton(rng, rng.randint(2, 10), letters, dmax=rng.randint(1, 5))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_progress_matches_reference(seed):
+    # on the residual preorder, and on arbitrary ranks, which fail often
+    rng = random.Random(400 + seed)
+    for i in range(40):
+        aut = _random_dpa(rng).trim()
+        rp = residual_preorder(aut)
+        want = _outcome(reference_progress_consistency, aut, rp)
+        assert _outcome(check_progress_consistency, aut, rp) == want, (seed, i)
+        ranks = ResidualPreorder({q: rng.randint(0, 3) for q in aut.states()}, True)
+        want = reference_progress_consistency(aut, ranks)
+        assert check_progress_consistency(aut, ranks) == want, (seed, i)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_progress_matches_reference_on_random_levels(seed):
+    rng = random.Random(410 + seed)
+    for i in range(40):
+        aut = _random_dpa(rng)
+        d = aut.d_max
+        levels = tuple({q: rng.randint(0, 2) for q in aut.states()} for _ in range(d + 1))
+        sig = SignatureAutomaton(aut, NestedPreorders(levels, d))
+        want = reference_full_progress_consistency(sig)
+        assert check_full_progress_consistency(sig) == want, (seed, i)
+
+
+@pytest.mark.parametrize("name", POSITIONAL_FIXTURES)
+def test_full_progress_matches_reference_on_certificates(name):
+    base = FIXTURES[name][0]()
+    for aut in [base] + [blowup(base, k, seed) for k in (2, 3) for seed in range(2)]:
+        sig = decide_positionality_p1(aut).certificate
+        want = reference_full_progress_consistency(sig)
+        assert want is True
+        assert check_full_progress_consistency(sig) == want, name
+
+
+def test_progress_errors_match_reference():
+    # nondeterministic automata raise the route DFA's ValueError, or the
+    # tracker's when the nondeterminism lies below the level
+    rng = random.Random(420)
+    raised = 0
+    for i in range(150):
+        aut = random_eps_automaton(rng, ("a", "b")[: rng.randint(1, 2)])
+        ranks = ResidualPreorder({q: rng.randint(0, 2) for q in aut.states()}, True)
+        want = _outcome(reference_progress_consistency, aut, ranks)
+        assert _outcome(check_progress_consistency, aut, ranks) == want, i
+        levels = tuple({q: rng.randint(0, 2) for q in aut.states()} for _ in range(5))
+        sig = SignatureAutomaton(aut, NestedPreorders(levels, 4))
+        want_full = _outcome(reference_full_progress_consistency, sig)
+        assert _outcome(check_full_progress_consistency, sig) == want_full, i
+        raised += isinstance(want, tuple) + isinstance(want_full, tuple)
+    assert raised
+    # deterministic over >= 2 only: the tracker of p raises
+    aut = build(2, ("a",), 0, [(0, "a", 2, 1), (1, "a", 1, 1), (1, "a", 1, 0)])
+    levels = ({0: 0, 1: 0}, {0: 0, 1: 0}, {0: 0, 1: 1})
+    sig = SignatureAutomaton(aut, NestedPreorders(levels, 2))
+    for check in (reference_full_progress_consistency, check_full_progress_consistency):
+        with pytest.raises(ValueError, match="tracker DFA"):
+            check(sig)
 
 
 # -- bipositionality -----------------------------------------------------------------

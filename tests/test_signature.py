@@ -450,6 +450,16 @@ def test_blowups_decided_positional(k):
         assert lang_equal_det(res.certificate.automaton, aut) is True, (k, seed)
 
 
+def test_blowup_at_scale_decided_positional():
+    # n = 30: every pairwise relation is computed for all pairs at once
+    aut = blowup(FIXTURES["fin_nested_c_factors"][0](), 8, 0)
+    assert aut.n_states == 30
+    res = decide_positionality_p1(aut)
+    assert isinstance(res, Positional)
+    assert validate_signature(res.certificate) is True
+    assert lang_equal_det(res.certificate.automaton, aut) is True
+
+
 def test_sig_roundtrip():
     res = decide_positionality_p1(aut_inf_a_or_fin_bb())
     text = emit_sig(res.certificate)
