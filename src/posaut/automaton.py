@@ -9,7 +9,7 @@ it never belongs to the declared alphabet.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 import re
 import sys
@@ -50,8 +50,7 @@ class ParityAutomaton:
 
     Immutable.  `deterministic` is a declared flag, checked by `validate`;
     it asserts exactly one a-transition per (state, letter) and no epsilon
-    transitions.  `origin` optionally maps each state back to labels of the
-    automaton it was derived from, for debugging output.
+    transitions.
     """
 
     n_states: int
@@ -60,7 +59,6 @@ class ParityAutomaton:
     transitions: tuple[Transition, ...]
     priority_range: tuple[int, int]
     deterministic: bool = False
-    origin: tuple[str, ...] | None = None
 
     # -- derived lookups ---------------------------------------------------
 
@@ -108,11 +106,6 @@ class ParityAutomaton:
 
     def states(self):
         return range(self.n_states)
-
-    def origin_label(self, q: int) -> str:
-        if self.origin is None:
-            return str(q)
-        return self.origin[q]
 
     # -- validation --------------------------------------------------------
 
@@ -204,13 +197,11 @@ class ParityAutomaton:
             for t in self.transitions
             if t.src in remap and t.dst in remap
         )
-        origin = tuple(self.origin_label(q) for q in keep)
         return replace(
             self,
             n_states=len(keep),
             initial=remap[self.initial],
             transitions=trans,
-            origin=origin,
         )
 
     def with_initial(self, q: int) -> "ParityAutomaton":
@@ -275,6 +266,13 @@ class Congruence:
     """Total map state-id -> class-id with contiguous class ids from 0."""
 
     class_of: tuple[int, ...]
+
+    @classmethod
+    def by_key(cls, keys) -> "Congruence":
+        """States with equal keys (one per state, in state order) share a
+        class; classes are numbered in the order of their least state."""
+        ids: dict = {}
+        return cls(tuple(ids.setdefault(k, len(ids)) for k in keys))
 
     @property
     def n_classes(self):
@@ -734,28 +732,55 @@ def quotient_leq_x(aut: ParityAutomaton, cong: Congruence, x: int) -> ParityAuto
     ok = is_faithful(aut, cong, x)
     if ok is not True:
         raise ValueError(f"congruence is not [0,{x}]-faithful: {ok}")
-    k = cong.n_classes
-    seen = set()
-    trans = []
-    for t in aut.transitions:
-        pr = t.priority if t.priority <= x else x + 1
-        key = (cong.class_of[t.src], t.letter, pr, cong.class_of[t.dst])
-        if key not in seen:
-            seen.add(key)
-            trans.append(Transition(*key))
-    origin = tuple(
-        "+".join(aut.origin_label(q) for q in cong.members(c)) for c in range(k)
-    )
-    prs = [t.priority for t in trans]
-    return ParityAutomaton(
-        n_states=k,
-        alphabet=aut.alphabet,
-        initial=cong.class_of[aut.initial],
-        transitions=tuple(trans),
-        priority_range=(min(prs), max(prs)),
+    return rebuild(
+        aut,
+        aut.states(),
+        cong.class_of,
+        lambda t: min(t.priority, x + 1),
         deterministic=not aut.has_eps,
-        origin=origin,
     )
+
+
+def rebuild(aut: ParityAutomaton, keep, image, priority=None, **changes) -> ParityAutomaton:
+    """`aut` with its states merged or redirected along the per-state `image`:
+    the new states are the images of the states in `keep`, in increasing
+    order, and the transitions leaving `keep` move through the image at both
+    ends, with priority `priority(t)` when that is given; repeats are dropped,
+    first occurrence first.  Rewritten priorities may leave the old range,
+    so only then is it refitted.  `changes` sets further fields."""
+    keep = set(keep)
+    new_id = {s: i for i, s in enumerate(sorted({image[q] for q in keep}))}
+    trans = dict.fromkeys(
+        Transition(
+            new_id[image[t.src]],
+            t.letter,
+            t.priority if priority is None else priority(t),
+            new_id[image[t.dst]],
+        )
+        for t in aut.transitions
+        if t.src in keep
+    )
+    if priority is not None:
+        changes["priority_range"] = priority_span(trans)
+    return replace(
+        aut,
+        n_states=len(new_id),
+        initial=new_id[image[aut.initial]],
+        transitions=tuple(trans),
+        **changes,
+    )
+
+
+def priority_span(transitions) -> tuple[int, int]:
+    """The least and greatest priority of `transitions`, (0, 0) for none."""
+    prs = [t.priority for t in transitions] or [0]
+    return min(prs), max(prs)
+
+
+def one_per_src_letter(transitions) -> bool:
+    """Whether no two of `transitions` share their source and letter."""
+    pairs = [(t.src, t.letter) for t in transitions]
+    return len(set(pairs)) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -842,18 +867,13 @@ def build(
     transitions,
     deterministic=None,
     priority_range=None,
-    origin=None,
 ) -> ParityAutomaton:
     """Convenience constructor from (src, letter, priority, dst) tuples."""
     trans = tuple(Transition(*t) for t in transitions)
     if priority_range is None:
-        prs = [t.priority for t in trans] or [0]
-        priority_range = (min(prs), max(prs))
+        priority_range = priority_span(trans)
     if deterministic is None:
-        deterministic = not any(t.is_eps for t in trans) and all(
-            len([u for u in trans if u.src == t.src and u.letter == t.letter]) == 1
-            for t in trans
-        )
+        deterministic = not any(t.is_eps for t in trans) and one_per_src_letter(trans)
     return ParityAutomaton(
         n_states=n_states,
         alphabet=tuple(alphabet),
@@ -861,5 +881,4 @@ def build(
         transitions=trans,
         priority_range=priority_range,
         deterministic=deterministic,
-        origin=origin,
     )

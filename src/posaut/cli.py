@@ -225,7 +225,7 @@ def cmd_ugraph(args, out):
         out.emit("written", args.output)
     if args.check_universality:
         rep = check_universality_bounded(
-            graph, core, args.check_universality, seed=args.seed
+            graph, core, args.check_universality, seed=args.seed, limit=args.limit
         )
         out.emit(
             "universality",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .automaton import EPS, ParityAutomaton, Transition
+from .automaton import EPS, ParityAutomaton, Transition, priority_span, rebuild
 from .lang import DetProduct, complement_det, incl_nd_in_det
 from .witnesses import CompletionFailure, NotPositional, Positional
 
@@ -32,13 +32,6 @@ class EpsCompleteAutomaton:
 
     automaton: ParityAutomaton
     d: int  # even; priorities range in [0, d+1]
-
-    def eps_relation(self, y: int) -> set[tuple[int, int]]:
-        return {
-            (t.src, t.dst)
-            for t in self.automaton.transitions
-            if t.is_eps and t.priority == y
-        }
 
 
 def even_bound(aut: ParityAutomaton) -> int:
@@ -143,11 +136,10 @@ def priority_close(aut: ParityAutomaton, d: int) -> ParityAutomaton:
     ordered = list(aut.transitions)
     for key in sorted(closed - seen):
         ordered.append(Transition(*key))
-    prs = [t.priority for t in ordered]
     return replace(
         aut,
         transitions=tuple(ordered),
-        priority_range=(min(prs), max(prs)),
+        priority_range=priority_span(ordered),
         deterministic=False,
     )
 
@@ -162,39 +154,13 @@ def merge_top_equivalent(aut: ParityAutomaton, d: int) -> ParityAutomaton:
         for t in aut.transitions
         if t.is_eps and t.priority == d + 1
     }
-    leader = {}
-    for q in aut.states():
-        for p in aut.states():
-            if p >= q:
-                break
-            if (q, p) in top and (p, q) in top:
-                leader[q] = min(leader.get(q, q), p)
-    rep = {q: leader.get(q, q) for q in aut.states()}
-    keep = sorted({rep[q] for q in aut.states()})
-    if len(keep) == aut.n_states:
+    rep = [
+        min((p for p in range(q) if (q, p) in top and (p, q) in top), default=q)
+        for q in aut.states()
+    ]
+    if len(set(rep)) == aut.n_states:
         return aut
-    remap = {q: i for i, q in enumerate(keep)}
-    trans = []
-    seen = set()
-    for t in aut.transitions:
-        key = (remap[rep[t.src]], t.letter, t.priority, remap[rep[t.dst]])
-        if key not in seen:
-            seen.add(key)
-            trans.append(Transition(*key))
-    origin = tuple(
-        "+".join(
-            aut.origin_label(q) for q in aut.states() if rep[q] == old
-        )
-        for old in keep
-    )
-    return replace(
-        aut,
-        n_states=len(keep),
-        initial=remap[rep[aut.initial]],
-        transitions=tuple(trans),
-        origin=origin,
-        deterministic=False,
-    )
+    return rebuild(aut, aut.states(), rep, deterministic=False)
 
 
 def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None = None):
@@ -254,7 +220,7 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     current = _close_relations(current, d)
     current = priority_close(current, d)
     current = merge_top_equivalent(current, d)
-    current = priority_close(current, d)
+    # merged states already had equal rows (eps:d+1 is reflexive), so no reclose
     current = _prune_even_eps(current, d)
     check = validate_eps_complete(current, d)
     if check is not True:
@@ -312,10 +278,7 @@ def _close_relations(aut: ParityAutomaton, d: int) -> ParityAutomaton:
             if key not in seen:
                 seen.add(key)
                 trans.append(Transition(*key))
-    prs = [t.priority for t in trans]
-    return replace(
-        aut, transitions=tuple(trans), priority_range=(min(prs), max(prs))
-    )
+    return replace(aut, transitions=tuple(trans), priority_range=priority_span(trans))
 
 
 def eps_complete_from_signature(sig) -> EpsCompleteAutomaton:
@@ -333,11 +296,10 @@ def eps_complete_from_signature(sig) -> EpsCompleteAutomaton:
                     trans.append(Transition(q, EPS, x + 1, p))
                 if rank[p] < rank[q]:
                     trans.append(Transition(q, EPS, x, p))
-    prs = [t.priority for t in trans]
     out = replace(
         aut,
         transitions=tuple(trans),
-        priority_range=(min(prs), max(prs)),
+        priority_range=priority_span(trans),
         deterministic=False,
     )
     check = validate_eps_complete(out, d)

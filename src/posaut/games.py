@@ -27,6 +27,7 @@ from .automaton import (
     UPWord,
     even_cycle_sccs,
     explore,
+    priority_span,
     tarjan_scc,
 )
 from .lang import complement_det
@@ -42,7 +43,6 @@ class GameArena:
     owner: tuple[str, ...]  # "eve" | "adam" per vertex
     edges: tuple[tuple[int, str, int], ...]  # (src, letter-or-eps, dst)
     alphabet: tuple[str, ...]
-    labels: tuple[str, ...] | None = None  # human-readable vertex names
 
     @cached_property
     def by_src(self) -> tuple[tuple[tuple[int, tuple[int, str, int]], ...], ...]:
@@ -420,35 +420,33 @@ class _ArenaBuilder:
     def __init__(self, alphabet):
         self.alphabet = tuple(alphabet)
         self.owner = []
-        self.labels = []
         self.edges = []
 
-    def vertex(self, label, owner=EVE):
+    def vertex(self, owner=EVE):
         self.owner.append(owner)
-        self.labels.append(label)
         return len(self.owner) - 1
 
     def edge(self, s, letter, t):
         self.edges.append((s, letter, t))
 
-    def chain(self, start, word, end, tag):
+    def chain(self, start, word, end):
         """Edges labelled by `word` from start to end via fresh vertices."""
         cur = start
         for i, a in enumerate(word):
-            nxt = end if i == len(word) - 1 else self.vertex(f"{tag}{i}")
+            nxt = end if i == len(word) - 1 else self.vertex()
             self.edge(cur, a, nxt)
             cur = nxt
         if not word and start != end:
             raise ValueError("empty word needs identical endpoints")
 
-    def lasso(self, start, w: UPWord, tag):
+    def lasso(self, start, w: UPWord):
         """Path for w.u then a cycle for w.v, hanging off `start`."""
         if w.u:
-            head = self.vertex(f"{tag}u")
-            self.chain(start, w.u, head, f"{tag}u_")
+            head = self.vertex()
+            self.chain(start, w.u, head)
         else:
             head = start
-        self.chain(head, w.v, head, f"{tag}v_")
+        self.chain(head, w.v, head)
 
     def build(self):
         return GameArena(
@@ -456,7 +454,6 @@ class _ArenaBuilder:
             tuple(self.owner),
             tuple(self.edges),
             self.alphabet,
-            tuple(self.labels),
         )
 
 
@@ -471,32 +468,32 @@ def gadget_residual(u1, u2, w1: UPWord, w2: UPWord, objective) -> Gadget:
     """Two entry paths into a choice vertex with two lasso exits; Eve wins
     from both entries but no positional choice serves both."""
     b = _ArenaBuilder(objective.alphabet)
-    choice = b.vertex("choice")
+    choice = b.vertex()
     designated = []
-    for tag, u in (("u1", u1), ("u2", u2)):
+    for u in (u1, u2):
         if u:
-            v = b.vertex(tag)
-            b.chain(v, u, choice, f"{tag}_")
+            v = b.vertex()
+            b.chain(v, u, choice)
             designated.append(v)
         else:
             designated.append(choice)
-    b.lasso(choice, w1, "w1")
-    b.lasso(choice, w2, "w2")
+    b.lasso(choice, w1)
+    b.lasso(choice, w2)
     return Gadget(b.build(), tuple(dict.fromkeys(designated)), objective)
 
 
 def gadget_progress(u, w, wprime: UPWord, objective) -> Gadget:
     """Entry u to a choice vertex carrying a w-loop and a w'-lasso exit."""
     b = _ArenaBuilder(objective.alphabet)
-    choice = b.vertex("choice")
+    choice = b.vertex()
     if u:
-        v0 = b.vertex("entry")
-        b.chain(v0, u, choice, "u_")
+        v0 = b.vertex()
+        b.chain(v0, u, choice)
         designated = (v0,)
     else:
         designated = (choice,)
-    b.chain(choice, w, choice, "w_")
-    b.lasso(choice, wprime, "wp")
+    b.chain(choice, w, choice)
+    b.lasso(choice, wprime)
     return Gadget(b.build(), designated, objective)
 
 
@@ -505,15 +502,15 @@ def gadget_two_loops(u0, l1, l2, objective) -> Gadget:
     if not l1 or not l2:
         raise ValueError("loop words must be nonempty")
     b = _ArenaBuilder(objective.alphabet)
-    hub = b.vertex("hub")
+    hub = b.vertex()
     if u0:
-        v0 = b.vertex("entry")
-        b.chain(v0, u0, hub, "u_")
+        v0 = b.vertex()
+        b.chain(v0, u0, hub)
         designated = (v0,)
     else:
         designated = (hub,)
-    b.chain(hub, l1, hub, "l1_")
-    b.chain(hub, l2, hub, "l2_")
+    b.chain(hub, l1, hub)
+    b.chain(hub, l2, hub)
     return Gadget(b.build(), designated, objective)
 
 
@@ -566,13 +563,8 @@ def completion_gadget(
     edges.append((qmark, tok(EPS, x + 1, "e"), vid(q, 0)))
     edges.append((qmark, tok(EPS, x, "n"), vid(qp, 1)))
     owner = tuple([ADAM] * (2 * n) + [EVE])
-    labels = tuple(
-        [f"{aut.origin_label(s)}@q" for s in range(n)]
-        + [f"{aut.origin_label(s)}@qp" for s in range(n)]
-        + ["q?"]
-    )
     alphabet = tuple(sorted(tokens))
-    arena = GameArena(2 * n + 1, owner, tuple(edges), alphabet, labels)
+    arena = GameArena(2 * n + 1, owner, tuple(edges), alphabet)
     objective = _composite_objective(w_det, alphabet, tokens, d)
     designated = [vid(aut.initial, 0), vid(aut.initial, 1)]
     if aut.initial in (q, qp):
@@ -633,13 +625,12 @@ def _composite_objective(w_det, alphabet, tokens, d):
                     wq2 = tr.dst
                 uq2, out_pr = union.delta[(uq, names[combo])]
                 trans.append(Transition(sid(wq, uq), t, out_pr, sid(wq2, uq2)))
-    prs = [t.priority for t in trans]
     return ParityAutomaton(
         n_states=n_states,
         alphabet=alphabet,
         initial=sid(w_det.initial, union.initial),
         transitions=tuple(trans),
-        priority_range=(min(prs), max(prs)),
+        priority_range=priority_span(trans),
         deterministic=True,
     )
 

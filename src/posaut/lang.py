@@ -33,6 +33,7 @@ from .automaton import (
     even_cycle_sccs,
     explore,
     reaches_even_cycle,
+    rebuild,
     tarjan_edges,
 )
 
@@ -386,25 +387,8 @@ def residual_automaton(aut: ParityAutomaton):
     """
     trimmed = aut.trim()
     cong = residual_congruence(trimmed)
-    k = cong.n_classes
-    seen = set()
-    trans = []
-    for t in trimmed.transitions:
-        key = (cong.class_of[t.src], t.letter, 0, cong.class_of[t.dst])
-        if key not in seen:
-            seen.add(key)
-            trans.append(Transition(*key))
-    origin = tuple(
-        "+".join(trimmed.origin_label(q) for q in cong.members(c)) for c in range(k)
-    )
-    structure = ParityAutomaton(
-        n_states=k,
-        alphabet=trimmed.alphabet,
-        initial=cong.class_of[trimmed.initial],
-        transitions=tuple(trans),
-        priority_range=(0, 0),
-        deterministic=True,
-        origin=origin,
+    structure = rebuild(
+        trimmed, trimmed.states(), cong.class_of, lambda t: 0, deterministic=True
     )
     return structure, cong
 

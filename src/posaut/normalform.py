@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .automaton import EdgeGraph, ParityAutomaton, even_cycle_sccs, tarjan_scc
+from .automaton import EdgeGraph, ParityAutomaton, even_cycle_sccs, priority_span, tarjan_scc
 
 
 def _scc_of_states(n, trans_idx, transitions):
@@ -88,12 +88,7 @@ def normalize(aut: ParityAutomaton) -> ParityAutomaton:
     new_trans = tuple(
         replace(t, priority=out.get(i, d_max)) for i, t in enumerate(trans)
     )
-    prs = [t.priority for t in new_trans]
-    return replace(
-        aut,
-        transitions=new_trans,
-        priority_range=(min(prs, default=0), max(prs, default=0)),
-    )
+    return replace(aut, transitions=new_trans, priority_range=priority_span(new_trans))
 
 
 def is_normal(aut: ParityAutomaton) -> bool:

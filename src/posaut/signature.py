@@ -23,10 +23,11 @@ from .automaton import (
     ParityAutomaton,
     Transition,
     access_word,
-    congruence_from_classes,
     emit_dpa,
+    one_per_src_letter,
     parse_dpa,
     quotient_leq_x,
+    rebuild,
     safe_components,
     tarjan_scc,
     up_membership,
@@ -69,10 +70,7 @@ class NestedPreorders:
         return self.levels[x]
 
     def classes_at(self, x: int, n_states: int) -> Congruence:
-        groups: dict[int, list[int]] = {}
-        for q in range(n_states):
-            groups.setdefault(self.levels[x][q], []).append(q)
-        return congruence_from_classes(n_states, groups.values())
+        return Congruence.by_key(self.levels[x][q] for q in range(n_states))
 
     def leq(self, x, q, p):
         return self.levels[x][q] <= self.levels[x][p]
@@ -178,11 +176,7 @@ def saturate(aut: ParityAutomaton, x: int, classes: Congruence) -> ParityAutomat
             if key not in existing:
                 existing.add(key)
                 trans.append(Transition(*key))
-    det = all(
-        len([u for u in trans if u.src == t.src and u.letter == t.letter]) == 1
-        for t in trans
-    )
-    return replace(aut, transitions=tuple(trans), deterministic=det)
+    return replace(aut, transitions=tuple(trans), deterministic=one_per_src_letter(trans))
 
 
 def _require_homogeneous(aut):
@@ -203,13 +197,6 @@ def _require_det_except(aut, y):
                 )
 
 
-def _restrict_classes(classes: Congruence, keep: list[int]) -> Congruence:
-    groups: dict[int, list[int]] = {}
-    for new_id, old in enumerate(keep):
-        groups.setdefault(classes.class_of[old], []).append(new_id)
-    return congruence_from_classes(len(keep), groups.values())
-
-
 def safe_centralise(aut: ParityAutomaton, x: int, classes: Congruence, memo=None):
     """Delete redundant (<x)-safe components until none remains.
 
@@ -228,27 +215,9 @@ def safe_centralise(aut: ParityAutomaton, x: int, classes: Congruence, memo=None
         s_members = set(comps.members(s_class))
         pick = _pick_map(aut, x, q0, q0p, s_members)
         keep = [q for q in aut.states() if q not in s_members]
-        remap = {q: i for i, q in enumerate(keep)}
-
-        def image(q):
-            return remap[pick.get(q, q)]
-
-        trans = tuple(
-            Transition(remap[t.src], t.letter, t.priority, image(t.dst))
-            for t in aut.transitions
-            if t.src not in s_members
-        )
-        trans = tuple(dict.fromkeys(trans))
-        origin = tuple(aut.origin_label(q) for q in keep)
-        aut = replace(
-            aut,
-            n_states=len(keep),
-            initial=image(aut.initial),
-            transitions=trans,
-            origin=origin,
-            deterministic=False,
-        )
-        classes = _restrict_classes(classes, keep)
+        image = [pick.get(q, q) for q in aut.states()]
+        aut = rebuild(aut, keep, image, deterministic=False)
+        classes = Congruence.by_key(classes.class_of[q] for q in keep)
 
 
 def _find_redundant(safe: SafeInclusion, comps, classes):
@@ -478,28 +447,12 @@ def polish(aut: ParityAutomaton, x: int, classes: Congruence):
     q0 = min(s_states)
     doomed = set(members) - s_states
     keep = [q for q in aut.states() if q not in doomed]
-    new_id = {q: i for i, q in enumerate(keep)}
+    image = [q0 if q in doomed else q for q in aut.states()]
 
-    def target(t):
-        if t.dst in doomed:
-            pr = t.priority if t.priority <= x else x
-            return Transition(new_id[t.src], t.letter, pr, new_id[q0])
-        return Transition(new_id[t.src], t.letter, t.priority, new_id[t.dst])
+    def priority(t):
+        return min(t.priority, x) if t.dst in doomed else t.priority
 
-    trans = tuple(target(t) for t in aut.transitions if t.src not in doomed)
-    trans = tuple(dict.fromkeys(trans))
-    initial = aut.initial if aut.initial not in doomed else q0
-    origin = tuple(aut.origin_label(q) for q in keep)
-    prs = [t.priority for t in trans]
-    shrunk = replace(
-        aut,
-        n_states=len(keep),
-        initial=new_id[initial],
-        transitions=trans,
-        origin=origin,
-        priority_range=(min(prs), max(prs)),
-    )
-    return "shrunk", shrunk
+    return "shrunk", rebuild(aut, keep, image, priority)
 
 
 def _canonicalise_x_targets(aut: ParityAutomaton, x: int, classes: Congruence):
@@ -528,17 +481,13 @@ def _bisimulation_quotient(aut: ParityAutomaton) -> ParityAutomaton:
     bisimulation, by Moore refinement on (priority, target class) per letter."""
     cls = (0,) * aut.n_states
     while True:
-        ids: dict[tuple, int] = {}
-        new = tuple(
-            ids.setdefault(
-                (cls[q],) + tuple((ts[q].priority, cls[ts[q].dst]) for ts in aut.delta.values()),
-                len(ids),
-            )
+        new = Congruence.by_key(
+            (cls[q],) + tuple((ts[q].priority, cls[ts[q].dst]) for ts in aut.delta.values())
             for q in aut.states()
         )
-        if len(ids) == max(cls) + 1:
+        if new.n_classes == max(cls) + 1:
             return quotient_leq_x(aut, Congruence(cls), aut.d_max + aut.d_max % 2)
-        cls = new
+        cls = new.class_of
 
 
 def _loops_back(aut: ParityAutomaton, r: int, s: int) -> dict[int, tuple[str, ...]]:
@@ -826,7 +775,6 @@ def _run_pipeline(aut, full_pc):
 def _one_pass(aut: ParityAutomaton, memo, full_pc=True):
     """One pipeline pass; returns a verdict or a smaller automaton to restart
     on.  `memo` as in `_residuals`."""
-    aut = replace(aut, origin=None)  # provenance is tracked per pass
     rp = _residuals(aut, memo)
     if not rp.total:
         q, p, w1, w2 = rp.incomparable_witness
@@ -838,7 +786,7 @@ def _one_pass(aut: ParityAutomaton, memo, full_pc=True):
         return NotPositional(ProgressFailure(pc))
 
     # level 0: polish with the residual congruence
-    res_classes = _classes_from_rank(rp.rank, aut.n_states)
+    res_classes = Congruence.by_key(rp.rank[q] for q in aut.states())
     status, data = polish(aut, 0, res_classes)
     if status == "shrunk":
         r = _check_polish_language(aut, data, 0)
@@ -893,13 +841,6 @@ def _one_pass(aut: ParityAutomaton, memo, full_pc=True):
     return Positional(SignatureAutomaton(aut, pre, validated=True))
 
 
-def _classes_from_rank(rank: dict[int, int], n: int) -> Congruence:
-    groups: dict[int, list[int]] = {}
-    for q in range(n):
-        groups.setdefault(rank[q], []).append(q)
-    return congruence_from_classes(n, groups.values())
-
-
 def _preorders_up_to(aut, level, memo=None):
     """Nested preorders up to `level`, or a NotPositional verdict when an even
     level fails to be safe-totally-ordered (possible on automata that were
@@ -924,11 +865,7 @@ def _preorders_up_to(aut, level, memo=None):
 
 
 def _intersect_classes(c1: Congruence, c2: Congruence) -> Congruence:
-    n = len(c1.class_of)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for q in range(n):
-        groups.setdefault((c1.class_of[q], c2.class_of[q]), []).append(q)
-    return congruence_from_classes(n, groups.values())
+    return Congruence.by_key(zip(c1.class_of, c2.class_of))
 
 
 def _rank_x_on(aut, x, classes_xm1, memo=None):

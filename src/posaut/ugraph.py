@@ -310,14 +310,21 @@ def _find_morphism(n, edges, sat, target: MonotoneGraph, target_sat):
 
 
 def check_universality_bounded(
-    u: MonotoneGraph, objective: ParityAutomaton, k: int, sample=2000, seed=0
+    u: MonotoneGraph, objective: ParityAutomaton, k: int, sample=2000, seed=0, limit=200000
 ):
     """Try to embed every sinkless graph of size <= k (exhaustive for k <= 2,
     sampled beyond) into with_top(u), mapping satisfying vertices to
     satisfying ones.  Returns a report dict; counterexample graphs are
-    listed under 'failures'."""
+    listed under 'failures'.  Raises ValueError when the exhaustive part
+    would enumerate more than `limit` graphs."""
     import random
 
+    # n vertices give each vertex one of 2^(n*|letters|) - 1 nonempty edge sets
+    count = sum(
+        (2 ** (n * len(objective.alphabet)) - 1) ** n for n in range(1, min(k, 2) + 1)
+    )
+    if count > limit:
+        raise ValueError(f"would enumerate {count} sinkless graphs (limit {limit})")
     target = with_top(u)
     target_sat = [
         v
@@ -341,7 +348,7 @@ def check_universality_bounded(
         per_src = {}
         for i, (s, a, t) in enumerate(slots):
             per_src.setdefault(s, []).append(i)
-        from itertools import chain, combinations
+        from itertools import combinations
 
         def subsets_nonempty(idxs):
             for r in range(1, len(idxs) + 1):

@@ -12,6 +12,7 @@ from posaut.automaton import (
     parse_dpa,
     parse_upword,
     quotient_leq_x,
+    rebuild,
     safe_components,
     scc_decompose,
     up_membership,
@@ -57,6 +58,11 @@ def test_validate_flags():
     )
     issues = aut.validate()
     assert any("declared deterministic" in m for m in issues)
+    # left undeclared, the flag is worked out: a repeated (src, letter) pair
+    # or an eps-transition makes the automaton nondeterministic
+    assert not build(2, ("a",), 0, [(0, "a", 0, 1), (0, "a", 1, 1), (1, "a", 0, 0)]).deterministic
+    assert not build(1, ("a",), 0, [(0, "a", 0, 0), (0, "eps", 0, 0)]).deterministic
+    assert build(2, ("a",), 0, [(0, "a", 0, 1), (1, "a", 0, 0)]).deterministic
 
 
 def test_validate_unreachable_warning():
@@ -241,6 +247,36 @@ def test_is_faithful_three_priorities():
     assert is_faithful(aut, good, 0) is True
     bad = congruence_from_classes(3, [[0, 1], [2]])
     assert is_faithful(aut, bad, 0) is not True
+
+
+def test_rebuild_moves_kept_transitions_through_the_image():
+    aut = build(
+        4,
+        ("a", "b"),
+        3,
+        [
+            (0, "a", 2, 1),
+            (1, "a", 3, 3),
+            (2, "b", 0, 0),  # source not kept
+            (3, "a", 3, 1),  # repeats (1, "a", 3, 3) once moved
+            (0, "b", 1, 3),
+            (1, "b", 2, 0),
+        ],
+        deterministic=False,
+    )
+    image = (0, 1, 0, 1)  # 2 -> 0 and 3 -> 1
+    out = rebuild(aut, [0, 1, 3], image, deterministic=True)
+    assert (out.n_states, out.initial, out.deterministic) == (2, 1, True)
+    assert [repr(t) for t in out.transitions] == ["0-a:2->1", "1-a:3->1", "0-b:1->1", "1-b:2->0"]
+    assert out.priority_range == aut.priority_range  # priorities untouched
+    # a priority function is applied and the range fitted to its results
+    low = rebuild(aut, [0, 1, 3], image, lambda t: min(t.priority, 2))
+    assert [t.priority for t in low.transitions] == [2, 2, 1, 2]
+    assert low.priority_range == (1, 2)
+    # images are renumbered densely in increasing order
+    wide = rebuild(aut, [0, 3], (5, 7, 5, 7))
+    assert [repr(t) for t in wide.transitions] == ["0-a:2->1", "1-a:3->1", "0-b:1->1"]
+    assert (wide.n_states, wide.initial) == (2, 1)
 
 
 def test_quotient_identity_is_isomorphic():

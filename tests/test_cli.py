@@ -75,6 +75,10 @@ def test_signature_complete_ugraph(tmp_path, capsys):
     mg = tmp_path / "fig3.mgraph"
     assert main(["ugraph", str(sig), "-n", "2", "-o", str(mg)]) == 0
     assert mg.read_text().startswith("mgraph")
+    # 3976 sinkless graphs of size <= 2 over three letters exceed --limit
+    argv = ["--limit", "1000", "ugraph", str(sig), "-n", "2", "--check-universality", "2"]
+    assert main(argv) == 2
+    assert "3976 sinkless graphs" in capsys.readouterr().err
 
 
 def test_json_format(tmp_path, capsys):

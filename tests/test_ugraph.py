@@ -96,6 +96,13 @@ def test_universality_k3_sampled():
     assert rep["failures"] == []
 
 
+def test_universality_refuses_past_limit():
+    # 6 letters, k = 2: 63 + 4095^2 sinkless graphs, refused before any is built
+    g = build_upar(2, 1)
+    with pytest.raises(ValueError, match="16769088 sinkless graphs"):
+        check_universality_bounded(g, aut_parity_letters(5), 2)
+
+
 # -- U_Aut ---------------------------------------------------------------------------
 
 
