@@ -6,6 +6,15 @@ when the language is positional; a pair where both additions leak words is a
 counterexample.  The resulting relations, closed under transitivity and the
 priority preference order 1 < 3 < ... < d+1 < d < ... < 2 < 0, form an
 eps-complete automaton.
+
+Most candidates are settled by the letter-free walks over the eps-edges
+present, with no language test.  A candidate implied by a walk whose least
+priority is at least as preferred adds no word: a run through it maps to a
+run through the walk, and the least priority is monotone in the preference
+order.  A candidate that would give such a walk to an edge rejected earlier
+adds every word that edge added, to a larger automaton, so it is rejected
+too.  Both facts are exact, so the greedy order and every decision are those
+of testing each candidate.
 """
 
 from __future__ import annotations
@@ -13,7 +22,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .automaton import EPS, ParityAutomaton, Transition, priority_span, rebuild
+from .automaton import (
+    EPS,
+    EdgeGraph,
+    ParityAutomaton,
+    Transition,
+    even_cycle_sccs,
+    priority_span,
+    rebuild,
+)
 from .lang import DetProduct, complement_det, incl_nd_in_det
 from .witnesses import CompletionFailure, NotPositional, Positional
 
@@ -145,22 +162,115 @@ def priority_close(aut: ParityAutomaton, d: int) -> ParityAutomaton:
 
 
 def merge_top_equivalent(aut: ParityAutomaton, d: int) -> ParityAutomaton:
-    """Merge states equivalent for the top eps-relation (lowest id survives).
+    """Merge the states that lie on a common letter-free cycle whose least
+    priority is even or d+1; the lowest id of each class survives.
 
-    After priority closure such states have identical transitions, so the
-    merge never alters the language."""
-    top = {
-        (t.src, t.dst)
-        for t in aut.transitions
-        if t.is_eps and t.priority == d + 1
-    }
-    rep = [
-        min((p for p in range(q) if (q, p) in top and (p, q) in top), default=q)
-        for q in aut.states()
-    ]
-    if len(set(rep)) == aut.n_states:
+    The quotient keeps the language.  A run of it that moves inside a class
+    is a run of `aut` with a letter-free walk between class members put in,
+    whose least priority is even or d+1; no priority exceeds d+1, so an
+    even least recurring priority stays even.
+
+    Merging before `priority_close` gives what merging after it gives when
+    eps:d+1 is reflexive, as after p2's greedy phase.  The closure then
+    adds q -eps:y-> p for the least priority y of every letter-free walk
+    q ~> p, and each y' below y in preference.  So its classes are these,
+    each a clique of eps:d+1 edges, and it gives the members of a class
+    identical rows.  The quotient map thus carries the closure of `aut` onto
+    the closure of the quotient, with the transitions in the same order.
+    On a closed automaton the classes are those of mutual eps:d+1 edges."""
+    g = EdgeGraph(aut.n_states)
+    for t in aut.transitions:
+        if t.is_eps:  # d+1 counts as even, and pr2 0 makes each edge read a letter
+            g.add(t.src, t.dst, t.priority if t.priority <= d else d + 2, 0)
+    rep = list(aut.states())
+    for inner in even_cycle_sccs(g, aut.states()):
+        members = {g.src[e] for e in inner}
+        low = min(members)
+        for q in members:
+            rep[q] = low
+    if rep == list(aut.states()):
         return aut
     return rebuild(aut, aut.states(), rep, deterministic=False)
+
+
+def compose_minima(a: int, b: int) -> int:
+    """The least priorities of a walk followed by a walk, as a bitmask, from
+    the bitmasks of the least priorities of each part: min(y1, y2) for y1
+    in `a` and y2 in `b` is y1 when y2 >= y1, so keep the bits of each set
+    up to the top bit of the other.  A top bit above every priority stands
+    for the empty walk, which leaves the other part's minima as they are."""
+    return (a & ((1 << b.bit_length()) - 1)) | (b & ((1 << a.bit_length()) - 1))
+
+
+class WalkMinima:
+    """For each state pair (q, p), the least priorities of the letter-free
+    walks q ~> p over the eps-edges added so far, as a bitmask: bit y for a
+    non-empty walk whose least priority is y, and bit d+2 for the empty walk
+    on the diagonal.  It also keeps the eps-edges rejected so far.
+
+    p2's greedy test of a candidate q -eps:x-> p has two answers these sets
+    give without a product: `implies` (it passes) and `dooms` (it fails).
+    Priorities must lie in [0, d+1]."""
+
+    def __init__(self, n: int, d: int):
+        self.minima = [[1 << (d + 2) if q == p else 0 for p in range(n)] for q in range(n)]
+        rank = [preference_rank(y, d) for y in range(d + 2)]
+        # per priority y: the priorities at least as preferred as y
+        self.at_least = [
+            sum(1 << z for z in range(d + 2) if rank[z] >= rank[y]) for y in range(d + 2)
+        ]
+        self.rejected: dict[int, dict[int, int]] = defaultdict(dict)
+
+    def add(self, t: Transition) -> None:
+        """Add the eps-edge u -eps:y-> v.  A new walk a ~> b uses it k >= 1
+        times: a ~> u, then u -y-> v (~> u -y-> v)^(k-1), then v ~> b, each
+        ~> an old walk; the minima of the middle part are {y} composed with
+        the old minima of v ~> u, empty walk included.  A row a whose minima
+        for a ~> v already hold those of the new walks a ~> v gains nothing,
+        because the old sets are closed under composition."""
+        minima, u, v = self.minima, t.src, t.dst
+        mid = 1 << t.priority
+        mid |= compose_minima(mid, minima[v][u])
+        post = [(b, m) for b, m in enumerate(minima[v]) if m]
+        for row in minima:
+            if not row[u]:
+                continue
+            left = compose_minima(row[u], mid)
+            if not left & ~row[v]:
+                continue
+            for b, m in post:
+                row[b] |= compose_minima(left, m)
+
+    def implies(self, t: Transition) -> bool:
+        """Whether a non-empty letter-free walk t.src ~> t.dst has a least
+        priority at least as preferred as t's.  A run through t then maps
+        to a run through the walk on the same word, and by monotonicity of
+        the least priority in the preference order its least recurring
+        priority stays even if it was: t adds no word, and a product
+        without t sees the same runs as one with it."""
+        return bool(self.minima[t.src][t.dst] & self.at_least[t.priority])
+
+    def reject(self, t: Transition) -> None:
+        """Record t as rejected, for `dooms`."""
+        wants = self.rejected[t.src]
+        wants[t.dst] = wants.get(t.dst, 0) | self.at_least[t.priority]
+
+    def dooms(self, t: Transition) -> bool:
+        """Whether t gives a walk r.src ~> t.src -t-> t.dst ~> r.dst, for an
+        edge r rejected earlier, whose least priority is at least as
+        preferred as r's.  Then t adds every word r added to a smaller
+        automaton: its test fails."""
+        minima, q = self.minima, t.src
+        bit, post = 1 << t.priority, minima[t.dst]
+        for rq, wants in self.rejected.items():
+            pre = minima[rq][q]
+            if not pre:
+                continue
+            left = compose_minima(pre, bit)
+            for rp, want in wants.items():
+                if post[rp] and compose_minima(left, post[rp]) & want:
+                    return True
+        return False
 
 
 def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None = None):
@@ -173,10 +283,18 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     is checked (ValueError otherwise); the reverse inclusion is the
     caller's duty.
 
-    Each candidate eps-edge is kept iff the automaton with it stays
-    disjoint from the complement of W.  That is tested on one product with
-    the complement, built once: a candidate's copies are pushed for the
-    test and popped again when it fails, an accepted edge's copies stay.
+    For each even x and ordered pair (q, p), in that order, the candidate
+    q -eps:x-> p, and failing it p -eps:x+1-> q, is kept iff the automaton
+    with it stays disjoint from the complement of W.  Two facts about the
+    letter-free walks over the eps-edges present (the input's and those
+    kept so far, kept in a `WalkMinima`) settle most candidates exactly:
+    a candidate implied by a walk whose least priority is at least as
+    preferred passes, and a candidate that gives such a walk to an edge
+    rejected earlier fails, because more edges only add runs.  The others
+    are tested on one product with the complement, built once: a
+    candidate's copies are pushed for the test and popped again when it
+    fails, a tested edge that passes stays, and an implied one is never
+    pushed, since every run through it has a counterpart without it.
     """
     if w_det is None:
         if not aut.deterministic or aut.has_eps:
@@ -194,6 +312,22 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     d = even_bound(aut)
     current = replace(aut, priority_range=(0, d + 1), deterministic=False)
     product = DetProduct(current, complement_det(w_det))
+    walks = WalkMinima(current.n_states, d)
+    for t in current.transitions:
+        if t.is_eps:
+            walks.add(t)
+
+    def admits(t: Transition) -> bool:
+        if walks.implies(t):
+            return True
+        if not walks.dooms(t):
+            product.push(t)
+            if not product.has_common_word():
+                return True
+            product.pop()
+        walks.reject(t)
+        return False
+
     present = {(t.src, t.priority, t.dst) for t in current.transitions if t.is_eps}
     added: list[Transition] = []
     for x in range(0, d + 1, 2):
@@ -203,12 +337,11 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
                     continue
                 even, odd = Transition(q, EPS, x, p), Transition(p, EPS, x + 1, q)
                 for t in (even, odd):
-                    product.push(t)
-                    if not product.has_common_word():
+                    if admits(t):
                         added.append(t)
                         present.add((t.src, t.priority, t.dst))
+                        walks.add(t)
                         break
-                    product.pop()
                 else:
                     base = replace(current, transitions=current.transitions + tuple(added))
                     r1, r2 = (
@@ -218,9 +351,10 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
                     return NotPositional(CompletionFailure(q, p, x, r1, r2, base))
     current = replace(current, transitions=current.transitions + tuple(added))
     current = _close_relations(current, d)
-    current = priority_close(current, d)
+    # eps:d+1 is reflexive now, so merging before the closure gives what
+    # merging after it gives, from a smaller closure
     current = merge_top_equivalent(current, d)
-    # merged states already had equal rows (eps:d+1 is reflexive), so no reclose
+    current = priority_close(current, d)
     current = _prune_even_eps(current, d)
     check = validate_eps_complete(current, d)
     if check is not True:

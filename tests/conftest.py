@@ -576,7 +576,12 @@ def reference_disjoint(a, co):
 
 def reference_p2(aut, w_det=None):
     """`decide_positionality_p2` with its greedy loop as it was before the
-    integer product: a fresh automaton and a fresh product per candidate."""
+    integer product: a fresh automaton and a fresh product per candidate,
+    every candidate tested, then close, merge, close.
+
+    It is the guard for p2's shortcuts: candidates that p2 accepts as implied
+    by a letter-free walk or rejects as doomed by an earlier rejection are
+    tested here, and p2 merges before its only closure."""
     from dataclasses import replace
 
     from posaut.automaton import Transition

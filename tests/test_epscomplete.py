@@ -8,14 +8,18 @@ from posaut import epscomplete
 from posaut.automaton import EPS, Transition, build, up_membership, upword
 from posaut.epscomplete import (
     EpsCompleteAutomaton,
+    WalkMinima,
+    compose_minima,
     decide_positionality_p2,
     eps_complete_from_signature,
     even_bound,
+    merge_top_equivalent,
     preference_rank,
     priority_close,
     validate_eps_complete,
 )
-from posaut.lang import incl_nd_in_det
+from posaut.lang import DetProduct, incl_nd_in_det
+from posaut.parityunion import union_parity_automaton
 from posaut.signature import decide_positionality_p1
 from posaut.witnesses import CompletionFailure, NotPositional, Positional
 from posaut.zoo import (
@@ -255,7 +259,7 @@ def test_close_matches_reference_on_p2_inputs(monkeypatch):
     monkeypatch.setattr(epscomplete, "priority_close", spy)
     for name, (mk, _) in FIXTURES.items():
         decide_positionality_p2(mk())
-    # one closure per positional fixture: the merge after it needs no reclose
+    # one closure per positional fixture, of the merged automaton
     assert len(calls) == len(POSITIONAL_FIXTURES)
     for aut, d in calls:
         assert priority_close(aut, d).transitions == reference_priority_close(aut, d).transitions
@@ -269,12 +273,140 @@ def test_p2_certificate_same_with_reference_close(name, monkeypatch):
     assert decide_positionality_p2(aut) == res
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_then_close_equals_close_then_merge(seed):
+    # with eps:d+1 reflexive, as after p2's greedy phase, merging first gives
+    # the same automaton, transition order included
+    rng = random.Random(seed)
+    for i in range(60):
+        d = (0, 2, 4)[i % 3]
+        aut = random_eps_automaton(rng, d)
+        loops = tuple(Transition(q, EPS, d + 1, q) for q in aut.states())
+        aut = replace(aut, transitions=aut.transitions + loops)
+        closed = priority_close(aut, d)
+        assert priority_close(merge_top_equivalent(aut, d), d) == merge_top_equivalent(
+            closed, d
+        ), (seed, i)
+
+
+def test_merge_classes_are_letter_free_cycles():
+    # 0 -eps:2-> 1 -eps:1-> 0 has least priority 1: no merge; 1 -eps:2-> 2
+    # -eps:3-> 1 has least priority 2, and 2 -eps:3-> 3 -eps:3-> 2 has d+1
+    aut = build(
+        4,
+        ("a",),
+        0,
+        [(0, EPS, 2, 1), (1, EPS, 1, 0), (1, EPS, 2, 2), (2, EPS, 3, 1),
+         (2, EPS, 3, 3), (3, EPS, 3, 2), (3, "a", 0, 0)],
+        deterministic=False,
+    )
+    merged = merge_top_equivalent(aut, 2)
+    assert merged.n_states == 2
+    assert (3, "a", 0, 0) not in {(t.src, t.letter, t.priority, t.dst) for t in merged.transitions}
+    assert (1, "a", 0, 0) in {(t.src, t.letter, t.priority, t.dst) for t in merged.transitions}
+
+
 def test_close_rejects_priorities_outside_the_order():
     aut = build(1, ("a",), 0, [(0, "a", 4, 0)], deterministic=False)
     with pytest.raises(ValueError):
         priority_close(aut, 2)
     with pytest.raises(ValueError):
         priority_close(aut, 3)
+
+
+# -- least priorities of letter-free walks -------------------------------------------
+
+
+def test_compose_minima_is_min_of_pairs():
+    d = 2
+    empty = d + 2  # the empty walk's bit, above every priority
+    for a, b in itertools.product(range(1 << (d + 3)), repeat=2):
+        want = {
+            min(y, z)
+            for y in range(d + 3) if a >> y & 1
+            for z in range(d + 3) if b >> z & 1
+        }
+        assert compose_minima(a, b) == sum(1 << y for y in want), (a, b)
+    assert compose_minima(1 << empty, 1 << empty) == 1 << empty
+    assert compose_minima(1 << empty, 0b101) == 0b101
+    assert compose_minima(0, 0b101) == 0
+
+
+def test_walk_minima_hand_example():
+    walks = WalkMinima(3, 2)
+    walks.add(Transition(0, EPS, 2, 1))
+    walks.add(Transition(1, EPS, 3, 2))
+    # 0 -eps:2-> 1 -eps:3-> 2 has least priority 2, and 1 < 3 < 2 < 0
+    implied = {y for y in range(4) if walks.implies(Transition(0, EPS, y, 2))}
+    assert implied == {1, 3, 2}
+    # the empty walk implies no self-loop, a letter-free cycle does
+    assert not walks.implies(Transition(0, EPS, 1, 0))
+    walks.add(Transition(2, EPS, 1, 0))
+    assert walks.implies(Transition(0, EPS, 1, 0))
+    assert not walks.implies(Transition(0, EPS, 3, 0))
+    assert walks.minima[0][0] == 1 << 4 | 1 << 1
+
+
+def test_walk_minima_doomed_candidate():
+    walks = WalkMinima(3, 2)
+    walks.add(Transition(0, EPS, 3, 1))
+    walks.reject(Transition(0, EPS, 2, 2))
+    # 0 -eps:3-> 1 -eps:2-> 2 has least priority 2, as preferred as the
+    # rejected 0 -eps:2-> 2; with eps:1 it is less preferred
+    assert walks.dooms(Transition(1, EPS, 2, 2))
+    assert walks.dooms(Transition(1, EPS, 0, 2))
+    assert not walks.dooms(Transition(1, EPS, 1, 2))
+    assert not walks.dooms(Transition(2, EPS, 2, 1))
+
+
+def test_walk_minima_match_enumerated_walks():
+    rng = random.Random(3)
+    for i in range(40):
+        n, d = rng.randint(1, 4), (0, 2, 4)[i % 3]
+        edges = [
+            (rng.randrange(n), rng.randint(0, d + 1), rng.randrange(n))
+            for _ in range(rng.randint(0, 6))
+        ]
+        walks = WalkMinima(n, d)
+        for q, y, p in edges:
+            walks.add(Transition(q, EPS, y, p))
+        # extend walks by one edge at a time until no (end, minimum) is new
+        want = [[1 << (d + 2) if q == p else 0 for p in range(n)] for q in range(n)]
+        changed = True
+        while changed:
+            changed = False
+            for a, (q, y, p) in itertools.product(range(n), edges):
+                for m in range(d + 3):
+                    if want[a][q] >> m & 1 and not want[a][p] >> min(m, y) & 1:
+                        want[a][p] |= 1 << min(m, y)
+                        changed = True
+        assert walks.minima == want, i
+
+
+def test_p2_seeds_walks_with_the_input_eps_edges(monkeypatch):
+    # the certificate without one eps-edge that a two-edge walk of it implies:
+    # p2 decides the one candidate left open without a product test
+    aut = aut_inf_a_or_fin_bb()
+    cert = decide_positionality_p2(aut).certificate.automaton
+    eps = eps_set(cert)
+    drop = next(
+        (q, x, p)
+        for (q, x, p) in sorted(eps)
+        if q != p and x % 2 == 0
+        and any((q, y1, r) in eps and (r, y2, p) in eps and min(y1, y2) % 2 == 0
+                and min(y1, y2) <= x for r in cert.states() if r not in (q, p)
+                for y1 in range(x, 4) for y2 in range(x, 4))
+    )
+    stripped = replace(
+        cert,
+        transitions=tuple(
+            t for t in cert.transitions if not t.is_eps or (t.src, t.priority, t.dst) != drop
+        ),
+    )
+    tests = count_product_tests(monkeypatch)
+    res = decide_positionality_p2(stripped, aut)
+    assert tests == []
+    assert res == reference_p2(stripped, aut)
 
 
 # -- validation ----------------------------------------------------------------------
@@ -423,3 +555,67 @@ def test_p2_w_det_must_include_the_input():
     # only L(aut) ⊆ L(w_det) is checked: a smaller input language passes
     res = decide_positionality_p2(aut_reach_aa(), aut_accept_all())
     assert res == reference_p2(aut_reach_aa(), aut_accept_all())
+
+
+# -- implied and doomed candidates: fewer product tests, same decisions --------------
+
+
+def count_product_tests(monkeypatch):
+    calls = []
+    real = DetProduct.has_common_word
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DetProduct, "has_common_word", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, most",
+    [
+        (lambda: aut_min_letter_even(6), 100),  # 286 tests without the two facts
+        (lambda: blowup(aut_fin_nested_c_factors(), 3, 0), 120),  # 402 without
+    ],
+    ids=["min_letter_even6", "blowup3"],
+)
+def test_p2_product_tests_are_few(make, most, monkeypatch):
+    aut = make()
+    tests = count_product_tests(monkeypatch)
+    res = decide_positionality_p2(aut)
+    assert len(tests) <= most
+    assert res == reference_p2(aut)
+
+
+def zielonka_union_dpa(k, d, length):
+    """The Zielonka-tree DPA of a union of k min-parity conditions over
+    `length` letters, the k-tuples of priorities in [0, d] in a seeded order."""
+    tuples = list(itertools.product(range(d + 1), repeat=k))
+    random.Random(0).shuffle(tuples)
+    letters = [f"t{i}" for i in range(length)]
+    union = union_parity_automaton(letters, dict(zip(letters, tuples[:length])))
+    trans = [(q, a, pr, nxt) for (q, a), (nxt, pr) in sorted(union.delta.items())]
+    return build(union.n_states, letters, union.initial, trans, deterministic=True).trim()
+
+
+@pytest.mark.parametrize("k, d, length", [(2, 5, 24), (3, 5, 16)])
+def test_p2_matches_reference_on_union_dpas(k, d, length):
+    aut = zielonka_union_dpa(k, d, length)
+    res = decide_positionality_p2(aut)
+    assert isinstance(res, Positional)  # a union of positional objectives
+    assert res == reference_p2(aut)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: blowup(aut_fin_nested_c_factors(), 6, 0), lambda: aut_min_letter_even(10)],
+    ids=["blowup6", "min_letter_even10"],
+)
+def test_p2_scale(make):
+    aut = make()
+    res = decide_positionality_p2(aut)
+    assert isinstance(res, Positional)
+    cert = res.certificate
+    assert validate_eps_complete(cert.automaton, cert.d) is True
+    assert isinstance(decide_positionality_p1(aut), Positional)
