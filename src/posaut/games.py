@@ -3,7 +3,10 @@
 An arena is a two-player edge-labelled graph; the objective is a
 deterministic parity automaton over the edge letters (eps-edges stutter it).
 `solve` computes exact winning regions of the product parity game with a
-recursive attractor (Zielonka) solver; `brute_force_positional` enumerates
+recursive attractor (Zielonka) solver.  It solves only what is read:
+`eve_wins_from` solves the part of the product reachable from the pairs
+(vertex, initial state), and the full regions and Eve's strategy are solved
+on the whole product when first read.  `brute_force_positional` enumerates
 all positional strategies of Eve and checks whether one wins from her whole
 winning region.  The gadget builders turn positionality witnesses into small
 Eve-games, and `completion_gadget` builds the two-copy redirection game with
@@ -228,17 +231,6 @@ def _zielonka(game: _Game, pred, alive):
     return w0b, w1 | battr | w1b, s0b, strat1
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    eve_region: frozenset  # (vertex, automaton state) pairs
-    adam_region: frozenset
-    strategy: dict  # Eve's winning moves: (vertex, state) -> arena edge index
-    initial_state: int
-
-    def eve_wins_from(self, vertex: int) -> bool:
-        return (vertex, self.initial_state) in self.eve_region
-
-
 def _letter_rows(arena: GameArena, objective: ParityAutomaton):
     """Per letter, the objective's transition from every state, in state
     order (`objective.delta`); every letter of an arena edge must have one."""
@@ -285,19 +277,63 @@ def _product_game(arena: GameArena, objective: ParityAutomaton):
     return _Game(owner, priority, succ), m
 
 
+class SolveResult:
+    """The answer of `solve` for one arena and objective.
+
+    `eve_wins_from(v)` reads the region of the pairs (v, initial state),
+    computed on first use by `_eve_wins_initial` on the part of the product
+    game reachable from them.  The full regions and Eve's strategy come from
+    one Zielonka run on the whole product game, made when one of them is
+    first read."""
+
+    def __init__(self, arena: GameArena, objective: ParityAutomaton):
+        self.arena = arena
+        self.objective = objective
+        self.initial_state = objective.initial
+
+    @cached_property
+    def _initial_region(self) -> frozenset:
+        return _eve_wins_initial(self.arena, self.objective)
+
+    def eve_wins_from(self, vertex: int) -> bool:
+        return vertex in self._initial_region
+
+    @cached_property
+    def _full(self):
+        arena, objective = self.arena, self.objective
+        game, m = _product_game(arena, objective)
+        w0, w1, s0, _ = _zielonka(game, _preds(game), set(range(len(game.owner))))
+        base = arena.n_vertices * m
+        pairs = [divmod(i, m) for i in range(base)]
+        eve = frozenset(pairs[i] for i in range(base) if i in w0)
+        adam = frozenset(pairs[i] for i in range(base) if i in w1)
+        # Eve's move at pair node i is the subdivision node base + idx*m + q
+        strategy = {pairs[i]: (s0[i] - base) // m for i in range(base) if i in s0 and i in w0}
+        return eve, adam, strategy
+
+    @property
+    def eve_region(self) -> frozenset:
+        """(vertex, automaton state) pairs from which Eve wins."""
+        return self._full[0]
+
+    @property
+    def adam_region(self) -> frozenset:
+        return self._full[1]
+
+    @property
+    def strategy(self) -> dict:
+        """Eve's winning moves: (vertex, state) -> arena edge index."""
+        return self._full[2]
+
+
 def solve(arena: GameArena, objective: ParityAutomaton) -> SolveResult:
     """Exact winning regions per (vertex, automaton-state) pair, with Eve's
-    winning strategy (memory = automaton state)."""
+    winning strategy (memory = automaton state).  The arena and the
+    objective's letters are checked here; each region is solved when it is
+    first read (see `SolveResult`)."""
     arena.check_valid()
-    game, m = _product_game(arena, objective)
-    w0, w1, s0, _ = _zielonka(game, _preds(game), set(range(len(game.owner))))
-    base = arena.n_vertices * m
-    pairs = [divmod(i, m) for i in range(base)]
-    eve = frozenset(pairs[i] for i in range(base) if i in w0)
-    adam = frozenset(pairs[i] for i in range(base) if i in w1)
-    # Eve's move at pair node i is the subdivision node base + idx*m + q
-    strategy = {pairs[i]: (s0[i] - base) // m for i in range(base) if i in s0 and i in w0}
-    return SolveResult(eve, adam, strategy, objective.initial)
+    _letter_rows(arena, objective)
+    return SolveResult(arena, objective)
 
 
 def _eve_wins_initial(arena: GameArena, objective: ParityAutomaton) -> frozenset:
@@ -364,9 +400,10 @@ class NoUniformStrategy:
     uniform = False
 
 
-def _strategy_wins(arena, comp, restricted_edges, vertex) -> bool:
+def _strategy_wins(comp, rows, restricted_edges, vertex) -> bool:
     """All infinite plays from `vertex` under the restriction satisfy the
-    objective: the product with the complement, reachable from (vertex,
+    objective: the product with the complement `comp`, whose transitions
+    per letter are `rows` (`comp.delta`), reachable from (vertex,
     comp.initial), has no accepting cycle of the kernel.  Eps-moves stutter
     the complement; the check relies on `GameArena.validate` rejecting
     eps-cycles, so that every cycle consumes a letter."""
@@ -377,7 +414,7 @@ def _strategy_wins(arena, comp, restricted_edges, vertex) -> bool:
             if a == EPS:
                 yield (t, q), 0, STUTTER, None
             else:
-                tr = comp.dsucc(q, a)
+                tr = rows[a][q]
                 yield (t, tr.dst), 0, tr.priority, None
 
     g, _ = explore([(vertex, comp.initial)], step)
@@ -399,6 +436,7 @@ def brute_force_positional(arena: GameArena, objective: ParityAutomaton, bound=N
         if total > bound:
             raise ValueError(f"strategy space exceeds bound {bound}")
     comp = complement_det(objective)
+    rows = comp.delta
     # Adam's moves are fixed; each strategy overwrites Eve's rows
     restricted = [[e for _, e in outs] for outs in arena.by_src]
     index_lists = [[i for (i, _) in outs] for outs in per_vertex]
@@ -406,7 +444,7 @@ def brute_force_positional(arena: GameArena, objective: ParityAutomaton, bound=N
         choice = dict(zip(eve_vertices, combo))
         for v, idx in choice.items():
             restricted[v] = [arena.edges[idx]]
-        if all(_strategy_wins(arena, comp, restricted, v) for v in region0):
+        if all(_strategy_wins(comp, rows, restricted, v) for v in region0):
             return UniformlyPositional(PositionalStrategy(choice))
     return NoUniformStrategy(region0)
 
@@ -611,19 +649,22 @@ def _composite_objective(w_det, alphabet, tokens, d):
     def sid(wq, uq):
         return wq * union.n_states + uq
 
+    rows = w_det.delta
+    ordered = sorted(tokens.items())
     trans = []
     for wq in w_det.states():
+        # per token: its union letter and w_det's successor from wq
+        steps = []
+        for t, (letter, pr, typ) in ordered:
+            s2, s3 = letter_streams[t]
+            if letter == EPS:
+                steps.append((t, names[(stutter1, s2, s3)], wq))
+            else:
+                tr = rows[letter][wq]
+                steps.append((t, names[(tr.priority, s2, s3)], tr.dst))
         for uq in range(union.n_states):
-            for t, (letter, pr, typ) in sorted(tokens.items()):
-                s2, s3 = letter_streams[t]
-                if letter == EPS:
-                    combo = (stutter1, s2, s3)
-                    wq2 = wq
-                else:
-                    tr = w_det.dsucc(wq, letter)
-                    combo = (tr.priority, s2, s3)
-                    wq2 = tr.dst
-                uq2, out_pr = union.delta[(uq, names[combo])]
+            for t, name, wq2 in steps:
+                uq2, out_pr = union.delta[(uq, name)]
                 trans.append(Transition(sid(wq, uq), t, out_pr, sid(wq2, uq2)))
     return ParityAutomaton(
         n_states=n_states,

@@ -11,6 +11,7 @@ with round-robin child switching).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 
 
 @dataclass
@@ -31,37 +32,48 @@ def _f_union(letters, tuples):
     )
 
 
-def _maximal(sets):
-    out = []
-    for s in sets:
-        if any(s < t for t in sets):
-            continue
-        if s not in out:
-            out.append(s)
-    return out
-
-
 def _children_sets(letters, tuples, accept):
-    from itertools import product as iproduct
-
+    """The maximal subsets of `letters` whose acceptance differs from
+    `accept`, as candidates cut by per-stream thresholds.  Letter sets are
+    bitmasks over `letters` in iteration order: a candidate is the AND of
+    per-stream masks "priority >= threshold"."""
+    order = list(letters)
     k = len(next(iter(tuples.values())))
-    values = [
-        sorted({tuples[a][i] for a in letters}) for i in range(k)
-    ]
+    columns = [[tuples[a][i] for a in order] for i in range(k)]
+    values = [sorted(set(col)) for col in columns]
+    # at_least[i][t] and exactly[i][t]: letters whose stream-i priority is
+    # >= t and == t, for the priorities t present
+    at_least, exactly = [], []
+    for i in range(k):
+        eq = {t: 0 for t in values[i]}
+        for j, t in enumerate(columns[i]):
+            eq[t] |= 1 << j
+        ge, acc = {}, 0
+        for t in reversed(values[i]):
+            acc |= eq[t]
+            ge[t] = acc
+        at_least.append(ge)
+        exactly.append(eq)
+
+    def accepts(mask):
+        # some stream's least priority over the letters of `mask` is even
+        for i in range(k):
+            least = next(t for t in values[i] if mask & exactly[i][t])
+            if least % 2 == 0:
+                return True
+        return False
+
+    full = (1 << len(order)) - 1
     candidates = []
     if accept:
         # maximal subsets where every stream's minimum is odd: raise each
         # stream above an odd threshold (or leave it unconstrained)
-        options = [[None] + [v for v in values[i] if v % 2 == 1] for i in range(k)]
-        for thresholds in iproduct(*options):
-            sub = frozenset(
-                a
-                for a in letters
-                if all(
-                    t is None or tuples[a][i] >= t for i, t in enumerate(thresholds)
-                )
-            )
-            if sub and not _f_union(sub, tuples):
+        options = [[full] + [at_least[i][t] for t in values[i] if t % 2 == 1] for i in range(k)]
+        for masks in iproduct(*options):
+            sub = full
+            for m in masks:
+                sub &= m
+            if sub and not accepts(sub):
                 candidates.append(sub)
     else:
         # maximal subsets where some stream's minimum is even: cut one stream
@@ -70,10 +82,16 @@ def _children_sets(letters, tuples, accept):
             for e in values[i]:
                 if e % 2 != 0:
                     continue
-                sub = frozenset(a for a in letters if tuples[a][i] >= e)
-                if sub and _f_union(sub, tuples):
+                sub = at_least[i][e]
+                if sub and accepts(sub):
                     candidates.append(sub)
-    return _maximal(candidates)
+    maximal = []
+    for s in candidates:
+        if any(s & t == s and s != t for t in candidates):
+            continue
+        if s not in maximal:
+            maximal.append(s)
+    return [frozenset(a for j, a in enumerate(order) if s >> j & 1) for s in maximal]
 
 
 def zielonka_tree(letters, tuples) -> ZNode:

@@ -277,6 +277,42 @@ def run_lasso(aut, u, v) -> bool:
     return min(trace[start:]) % 2 == 0
 
 
+
+def reference_children_sets(letters, tuples, accept):
+    """`parityunion._children_sets` as it was before letter sets became
+    bitmasks: each candidate tests every letter against its threshold tuple
+    and keeps the maximal ones in candidate order."""
+    from posaut.parityunion import _f_union
+
+    k = len(next(iter(tuples.values())))
+    values = [sorted({tuples[a][i] for a in letters}) for i in range(k)]
+    candidates = []
+    if accept:
+        options = [[None] + [v for v in values[i] if v % 2 == 1] for i in range(k)]
+        for thresholds in itertools.product(*options):
+            sub = frozenset(
+                a
+                for a in letters
+                if all(t is None or tuples[a][i] >= t for i, t in enumerate(thresholds))
+            )
+            if sub and not _f_union(sub, tuples):
+                candidates.append(sub)
+    else:
+        for i in range(k):
+            for e in values[i]:
+                if e % 2 != 0:
+                    continue
+                sub = frozenset(a for a in letters if tuples[a][i] >= e)
+                if sub and _f_union(sub, tuples):
+                    candidates.append(sub)
+    out = []
+    for s in candidates:
+        if any(s < t for t in candidates):
+            continue
+        if s not in out:
+            out.append(s)
+    return out
+
 @pytest.fixture
 def rng():
     return random.Random(12345)

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
@@ -10,7 +11,6 @@ from posaut.games import (
     ADAM,
     EVE,
     GameArena,
-    SolveResult,
     brute_force_positional,
     completion_gadget,
     emit_arena,
@@ -24,7 +24,7 @@ from posaut.games import (
 from posaut.lang import complement_det, incl_nd_in_det
 from posaut.normalform import normalize
 from posaut.signature import decide_positionality_p1
-from posaut.witnesses import NotPositional, Positional
+from posaut.witnesses import CompletionFailure, NotPositional, Positional
 from posaut.zoo import (
     aut_accept_all,
     aut_first_letter_inf,
@@ -165,6 +165,13 @@ def _assert_strategy_wins(arena, objective, res):
 # -- the solver against an eager-count reference --------------------------------------
 
 
+@dataclass(frozen=True)
+class ReferenceSolution:
+    eve_region: frozenset  # (vertex, automaton state) pairs
+    adam_region: frozenset
+    strategy: dict  # (vertex, state) -> arena edge index
+
+
 def reference_solve(arena, objective):
     """Zielonka on the subdivided product with a dict of node ids and
     attractors that count the live successors of every live vertex up
@@ -249,7 +256,7 @@ def reference_solve(arena, objective):
     eve = frozenset(vq for vq, i in nodes.items() if i in w0)
     adam = frozenset(vq for vq, i in nodes.items() if i in w1)
     strategy = {vq: move_edge[s0[i]] for vq, i in nodes.items() if i in s0 and i in w0}
-    return SolveResult(eve, adam, strategy, objective.initial)
+    return ReferenceSolution(eve, adam, strategy)
 
 
 def random_arena(rng, n, letters):
@@ -288,11 +295,55 @@ def test_solve_matches_eager_reference():
         assert list(got.strategy.items()) == list(ref.strategy.items()), name
 
 
+def completion_gadget_cases(count=6):
+    """Completion gadgets of p2's witnesses on seeded random DPAs with
+    n = 6-10, the first `count` found."""
+    rng = random.Random(12)
+    found = 0
+    while found < count:
+        letters = ("a", "b", "c")[: rng.randint(2, 3)]
+        aut = random_automaton(rng, rng.randint(6, 10), letters, dmax=rng.choice((3, 5)))
+        res = decide_positionality_p2(aut)
+        if res.positional or not isinstance(res.witness, CompletionFailure):
+            continue
+        g = gadget_for_witness(res.witness, aut, aut=aut, w_det=aut)
+        found += 1
+        yield f"completion{found}", g.arena, g.objective
+
+
 def test_oracle_region_is_solve_region():
-    for name, arena, objective in solver_cases():
+    cases = list(solver_cases()) + list(completion_gadget_cases())
+    for name, arena, objective in cases:
         res = solve(arena, objective)
-        expected = frozenset(v for v in range(arena.n_vertices) if res.eve_wins_from(v))
+        expected = frozenset(
+            v for v in range(arena.n_vertices) if (v, objective.initial) in res.eve_region
+        )
         assert games._eve_wins_initial(arena, objective) == expected, name
+        got = frozenset(v for v in range(arena.n_vertices) if solve(arena, objective).eve_wins_from(v))
+        assert got == expected, name
+
+
+def test_eve_wins_from_solves_only_the_reachable_game(monkeypatch):
+    calls = []
+    product_game = games._product_game
+
+    def refuse(arena, objective):
+        raise AssertionError("eve_wins_from built the full product game")
+
+    def spy(arena, objective):
+        calls.append(arena)
+        return product_game(arena, objective)
+
+    for name, arena, objective in solver_cases():
+        monkeypatch.setattr(games, "_product_game", refuse)
+        res = solve(arena, objective)
+        wins = [v for v in range(arena.n_vertices) if res.eve_wins_from(v)]
+        monkeypatch.setattr(games, "_product_game", spy)
+        assert wins == [v for v, q in sorted(res.eve_region) if q == objective.initial], name
+        assert res.adam_region is not None and res.strategy is not None
+        # one full solve serves all three
+        assert calls == [arena], name
+        calls.clear()
 
 
 def test_out_edges_per_vertex():

@@ -1,9 +1,12 @@
 import itertools
 import random
 
+import pytest
+
+from posaut import parityunion
 from posaut.parityunion import union_parity_automaton, zielonka_tree
 
-from conftest import run_lasso, union_accepts
+from conftest import reference_children_sets, run_lasso, union_accepts
 
 
 def test_small_exhaustive():
@@ -47,3 +50,27 @@ def test_constant_condition():
     assert run_lasso(aut, (), ("a",))
     aut2 = union_parity_automaton(letters, {"a": (1, 3)})
     assert not run_lasso(aut2, (), ("a",))
+
+
+def random_tuple_maps(seed, count):
+    """Seeded maps from 1-24 letters to tuples of 1-3 priorities in 0-6."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        letters = [f"x{i}" for i in range(rng.randint(1, 24))]
+        yield letters, {a: tuple(rng.randint(0, 6) for _ in range(k)) for a in letters}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_children_sets_match_reference(seed, monkeypatch):
+    for letters, tuples in random_tuple_maps(seed, 60):
+        for accept in (False, True):
+            got = parityunion._children_sets(frozenset(letters), tuples, accept)
+            assert got == reference_children_sets(frozenset(letters), tuples, accept)
+        tree, aut = zielonka_tree(letters, tuples), union_parity_automaton(letters, tuples)
+        monkeypatch.setattr(parityunion, "_children_sets", reference_children_sets)
+        assert zielonka_tree(letters, tuples) == tree
+        ref = union_parity_automaton(letters, tuples)
+        monkeypatch.undo()
+        assert ref == aut
+        assert list(ref.delta.items()) == list(aut.delta.items())
