@@ -18,7 +18,6 @@ from .automaton import (
     parse_dpa,
     parse_upword,
     safe_components,
-    scc_decompose,
     up_membership,
     upword,
 )
@@ -52,7 +51,6 @@ from .progress import (
     check_full_progress_consistency,
     check_progress_consistency,
     decide_bipositionality,
-    finite_path_language,
 )
 from .signature import (
     NestedPreorders,

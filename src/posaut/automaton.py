@@ -89,8 +89,18 @@ class ParityAutomaton:
     @cached_property
     def delta(self) -> dict[str, tuple[Transition, ...]]:
         """Per letter of the alphabet, the unique letter-transition from every
-        state, in state order (deterministic automata; `dsucc` as a table)."""
-        return {a: tuple(self.dsucc(q, a) for q in self.states()) for a in self.alphabet}
+        state, in state order (deterministic automata; `dsucc` as a table,
+        raising its ValueError for the first bad cell in letter, state order)."""
+        rows = {a: [None] * self.n_states for a in self.alphabet}
+        for t in self.transitions:
+            row = rows.get(t.letter)
+            if row is not None:
+                row[t.src] = t if row[t.src] is None else False
+        for a, row in rows.items():
+            for q, t in enumerate(row):
+                if not t:
+                    self.dsucc(q, a)
+        return {a: tuple(row) for a, row in rows.items()}
 
     @property
     def d_min(self):
@@ -252,13 +262,6 @@ def access_word(aut: ParityAutomaton, target: int) -> tuple[str, ...] | None:
 # ---------------------------------------------------------------------------
 # SCCs, safe components
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Scc:
-    states: tuple[int, ...]
-    recurrent: bool
-    positive: bool | None  # parity of the minimal internal priority; None if trivial
 
 
 @dataclass(frozen=True)
@@ -487,54 +490,10 @@ def reaches_even_cycle(g, roots) -> list[bool]:
     return bad
 
 
-def scc_decompose(aut: ParityAutomaton) -> list[Scc]:
-    """SCCs with recurrence and positive/negative flags, in reverse topological order.
-
-    A singleton with no self-loop is transient; the positive flag is the
-    parity of the minimal priority on internal transitions (None when there
-    are none).
-    """
-    comps = tarjan_scc(aut.n_states, ((t.src, t.dst) for t in aut.transitions))
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = i
-    internal_min: list[int | None] = [None] * len(comps)
-    has_internal = [False] * len(comps)
-    for t in aut.transitions:
-        if comp_of[t.src] == comp_of[t.dst]:
-            i = comp_of[t.src]
-            has_internal[i] = True
-            m = internal_min[i]
-            internal_min[i] = t.priority if m is None else min(m, t.priority)
-    out = []
-    for i, comp in enumerate(comps):
-        recurrent = len(comp) > 1 or has_internal[i]
-        positive = None if internal_min[i] is None else internal_min[i] % 2 == 0
-        out.append(Scc(tuple(comp), recurrent, positive))
-    return out
-
-
-def safe_components(aut: ParityAutomaton, x: int) -> tuple[Congruence, list[bool]]:
-    """SCC partition of the subautomaton keeping transitions with priority >= x.
-
-    Returns the partition as a Congruence plus a per-class recurrence flag
-    (False exactly for trivial singleton components).
-    """
+def safe_components(aut: ParityAutomaton, x: int) -> Congruence:
+    """SCC partition of the subautomaton keeping transitions with priority >= x."""
     edges = [(t.src, t.dst) for t in aut.transitions if t.priority >= x]
-    comps = tarjan_scc(aut.n_states, edges)
-    cong = congruence_from_classes(aut.n_states, comps)
-    loops = set()
-    edge_set = set(edges)
-    for comp in comps:
-        if len(comp) > 1 or (comp[0], comp[0]) in edge_set:
-            if len(comp) > 1 or any(
-                t.src == comp[0] and t.dst == comp[0] and t.priority >= x
-                for t in aut.by_src[comp[0]]
-            ):
-                loops.add(cong.class_of[comp[0]])
-    recurrent = [c in loops for c in range(cong.n_classes)]
-    return cong, recurrent
+    return congruence_from_classes(aut.n_states, tarjan_scc(aut.n_states, edges))
 
 
 # ---------------------------------------------------------------------------

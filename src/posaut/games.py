@@ -662,10 +662,10 @@ def _composite_objective(w_det, alphabet, tokens, d):
             else:
                 tr = rows[letter][wq]
                 steps.append((t, names[(tr.priority, s2, s3)], tr.dst))
-        for uq in range(union.n_states):
+        for uq in union.states():
             for t, name, wq2 in steps:
-                uq2, out_pr = union.delta[(uq, name)]
-                trans.append(Transition(sid(wq, uq), t, out_pr, sid(wq2, uq2)))
+                ut = union.delta[name][uq]
+                trans.append(Transition(sid(wq, uq), t, ut.priority, sid(wq2, ut.dst)))
     return ParityAutomaton(
         n_states=n_states,
         alphabet=alphabet,

@@ -4,7 +4,7 @@ A letter carries a tuple of priorities, one per stream; a word is good when
 some stream's minimal recurring priority is even.  The acceptance depends
 only on the set of letters seen infinitely often, so it is a Muller
 condition; the Zielonka tree of that condition yields a small deterministic
-parity automaton (states are the tree's leaves, transitions walk the tree
+`ParityAutomaton` (states are the tree's leaves, transitions walk the tree
 with round-robin child switching).
 """
 
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+
+from .automaton import ParityAutomaton, build
 
 
 @dataclass
@@ -95,27 +97,19 @@ def _children_sets(letters, tuples, accept):
 
 
 def zielonka_tree(letters, tuples) -> ZNode:
-    def build(subset, depth):
+    def subtree(subset, depth):
         node = ZNode(frozenset(subset), _f_union(subset, tuples), depth)
         for child in sorted(_children_sets(subset, tuples, node.accept), key=sorted):
-            node.children.append(build(child, depth + 1))
+            node.children.append(subtree(child, depth + 1))
         return node
 
-    return build(frozenset(letters), 0)
+    return subtree(frozenset(letters), 0)
 
 
-@dataclass(frozen=True)
-class UnionParityAutomaton:
-    """Deterministic transition-based parity automaton over tuple letters."""
-
-    n_states: int
-    initial: int
-    delta: dict  # (state, letter) -> (state, priority)
-    priority_range: tuple[int, int]
-
-
-def union_parity_automaton(letters, tuples) -> UnionParityAutomaton:
-    """The Zielonka-tree automaton for the union condition over `letters`."""
+def union_parity_automaton(letters, tuples) -> ParityAutomaton:
+    """The Zielonka-tree automaton for the union condition over `letters`:
+    deterministic and complete, with the tree's leaves as states, leaf 0
+    initial, and transitions in (leaf, letter) order."""
     root = zielonka_tree(letters, tuples)
     leaves: list[list[ZNode]] = []  # branches, root first
 
@@ -129,11 +123,7 @@ def union_parity_automaton(letters, tuples) -> UnionParityAutomaton:
 
     collect(root, [])
     base = 0 if root.accept else 1
-
-    def node_priority(node):
-        return node.depth + base
-
-    delta = {}
+    trans = []
     for idx, branch in enumerate(leaves):
         for a in letters:
             support = None
@@ -144,17 +134,14 @@ def union_parity_automaton(letters, tuples) -> UnionParityAutomaton:
                     break
             if support is None:
                 raise ValueError(f"letter {a!r} missing from the root alphabet")
-            pr = node_priority(support)
             if not support.children:
                 nxt = support.leaf_index
             else:
                 on_branch = branch[support.depth + 1]
                 pos = support.children.index(on_branch)
-                nxt_child = support.children[(pos + 1) % len(support.children)]
-                node = nxt_child
+                node = support.children[(pos + 1) % len(support.children)]
                 while node.children:
                     node = node.children[0]
                 nxt = node.leaf_index
-            delta[(idx, a)] = (nxt, pr)
-    prs = [p for (_, p) in delta.values()] or [0]
-    return UnionParityAutomaton(len(leaves), 0, delta, (min(prs), max(prs)))
+            trans.append((idx, a, support.depth + base, nxt))
+    return build(len(leaves), letters, 0, trans, deterministic=True)

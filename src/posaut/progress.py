@@ -1,12 +1,12 @@
 """Progress consistency, its full variant, and bipositionality.
 
-Both consistency checks reduce to emptiness of intersections of finite-word
-languages: words routing q to p without small priorities, against words
-looping at p with an odd minimal priority.  One backward search per target p
-finds every failing q at once; only the first failing pair builds the two
-DFAs, whose intersection gives the shortest witness.  No parity-cycle search
-happens here: the residual preorder comes from `lang`, whose inclusions run
-on the kernel (`automaton.even_cycle_sccs`).
+Both consistency checks ask for pairs q < p and a word w that routes q to p
+without small priorities while p's run on w loops back to p with an odd
+minimal priority.  One backward search per target p finds every failing q
+at once; only the first failing pair searches the automaton for its
+shortest w.  No parity-cycle search happens here: the residual preorder
+comes from `lang`, whose inclusions run on the kernel
+(`automaton.even_cycle_sccs`).
 """
 
 from __future__ import annotations
@@ -20,114 +20,6 @@ from .lang import complement_det, residual_preorder
 from .lang import safe_incl  # noqa: F401
 from .normalform import normalize  # noqa: F401
 from .witnesses import ProgressWitness
-
-
-# ---------------------------------------------------------------------------
-# Finite-word path languages
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WordDfa:
-    """Partial DFA over finite words (missing transitions reject)."""
-
-    n: int
-    alphabet: tuple[str, ...]
-    initial: int
-    accepting: frozenset[int]
-    delta: dict[tuple[int, str], int]
-
-    def accepts(self, word) -> bool:
-        q = self.initial
-        for a in word:
-            if (q, a) not in self.delta:
-                return False
-            q = self.delta[(q, a)]
-        return q in self.accepting
-
-
-def intersect_shortest(d1: WordDfa, d2: WordDfa):
-    """Shortest word accepted by both, or None."""
-    start = (d1.initial, d2.initial)
-    acc = lambda s: s[0] in d1.accepting and s[1] in d2.accepting
-    if acc(start):
-        return ()
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for a in d1.alphabet:
-            if (s[0], a) not in d1.delta or (s[1], a) not in d2.delta:
-                continue
-            nxt = (d1.delta[(s[0], a)], d2.delta[(s[1], a)])
-            if nxt not in prev:
-                prev[nxt] = (s, a)
-                if acc(nxt):
-                    word = []
-                    t = nxt
-                    while prev[t] is not None:
-                        t, letter = prev[t]
-                        word.append(letter)
-                    return tuple(reversed(word))
-                queue.append(nxt)
-    return None
-
-
-def finite_path_language(aut: ParityAutomaton, q: int, p: int, mode) -> WordDfa:
-    """DFA for the finite words labelling q-to-p paths.
-
-    mode ("at-least", x): paths producing no priority < x (the empty path
-    included when q == p); mode ("exactly", x): paths whose minimal priority
-    is exactly x, via a product with a min-priority tracker.
-    """
-    kind, x = mode
-    if kind == "at-least":
-        delta = {}
-        for t in aut.transitions:
-            if t.is_eps or t.priority < x:
-                continue
-            key = (t.src, t.letter)
-            if key in delta and delta[key] != t.dst:
-                raise ValueError(f"not deterministic over >= {x} transitions at {key}")
-            delta[key] = t.dst
-        return WordDfa(aut.n_states, aut.alphabet, q, frozenset([p]), delta)
-    if kind != "exactly":
-        raise ValueError(f"unknown mode {kind!r}")
-    return _tracker_dfa(aut, q, frozenset([(p, x)]))
-
-
-def _tracker_dfa(aut: ParityAutomaton, q: int, accepting_pairs) -> WordDfa:
-    """Product with a running-minimum tracker; state None means 'no step yet'."""
-    states = {(q, None): 0}
-    delta = {}
-    queue = deque([(q, None)])
-    while queue:
-        s, m = queue.popleft()
-        sid = states[(s, m)]
-        for a in aut.alphabet:
-            ts = aut.succ(s, a)
-            if not ts:
-                continue
-            if len(ts) != 1:
-                raise ValueError("tracker DFA needs a deterministic automaton")
-            t = ts[0]
-            m2 = t.priority if m is None else min(m, t.priority)
-            key = (t.dst, m2)
-            if key not in states:
-                states[key] = len(states)
-                queue.append(key)
-            delta[(sid, a)] = states[key]
-    accepting = frozenset(
-        states[(s, m)] for (s, m) in states if (s, m) in accepting_pairs
-    )
-    return WordDfa(len(states), aut.alphabet, 0, accepting, delta)
-
-
-def odd_cycle_dfa(aut: ParityAutomaton, p: int) -> WordDfa:
-    """Nonempty words looping p back to p with odd minimal priority."""
-    prios = {t.priority for t in aut.transitions}
-    accepting = frozenset((p, y) for y in prios if y % 2 == 1)
-    return _tracker_dfa(aut, p, accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -167,28 +59,63 @@ def check_full_progress_consistency(sig):
 
 def _first_inconsistent_pair(aut: ParityAutomaton, rank: dict[int, int], x: int):
     """The first pair (q, p) of `sorted(rank)` squared, q outer, with
-    rank[q] < rank[p] and a word w routing q to p with priorities >= x that
-    loops p back to p at an odd least priority, with the shortest such w
-    (`intersect_shortest`); None when there is none.
+    rank[q] < rank[p] and a nonempty word w routing q to p with priorities
+    >= x on which p's run returns to p at an odd least priority, with the
+    shortest such w (`_shortest_odd_loop`); None when there is none.
 
     One backward search per target p finds every failing q at once
-    (`_odd_loop_sources`), and only the pair returned builds its two DFAs.
-    The determinism ValueErrors come where the pair-by-pair loop raised
-    them: the route DFA's at the first pair, p's run's at the first pair
-    with target p."""
+    (`_odd_loop_sources`), and only the pair returned searches for its word.
+    Raises ValueError when the (>= x) routes fork, if any pair is ordered,
+    and when p's run forks, at the first pair with target p."""
     states = sorted(rank)
     pairs = [(q, p) for q in states for p in states if rank[q] < rank[p]]
     if not pairs:
         return None
-    route = finite_path_language(aut, *pairs[0], ("at-least", x))
-    sources = _odd_loop_sources(aut, route.delta)
+    route = {}
+    for t in aut.transitions:
+        if t.is_eps or t.priority < x:
+            continue
+        key = (t.src, t.letter)
+        if route.setdefault(key, t.dst) != t.dst:
+            raise ValueError(f"not deterministic over >= {x} transitions at {key}")
+    sources = _odd_loop_sources(aut, route)
     failing: dict[int, set[int]] = {}
     for q, p in pairs:
         if p not in failing:
             failing[p] = sources(p)
         if q in failing[p]:
-            route = finite_path_language(aut, q, p, ("at-least", x))
-            return q, p, intersect_shortest(route, odd_cycle_dfa(aut, p))
+            return q, p, _shortest_odd_loop(aut, route, q, p)
+    return None
+
+
+def _shortest_odd_loop(aut: ParityAutomaton, route, q: int, p: int):
+    """The shortest word w, least in alphabet order among those, that leads
+    q to p along `route` while p's run on w returns to p at an odd least
+    priority: one breadth-first search over (route state, run state,
+    running minimum or None) from (q, p, None), whose run must not fork."""
+    start = (q, p, None)
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        r, s, m = node
+        for a in aut.alphabet:
+            r2 = route.get((r, a))
+            ts = aut.succ(s, a)
+            if r2 is None or not ts:
+                continue
+            t = ts[0]
+            nxt = (r2, t.dst, t.priority if m is None else min(m, t.priority))
+            if nxt in prev:
+                continue
+            prev[nxt] = (node, a)
+            if nxt[:2] == (p, p) and nxt[2] % 2:
+                word = []
+                while prev[nxt] is not None:
+                    nxt, letter = prev[nxt]
+                    word.append(letter)
+                return tuple(reversed(word))
+            queue.append(nxt)
     return None
 
 
@@ -196,9 +123,8 @@ def _odd_loop_sources(aut: ParityAutomaton, route: dict[tuple[int, str], int]):
     """A function mapping a target p to the states q for which a nonempty
     word w leads q to p along `route` ((state, letter) -> state) while the
     run of p on w returns to p at an odd least priority: the q for which
-    `intersect_shortest` of the route DFA and `odd_cycle_dfa(aut, p)` is
-    not None.  Raises the ValueError of `odd_cycle_dfa(aut, p)` when p's run
-    meets a state with several transitions on one letter.
+    `_shortest_odd_loop(aut, route, q, p)` finds a word.  Raises ValueError
+    when a state that p reaches has several transitions on one letter.
 
     Each call is one backward search over the pairs (route state r, run
     state s), O(n²·|Σ|·d).  The pair carries the bit mask of the running
@@ -221,11 +147,20 @@ def _odd_loop_sources(aut: ParityAutomaton, route: dict[tuple[int, str], int]):
     for t in aut.transitions:
         if t.letter in letter:
             run_back[letter[t.letter]][t.dst].append((t.src, t.priority - lo))
-    forked = {q for (q, a), ts in aut.by_src_letter.items() if a in letter and len(ts) > 1}
+    # the states whose run reaches a state with several transitions on a letter
+    stack = [q for (q, a), ts in aut.by_src_letter.items() if a in letter and len(ts) > 1]
+    forks = set(stack)
+    while stack:
+        s2 = stack.pop()
+        for runs in run_back:
+            for s, _ in runs[s2]:
+                if s not in forks:
+                    forks.add(s)
+                    stack.append(s)
 
     def sources(p: int) -> set[int]:
-        if forked:
-            odd_cycle_dfa(aut, p)  # raises where p's run forks
+        if p in forks:
+            raise ValueError("tracker DFA needs a deterministic automaton")
         good = [0] * (n * n)
         good[p * n + p] = odd
         stack = [p * n + p]

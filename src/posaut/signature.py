@@ -102,7 +102,7 @@ def _dense(keys: dict[int, tuple]) -> dict[int, int]:
 def _component_refinement(aut: ParityAutomaton, x: int, prev: dict[int, int]):
     """Refine the level-(x-2) ranks by the order of (<x)-safe components
     (within a class: components sorted by their least member)."""
-    comps, _ = safe_components(aut, x)
+    comps = safe_components(aut, x)
     keys = {}
     for q in aut.states():
         cls = prev[q]
@@ -115,7 +115,8 @@ def _safe_refinement(safe: SafeInclusion, prev: dict[int, int]):
     """Refine the level-(x-1) ranks by the (<x)-safe-language inclusion
     `safe`.
 
-    Returns the rank map, or an incomparable pair (q, p, sep_qp, sep_pq).
+    Returns the rank map, or the first incomparable pair as a tuple
+    (q, p, sep_qp, sep_pq).
     """
     groups: dict[int, list[int]] = {}
     for q in safe.aut.states():
@@ -125,7 +126,7 @@ def _safe_refinement(safe: SafeInclusion, prev: dict[int, int]):
         for q in members:
             for p in members:
                 if q < p and not safe.holds(q, p) and not safe.holds(p, q):
-                    return ("incomparable", q, p, safe.check(q, p), safe.check(p, q))
+                    return q, p, safe.check(q, p), safe.check(p, q)
         for q in members:
             below = sum(1 for p in members if safe.holds(p, q) and not safe.holds(q, p))
             keys[q] = (prev[q], below)
@@ -207,7 +208,7 @@ def safe_centralise(aut: ParityAutomaton, x: int, classes: Congruence, memo=None
     `_residuals`.
     """
     while True:
-        comps, _ = safe_components(aut, x)
+        comps = safe_components(aut, x)
         target = _find_redundant(_safe(aut, x, memo), comps, classes)
         if target is None:
             return aut, classes
@@ -267,31 +268,27 @@ def _pick_map(aut, x, q0, q0p, s_members):
 
 
 def check_total_safe_order(
-    aut: ParityAutomaton, x: int, classes_xm1: Congruence, memo=None
+    aut: ParityAutomaton, x: int, classes_xm2: Congruence, memo=None
 ):
-    """Within every level-(x-1) class, all pairs must be safe-comparable.
-    `memo` as in `_residuals`."""
-    safe = _safe(aut, x, memo)
-    for c in range(classes_xm1.n_classes):
-        members = classes_xm1.members(c)
-        for q in members:
-            for p in members:
-                if q < p and not safe.holds(q, p) and not safe.holds(p, q):
-                    return (q, p, safe.check(q, p), safe.check(p, q))
-    return True
+    """The level-x ranks, when safe-language inclusion totally orders every
+    level-(x-1) class (a level-(x-2) class cut by the (<x)-safe components);
+    else the first incomparable pair (q, p, sep_qp, sep_pq).  `memo` as in
+    `_residuals`."""
+    comps = safe_components(aut, x)
+    classes_xm1 = Congruence.by_key(zip(classes_xm2.class_of, comps.class_of))
+    return _safe_refinement(_safe(aut, x, memo), dict(enumerate(classes_xm1.class_of)))
 
 
 def redeterminise(
     aut: ParityAutomaton,
     x: int,
     classes_xm2: Congruence,
-    classes_xm1: Congruence,
     rank_x: dict[int, int],
 ) -> ParityAutomaton:
     """Resolve the (x-1)-nondeterminism: route each (x-1)-transition to the
     safe-maximal state of the target class in the next component, round-robin
     over the ordered (<x)-safe components."""
-    comps, _ = safe_components(aut, x)
+    comps = safe_components(aut, x)
     comp_order = sorted(
         range(comps.n_classes), key=lambda c: min(comps.members(c))
     )
@@ -805,13 +802,10 @@ def _one_pass(aut: ParityAutomaton, memo, full_pc=True):
         classes_xm2 = pre.classes_at(x - 2, aut.n_states)
         sat = saturate(aut, x, classes_xm2)
         cen, classes_c = safe_centralise(sat, x, classes_xm2, memo)
-        comps, _ = safe_components(cen, x)
-        classes_xm1 = _intersect_classes(classes_c, comps)
-        tso = check_total_safe_order(cen, x, classes_xm1, memo)
-        if tso is not True:
-            return NotPositional(SafeOrderFailure(x, *tso))
-        rank_x = _rank_x_on(cen, x, classes_xm1, memo)
-        det = redeterminise(cen, x, classes_c, classes_xm1, rank_x)
+        rank_x = check_total_safe_order(cen, x, classes_c, memo)
+        if isinstance(rank_x, tuple):
+            return NotPositional(SafeOrderFailure(x, *rank_x))
+        det = redeterminise(cen, x, classes_c, rank_x)
         prex = _preorders_up_to(det, x, memo)
         if isinstance(prex, NotPositional):
             return prex
@@ -857,23 +851,11 @@ def _preorders_up_to(aut, level, memo=None):
         levels.append(_component_refinement(aut, x, levels[x - 2]))
         ranks = _safe_refinement(_safe(aut, x, memo), levels[x - 1])
         if isinstance(ranks, tuple):
-            return NotPositional(SafeOrderFailure(x, *ranks[1:]))
+            return NotPositional(SafeOrderFailure(x, *ranks))
         levels.append(ranks)
     if len(levels) == level:  # trailing odd level
         levels.append(_component_refinement(aut, level + 1, levels[level - 1]))
     return NestedPreorders(tuple(levels[: level + 1]), level)
-
-
-def _intersect_classes(c1: Congruence, c2: Congruence) -> Congruence:
-    return Congruence.by_key(zip(c1.class_of, c2.class_of))
-
-
-def _rank_x_on(aut, x, classes_xm1, memo=None):
-    prev = {q: classes_xm1.class_of[q] for q in aut.states()}
-    ranks = _safe_refinement(_safe(aut, x, memo), prev)
-    if isinstance(ranks, tuple):
-        raise PipelineError("safe order became incomparable after the check")
-    return ranks
 
 
 def _check_polish_language(before, after, x):

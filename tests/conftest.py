@@ -260,18 +260,19 @@ def union_accepts(letters_inf, tuples) -> bool:
 
 
 def run_lasso(aut, u, v) -> bool:
-    """Does the union automaton `aut` accept u . v^omega (min-even over the
-    recurring priorities)?"""
+    """Does the deterministic automaton `aut` accept u . v^omega (min-even
+    over the recurring priorities)?"""
     q = aut.initial
     for a in u:
-        q, _ = aut.delta[(q, a)]
+        q = aut.delta[a][q].dst
     seen = {}
     trace = []
     pos = 0
     while (q, pos) not in seen:
         seen[(q, pos)] = len(trace)
-        q, pr = aut.delta[(q, v[pos])]
-        trace.append(pr)
+        t = aut.delta[v[pos]][q]
+        q = t.dst
+        trace.append(t.priority)
         pos = (pos + 1) % len(v)
     start = seen[(q, pos)]
     return min(trace[start:]) % 2 == 0
@@ -321,7 +322,9 @@ def rng():
 # ---------------------------------------------------------------------------
 # Safe inclusion and progress consistency pair by pair, as `lang` and
 # `progress` decided them before the all-pairs searches: the references for
-# their relations, separating words and witnesses
+# their relations, separating words and witnesses.  Progress consistency
+# intersects two finite-word DFAs per ordered pair: the (>= x) routes from q
+# to p, and p's nonempty loops at an odd least priority
 # ---------------------------------------------------------------------------
 
 
@@ -363,9 +366,110 @@ def reference_safe_incl(aut, x, q, p):
     return True
 
 
-def _reference_first_failure(aut, rank, x):
-    from posaut.progress import finite_path_language, intersect_shortest, odd_cycle_dfa
+@dataclass(frozen=True)
+class WordDfa:
+    """Partial DFA over finite words (missing transitions reject)."""
 
+    n: int
+    alphabet: tuple[str, ...]
+    initial: int
+    accepting: frozenset[int]
+    delta: dict[tuple[int, str], int]
+
+    def accepts(self, word) -> bool:
+        q = self.initial
+        for a in word:
+            if (q, a) not in self.delta:
+                return False
+            q = self.delta[(q, a)]
+        return q in self.accepting
+
+
+def intersect_shortest(d1: WordDfa, d2: WordDfa):
+    """Shortest word accepted by both, or None."""
+    start = (d1.initial, d2.initial)
+    acc = lambda s: s[0] in d1.accepting and s[1] in d2.accepting
+    if acc(start):
+        return ()
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for a in d1.alphabet:
+            if (s[0], a) not in d1.delta or (s[1], a) not in d2.delta:
+                continue
+            nxt = (d1.delta[(s[0], a)], d2.delta[(s[1], a)])
+            if nxt not in prev:
+                prev[nxt] = (s, a)
+                if acc(nxt):
+                    word = []
+                    t = nxt
+                    while prev[t] is not None:
+                        t, letter = prev[t]
+                        word.append(letter)
+                    return tuple(reversed(word))
+                queue.append(nxt)
+    return None
+
+
+def finite_path_language(aut, q, p, mode) -> WordDfa:
+    """DFA for the finite words labelling q-to-p paths.
+
+    mode ("at-least", x): paths producing no priority < x (the empty path
+    included when q == p); mode ("exactly", x): paths whose minimal priority
+    is exactly x, via a product with a min-priority tracker.
+    """
+    kind, x = mode
+    if kind == "at-least":
+        delta = {}
+        for t in aut.transitions:
+            if t.is_eps or t.priority < x:
+                continue
+            key = (t.src, t.letter)
+            if key in delta and delta[key] != t.dst:
+                raise ValueError(f"not deterministic over >= {x} transitions at {key}")
+            delta[key] = t.dst
+        return WordDfa(aut.n_states, aut.alphabet, q, frozenset([p]), delta)
+    if kind != "exactly":
+        raise ValueError(f"unknown mode {kind!r}")
+    return _tracker_dfa(aut, q, frozenset([(p, x)]))
+
+
+def _tracker_dfa(aut, q, accepting_pairs) -> WordDfa:
+    """Product with a running-minimum tracker; state None means 'no step yet'."""
+    states = {(q, None): 0}
+    delta = {}
+    queue = deque([(q, None)])
+    while queue:
+        s, m = queue.popleft()
+        sid = states[(s, m)]
+        for a in aut.alphabet:
+            ts = aut.succ(s, a)
+            if not ts:
+                continue
+            if len(ts) != 1:
+                raise ValueError("tracker DFA needs a deterministic automaton")
+            t = ts[0]
+            m2 = t.priority if m is None else min(m, t.priority)
+            key = (t.dst, m2)
+            if key not in states:
+                states[key] = len(states)
+                queue.append(key)
+            delta[(sid, a)] = states[key]
+    accepting = frozenset(
+        states[(s, m)] for (s, m) in states if (s, m) in accepting_pairs
+    )
+    return WordDfa(len(states), aut.alphabet, 0, accepting, delta)
+
+
+def odd_cycle_dfa(aut, p) -> WordDfa:
+    """Nonempty words looping p back to p with odd minimal priority."""
+    prios = {t.priority for t in aut.transitions}
+    accepting = frozenset((p, y) for y in prios if y % 2 == 1)
+    return _tracker_dfa(aut, p, accepting)
+
+
+def _reference_first_failure(aut, rank, x):
     for q in sorted(rank):
         for p in sorted(rank):
             if rank[q] >= rank[p]:

@@ -18,6 +18,7 @@ from posaut.epscomplete import (
 from posaut.games import brute_force_positional, gadget_for_witness, solve, GameArena, EVE
 from posaut.lang import incl_nd_in_det, lang_equal_det
 from posaut.normalform import normalize
+from posaut.parityunion import union_parity_automaton
 from posaut.progress import check_full_progress_consistency, decide_bipositionality
 from posaut.signature import build_structured_signature, decide_positionality_p1
 from posaut.ugraph import (
@@ -374,6 +375,48 @@ def test_criterion_10_union_spot_check():
     p2 = decide_positionality_p2(aut)
     ok = isinstance(p1, Positional) and isinstance(p2, Positional)
     report(10, ok, "InfOften(a) union Reach(aa) verdicted positional by both procedures")
+
+
+def _union_dpas(count):
+    """The first `count` Zielonka-tree DPAs of unions of k = 2-3 min-parity
+    conditions with 5-12 states after trimming: per seed, 8-48 letters that
+    carry the first k-tuples of priorities in [0, d], d = 2-5, of a shuffled
+    `itertools.product`."""
+    seed = 0
+    while count:
+        rng = random.Random(seed)
+        k, d = rng.randint(2, 3), rng.randint(2, 5)
+        tuples = list(itertools.product(range(d + 1), repeat=k))
+        rng.shuffle(tuples)
+        letters = [f"t{i}" for i in range(min(rng.randint(8, 48), len(tuples)))]
+        aut = union_parity_automaton(letters, dict(zip(letters, tuples))).trim()
+        if 5 <= aut.n_states <= 12:
+            yield seed, aut
+            count -= 1
+        seed += 1
+
+
+def test_criterion_12_union_dpas_positional():
+    # the paper's union corollary: a union of prefix-independent positional
+    # objectives is positional, and both certificates recognise the input
+    failures = []
+    for seed, aut in _union_dpas(20):
+        p1 = decide_positionality_p1(aut)
+        p2 = decide_positionality_p2(aut)
+        ok = (
+            isinstance(p1, Positional)
+            and isinstance(p2, Positional)
+            and lang_equal_det(p1.certificate.automaton, aut) is True
+            and incl_nd_in_det(p2.certificate.automaton, aut) is True
+        )
+        if not ok:
+            failures.append(seed)
+    report(
+        12,
+        not failures,
+        f"20 Zielonka-tree union DPAs positional for p1 and p2 with certificates"
+        f" recognising the input (failing seeds: {failures or 'none'})",
+    )
 
 
 def _metamorphic_variants(aut, seed):

@@ -14,7 +14,7 @@ from posaut.automaton import (
     quotient_leq_x,
     rebuild,
     safe_components,
-    scc_decompose,
+    tarjan_scc,
     up_membership,
     upword,
 )
@@ -26,7 +26,7 @@ from posaut.zoo import (
     aut_parity_letters,
 )
 
-from conftest import FIXTURES, random_upword
+from conftest import FIXTURES, random_automaton, random_eps_automaton, random_upword
 
 
 # -- validate ----------------------------------------------------------------
@@ -71,26 +71,34 @@ def test_validate_unreachable_warning():
     assert any(m.startswith("warning:") and "unreachable" in m for m in issues)
 
 
-# -- sccs --------------------------------------------------------------------
+# -- letter tables ---------------------------------------------------------------
 
 
-def test_scc_self_loop():
-    aut = build(1, ("a",), 0, [(0, "a", 0, 0)])
-    sccs = scc_decompose(aut)
-    assert len(sccs) == 1 and sccs[0].recurrent
+def _dsucc_table(aut):
+    try:
+        return {a: tuple(aut.dsucc(q, a) for q in aut.states()) for a in aut.alphabet}
+    except ValueError as exc:
+        return str(exc)
 
 
-def test_scc_transient():
-    aut = build(2, ("a",), 0, [(0, "a", 1, 1), (1, "a", 0, 1)])
-    sccs = {tuple(s.states): s for s in scc_decompose(aut)}
-    assert sccs[(0,)].recurrent is False
-    assert sccs[(1,)].recurrent is True and sccs[(1,)].positive is True
-
-
-def test_scc_three_priorities():
-    aut = aut_inf_a_or_fin_bb()
-    parts = sorted(tuple(s.states) for s in scc_decompose(aut))
-    assert parts == [(0,), (1, 2)]
+def test_delta_matches_dsucc(rng):
+    # complete deterministic automata give dsucc's table; the others raise
+    # dsucc's error for the first bad cell in (letter, state) order
+    raised = 0
+    for _ in range(200):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        if rng.random() < 0.5:
+            aut = random_automaton(rng, rng.randint(1, 6), letters)
+        else:
+            aut = random_eps_automaton(rng, letters)
+        want = _dsucc_table(aut)
+        try:
+            got = aut.delta
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        raised += isinstance(want, str)
+    assert 0 < raised < 200
 
 
 # -- safe components ----------------------------------------------------------
@@ -99,23 +107,23 @@ def test_scc_three_priorities():
 def test_safe_components_zero_equals_scc():
     for name, (mk, _) in FIXTURES.items():
         aut = mk()
-        cong, _ = safe_components(aut, 0)
-        sccs = sorted(tuple(s.states) for s in scc_decompose(aut))
+        cong = safe_components(aut, 0)
+        edges = [(t.src, t.dst) for t in aut.transitions]
+        sccs = sorted(tuple(c) for c in tarjan_scc(aut.n_states, edges))
         got = sorted(cong.members(c) for c in range(cong.n_classes))
         assert got == sccs, name
 
 
 def test_safe_components_acbb():
     aut = aut_fin_ac_or_fin_bb()
-    cong, rec = safe_components(aut, 2)
+    cong = safe_components(aut, 2)
     groups = sorted(cong.members(c) for c in range(cong.n_classes))
     assert groups == [(0, 1), (2, 3)]
-    assert all(rec)
 
 
 def test_safe_components_three_priorities_bc_block():
     aut = aut_inf_a_or_fin_bb()
-    cong, _ = safe_components(aut, 2)
+    cong = safe_components(aut, 2)
     assert cong.class_of[1] == cong.class_of[2]
     assert cong.class_of[0] != cong.class_of[1]
 
@@ -134,8 +142,8 @@ def test_safe_components_nest():
                 for a in ("a", "b")
             ],
         )
-        coarse, _ = safe_components(aut, 1)
-        fine, _ = safe_components(aut, 3)
+        coarse = safe_components(aut, 1)
+        fine = safe_components(aut, 3)
         for q in range(n):
             for p in range(n):
                 if fine.same(q, p):

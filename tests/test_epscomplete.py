@@ -594,9 +594,7 @@ def zielonka_union_dpa(k, d, length):
     tuples = list(itertools.product(range(d + 1), repeat=k))
     random.Random(0).shuffle(tuples)
     letters = [f"t{i}" for i in range(length)]
-    union = union_parity_automaton(letters, dict(zip(letters, tuples[:length])))
-    trans = [(q, a, pr, nxt) for (q, a), (nxt, pr) in sorted(union.delta.items())]
-    return build(union.n_states, letters, union.initial, trans, deterministic=True).trim()
+    return union_parity_automaton(letters, dict(zip(letters, tuples[:length]))).trim()
 
 
 @pytest.mark.parametrize("k, d, length", [(2, 5, 24), (3, 5, 16)])

@@ -11,9 +11,6 @@ from posaut.progress import (
     check_full_progress_consistency,
     check_progress_consistency,
     decide_bipositionality,
-    finite_path_language,
-    intersect_shortest,
-    odd_cycle_dfa,
 )
 from posaut.signature import NestedPreorders, SignatureAutomaton, decide_positionality_p1
 from posaut.witnesses import Positional, ProgressWitness
@@ -21,6 +18,7 @@ from conftest import (
     FIXTURES,
     POSITIONAL_FIXTURES,
     blowup,
+    finite_path_language,
     random_automaton,
     random_eps_automaton,
     reference_full_progress_consistency,
@@ -222,6 +220,17 @@ def test_progress_errors_match_reference():
     for check in (reference_full_progress_consistency, check_full_progress_consistency):
         with pytest.raises(ValueError, match="tracker DFA"):
             check(sig)
+    # p's run reaches the fork at state 2 only through an eps-transition,
+    # which the run never takes: no error
+    aut = build(
+        3, ("a",), 0,
+        [(0, "a", 2, 1), (1, "a", 1, 1), (1, "eps", 0, 2), (2, "a", 0, 0), (2, "a", 1, 1)],
+    )
+    levels = ({0: 0, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0}, {0: 0, 1: 1, 2: 0})
+    sig = SignatureAutomaton(aut, NestedPreorders(levels, 2))
+    wit = check_full_progress_consistency(sig)
+    assert wit == reference_full_progress_consistency(sig)
+    assert (wit.q, wit.p, wit.w) == (0, 1, ("a",))
 
 
 # -- bipositionality -----------------------------------------------------------------

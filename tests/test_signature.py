@@ -174,13 +174,13 @@ def test_centralise_deletes_duplicate(rng):
 def test_total_safe_order_singletons():
     aut = normalize(aut_buchi_a_or_reach_aa())
     cong = congruence_from_classes(3, [[0], [1], [2]])
-    assert check_total_safe_order(aut, 2, cong) is True
+    assert isinstance(check_total_safe_order(aut, 2, cong), dict)
 
 
 def test_total_safe_order_three_priorities():
     aut = normalize(aut_inf_a_or_fin_bb())
     cong = congruence_from_classes(3, [[0], [1, 2]])
-    assert check_total_safe_order(aut, 2, cong) is True
+    assert isinstance(check_total_safe_order(aut, 2, cong), dict)
 
 
 def safe_incomparable_cobuchi():
@@ -197,7 +197,7 @@ def test_total_safe_order_failure():
     aut = safe_incomparable_cobuchi()
     cong = congruence_from_classes(2, [[0, 1]])
     res = check_total_safe_order(aut, 2, cong)
-    assert res is not True
+    assert isinstance(res, tuple)
     q, p, sep_qp, sep_pq = res
     # the separating words certify both non-inclusions
     _, m = aut.run_min_priority(q, sep_qp[:-1])
@@ -220,13 +220,8 @@ def test_redeterminise_acbb_round_robin():
     cong = congruence_from_classes(4, [[0, 1, 2, 3]])
     sat = saturate(aut, 2, cong)
     cen, cong_c = safe_centralise(sat, 2, cong)
-    from posaut.automaton import safe_components
-    from posaut.signature import _intersect_classes, _rank_x_on
-
-    comps, _ = safe_components(cen, 2)
-    classes_xm1 = _intersect_classes(cong_c, comps)
-    rank_x = _rank_x_on(cen, 2, classes_xm1)
-    det = redeterminise(cen, 2, cong_c, classes_xm1, rank_x)
+    rank_x = check_total_safe_order(cen, 2, cong_c)
+    det = redeterminise(cen, 2, cong_c, rank_x)
     assert det.deterministic
     # the priority-1 jumps target the maximal state of the other component
     assert det.dsucc(2, "b").dst == 1  # p1 -b:1-> q2
@@ -239,13 +234,8 @@ def test_redeterminise_preserves_language_on_duplicates(rng):
     cong = congruence_from_classes(6, [list(range(6))])
     sat = saturate(aut, 2, cong)
     cen, cong_c = safe_centralise(sat, 2, cong)
-    from posaut.automaton import safe_components
-    from posaut.signature import _intersect_classes, _rank_x_on
-
-    comps, _ = safe_components(cen, 2)
-    classes_xm1 = _intersect_classes(cong_c, comps)
-    rank_x = _rank_x_on(cen, 2, classes_xm1)
-    det = redeterminise(cen, 2, cong_c, classes_xm1, rank_x)
+    rank_x = check_total_safe_order(cen, 2, cong_c)
+    det = redeterminise(cen, 2, cong_c, rank_x)
     assert lang_equal_det(det, aut_fin_ac_or_fin_bb()) is True
 
 
@@ -404,12 +394,7 @@ def test_stage_language_preservation(rng):
     cong = congruence_from_classes(4, [[0, 1, 2, 3]])
     sat = saturate(aut, 2, cong)
     cen, cong_c = safe_centralise(sat, 2, cong)
-    from posaut.automaton import safe_components
-    from posaut.signature import _intersect_classes, _rank_x_on
-
-    comps, _ = safe_components(cen, 2)
-    classes_xm1 = _intersect_classes(cong_c, comps)
-    det = redeterminise(cen, 2, cong_c, classes_xm1, _rank_x_on(cen, 2, classes_xm1))
+    det = redeterminise(cen, 2, cong_c, check_total_safe_order(cen, 2, cong_c))
     for _ in range(100):
         u, v = random_upword(rng, aut.alphabet)
         w = upword(u, v)
