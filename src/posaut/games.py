@@ -18,22 +18,20 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from .automaton import (
     EPS,
-    STUTTER,
     FormatError,
     ParityAutomaton,
     Transition,
     UPWord,
     even_cycle_sccs,
-    explore,
     priority_span,
     tarjan_scc,
 )
-from .lang import complement_det
+from .lang import complement_det, product
 from .parityunion import union_parity_automaton
 
 EVE = "eve"
@@ -336,12 +334,15 @@ def solve(arena: GameArena, objective: ParityAutomaton) -> SolveResult:
     return SolveResult(arena, objective)
 
 
+@lru_cache(maxsize=1)
 def _eve_wins_initial(arena: GameArena, objective: ParityAutomaton) -> frozenset:
     """The vertices v from which Eve wins (v, objective.initial).
 
     Solves only the part of the product game reachable from those pairs.
     That part is closed under moves, so its winning regions are the whole
-    game's restricted to it."""
+    game's restricted to it.  The last answer is kept: a gadget check asks
+    `solve(...).eve_wins_from` and `brute_force_positional` for the same
+    arena and objective."""
     rows = _letter_rows(arena, objective)
     neutral = _neutral(objective)
     owner, priority, succ = [], [], []
@@ -400,24 +401,15 @@ class NoUniformStrategy:
     uniform = False
 
 
-def _strategy_wins(comp, rows, restricted_edges, vertex) -> bool:
+def _strategy_wins(comp, restricted, vertex) -> bool:
     """All infinite plays from `vertex` under the restriction satisfy the
-    objective: the product with the complement `comp`, whose transitions
-    per letter are `rows` (`comp.delta`), reachable from (vertex,
-    comp.initial), has no accepting cycle of the kernel.  Eps-moves stutter
-    the complement; the check relies on `GameArena.validate` rejecting
-    eps-cycles, so that every cycle consumes a letter."""
-
-    def step(key):
-        v, q = key
-        for (_, a, t) in restricted_edges[v]:
-            if a == EPS:
-                yield (t, q), 0, STUTTER, None
-            else:
-                tr = rows[a][q]
-                yield (t, tr.dst), 0, tr.priority, None
-
-    g, _ = explore([(vertex, comp.initial)], step)
+    objective: the `lang.product` of the restricted moves (per vertex, as
+    0-priority transitions) with the complement `comp`, reachable from
+    (vertex, comp.initial), has no accepting cycle of the kernel.
+    Eps-moves stutter the complement; the check relies on
+    `GameArena.validate` rejecting eps-cycles, so that every cycle consumes
+    a letter."""
+    g, _ = product(restricted, comp, [(vertex, comp.initial)])
     return next(even_cycle_sccs(g, [0]), None) is None
 
 
@@ -436,15 +428,15 @@ def brute_force_positional(arena: GameArena, objective: ParityAutomaton, bound=N
         if total > bound:
             raise ValueError(f"strategy space exceeds bound {bound}")
     comp = complement_det(objective)
-    rows = comp.delta
+    moves = [Transition(s, a, 0, t) for (s, a, t) in arena.edges]
     # Adam's moves are fixed; each strategy overwrites Eve's rows
-    restricted = [[e for _, e in outs] for outs in arena.by_src]
+    restricted = [[moves[i] for i, _ in outs] for outs in arena.by_src]
     index_lists = [[i for (i, _) in outs] for outs in per_vertex]
     for combo in iproduct(*index_lists):
         choice = dict(zip(eve_vertices, combo))
         for v, idx in choice.items():
-            restricted[v] = [arena.edges[idx]]
-        if all(_strategy_wins(comp, rows, restricted, v) for v in region0):
+            restricted[v] = [moves[idx]]
+        if all(_strategy_wins(comp, restricted, v) for v in region0):
             return UniformlyPositional(PositionalStrategy(choice))
     return NoUniformStrategy(region0)
 

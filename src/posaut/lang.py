@@ -2,18 +2,22 @@
 
 Complementation of deterministic automata, inclusion with ultimately
 periodic counterexamples, the residual preorder and automaton of residuals,
-and safe-language inclusion.  Inclusion is emptiness of the product with the
-complement, decided by the parity-cycle kernel (`automaton.even_cycle_sccs`):
-a common word exists iff a reachable cycle reads a letter and has even least
-priorities in both coordinates.  Only then is the witness lasso built, on the
-same arrays: for each even pair (x, y), a shortest cycle through a
-coordinate-1 priority-x and a coordinate-2 priority-y edge inside one SCC of
-the edges >= (x, y), behind a BFS path; the shortest such lasso, made
-canonical, is the witness.  The residual relations come from one product over
-all pairs of states at once (`noninclusion_pairs`), and the eps-completion
-loop extends one `DetProduct` in place.  Safe-language inclusion at a level
-x is likewise one backward search over all pairs of states
-(`SafeInclusion`), from which each separating word is rebuilt on demand.
+and safe-language inclusion.  Every product with a deterministic automaton
+comes from one of two builders: `product`, the part reachable from given
+start pairs, and `DetProduct`, all pairs of states as integer arrays that
+grow and shrink by one transition (`push`, `pop`).  Inclusion is emptiness
+of the product with the complement, decided by the parity-cycle kernel
+(`automaton.even_cycle_sccs`): a common word exists iff a reachable cycle
+reads a letter and has even least priorities in both coordinates.  Only then
+is the witness lasso built, on the same arrays: for each even pair (x, y), a
+shortest cycle through a coordinate-1 priority-x and a coordinate-2
+priority-y edge inside one SCC of the edges >= (x, y), behind a BFS path;
+the shortest such lasso, made canonical, is the witness.  The residual
+relations come from one `DetProduct` over all pairs of states at once
+(`noninclusion_pairs`), and the eps-completion loop extends one
+`DetProduct` in place.  Safe-language inclusion at a level x is likewise one
+backward search over all pairs of states (`SafeInclusion`), from which each
+separating word is rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -55,21 +59,28 @@ def complement_det(aut: ParityAutomaton) -> ParityAutomaton:
 # ---------------------------------------------------------------------------
 
 
-def _product(a1: ParityAutomaton, a2: ParityAutomaton, starts) -> tuple[EdgeGraph, dict]:
-    """Product of a1 (may have eps) with deterministic a2, reachable from the
-    (q1, q2) pairs in `starts`, explored breadth first (`explore`).
+def product(out, b: ParityAutomaton, starts) -> tuple[EdgeGraph, dict]:
+    """The product of a graph with the deterministic `b`, reachable from the
+    (node, state of b) pairs in `starts`, explored breadth first (`explore`).
 
-    Eps moves of a1 stutter a2 (second priority `STUTTER`); each edge is
-    labelled with the letter it reads, or EPS."""
+    out[s] lists the transitions leaving node s, in order.  An
+    eps-transition stutters b (second priority `STUTTER`); a letter
+    transition moves b along its row of `b.delta`.  Each edge carries the
+    transition's priority first and is labelled with the letter it reads,
+    or EPS."""
+    rows = b.delta
 
     def step(key):
-        s, t = key
-        for tr in a1.by_src[s]:
-            if tr.is_eps:
-                yield (tr.dst, t), tr.priority, STUTTER, EPS
-            else:
-                u = a2.dsucc(t, tr.letter)
-                yield (tr.dst, u.dst), tr.priority, u.priority, tr.letter
+        s, q = key
+        for t in out[s]:
+            if t.is_eps:
+                yield (t.dst, q), t.priority, STUTTER, EPS
+                continue
+            row = rows.get(t.letter)
+            if row is None:
+                raise ValueError(f"right-hand side has no transitions on {t.letter!r}")
+            u = row[q]
+            yield (t.dst, u.dst), t.priority, u.priority, t.letter
 
     return explore(starts, step)
 
@@ -178,7 +189,7 @@ def incl_det(a: ParityAutomaton, q: int, b: ParityAutomaton, p: int):
     """L(a from q) included in L(b from p)?  True, or a counterexample UPWord."""
     if not (a.deterministic and b.deterministic):
         raise ValueError("incl_det needs deterministic automata")
-    return _included(_product(a, complement_det(b), [(q, p)])[0])
+    return incl_nd_in_det(a, b, q, p)
 
 
 def incl_nd_in_det(a: ParityAutomaton, b: ParityAutomaton, q=None, p=None):
@@ -188,17 +199,7 @@ def incl_nd_in_det(a: ParityAutomaton, b: ParityAutomaton, q=None, p=None):
         raise ValueError("right-hand side must be deterministic")
     q = a.initial if q is None else q
     p = b.initial if p is None else p
-    return _included(_product(a, complement_det(b), [(q, p)])[0])
-
-
-def disjoint_from_det(a: ParityAutomaton, b: ParityAutomaton) -> bool:
-    """Whether L(a) and L(b) share no word, for possibly nondeterministic,
-    eps-carrying `a` and deterministic `b`, without building a common word.
-
-    With `b` the complement of a deterministic `c` this is whether
-    `incl_nd_in_det(a, c)` is True; a caller that asks this for many `a`
-    that differ by added transitions extends one `DetProduct` instead."""
-    return not DetProduct(a, b).has_common_word()
+    return _included(product(a.by_src, complement_det(b), [(q, p)])[0])
 
 
 class DetProduct:
@@ -265,36 +266,17 @@ def noninclusion_pairs(aut: ParityAutomaton, states) -> set[tuple[int, int]]:
     """Every pair (q, p) of `states` with L(aut from q) not included in
     L(aut from p): the pairs where `incl_det(aut, q, aut, p)` is not True.
 
-    One product of `aut` with its complement over every pair of states that
-    `states` reach, built as integer arrays from `aut.delta`; a start pair
-    is not included iff it reaches an accepting SCC of the kernel
-    (`reaches_even_cycle`).
+    One `DetProduct` of `aut` with its complement over all pairs of states;
+    a start pair is not included iff it reaches an accepting SCC of the
+    kernel (`reaches_even_cycle`).
     """
     if not aut.deterministic or aut.has_eps:
         raise ValueError("noninclusion_pairs needs a deterministic eps-free automaton")
-    rows = aut.delta.values()
-    closure = list(dict.fromkeys(states))
-    idx = {q: i for i, q in enumerate(closure)}
-    for q in closure:  # grows while it is read: the successor closure
-        for row in rows:
-            if row[q].dst not in idx:
-                idx[row[q].dst] = len(closure)
-                closure.append(row[q].dst)
-    k = len(closure)
-    moves = [([idx[row[q].dst] for q in closure], [row[q].priority for q in closure]) for row in rows]
-    g = EdgeGraph(k * k)
-    for i in range(k):
-        for j in range(k):
-            v = i * k + j
-            for dst, pr in moves:
-                g.out[v].append(len(g.dst))
-                g.src.append(v)
-                g.dst.append(dst[i] * k + dst[j])
-                g.pr1.append(pr[i])
-                g.pr2.append(pr[j] + 1)  # the complement's priority
-    starts = [(q, p) for q in states for p in states]
-    bad = reaches_even_cycle(g, [idx[q] * k + idx[p] for q, p in starts])
-    return {(q, p) for q, p in starts if bad[idx[q] * k + idx[p]]}
+    n = aut.n_states
+    bad = reaches_even_cycle(
+        DetProduct(aut, complement_det(aut)), [q * n + p for q in states for p in states]
+    )
+    return {(q, p) for q in states for p in states if bad[q * n + p]}
 
 
 def lang_equal_det(a: ParityAutomaton, b: ParityAutomaton):

@@ -124,7 +124,8 @@ def _odd_loop_sources(aut: ParityAutomaton, route: dict[tuple[int, str], int]):
     word w leads q to p along `route` ((state, letter) -> state) while the
     run of p on w returns to p at an odd least priority: the q for which
     `_shortest_odd_loop(aut, route, q, p)` finds a word.  Raises ValueError
-    when a state that p reaches has several transitions on one letter.
+    when a state that p reaches has several transitions on one letter,
+    naming the first such state breadth first and its first such letter.
 
     Each call is one backward search over the pairs (route state r, run
     state s), O(n²·|Σ|·d).  The pair carries the bit mask of the running
@@ -147,20 +148,21 @@ def _odd_loop_sources(aut: ParityAutomaton, route: dict[tuple[int, str], int]):
     for t in aut.transitions:
         if t.letter in letter:
             run_back[letter[t.letter]][t.dst].append((t.src, t.priority - lo))
-    # the states whose run reaches a state with several transitions on a letter
-    stack = [q for (q, a), ts in aut.by_src_letter.items() if a in letter and len(ts) > 1]
-    forks = set(stack)
-    while stack:
-        s2 = stack.pop()
-        for runs in run_back:
-            for s, _ in runs[s2]:
-                if s not in forks:
-                    forks.add(s)
-                    stack.append(s)
+    # the states reached by the runs searched so far; a fork ends the search,
+    # so the runs from those that an earlier call reached never fork
+    passed, by_letter = set(), aut.by_src_letter
 
     def sources(p: int) -> set[int]:
-        if p in forks:
-            raise ValueError("tracker DFA needs a deterministic automaton")
+        run = [] if p in passed else [p]
+        passed.add(p)
+        for s in run:  # grows while it is read: p's run, breadth first
+            for a in aut.alphabet:
+                ts = by_letter.get((s, a), ())
+                if len(ts) > 1:
+                    raise ValueError(f"the run of state {p} forks at state {s} on {a!r}")
+                if ts and ts[0].dst not in passed:
+                    passed.add(ts[0].dst)
+                    run.append(ts[0].dst)
         good = [0] * (n * n)
         good[p * n + p] = odd
         stack = [p * n + p]

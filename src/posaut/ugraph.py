@@ -16,11 +16,11 @@ from .automaton import (
     EdgeGraph,
     FormatError,
     ParityAutomaton,
+    build,
     even_cycle_sccs,
-    explore,
     reaches_even_cycle,
 )
-from .lang import complement_det
+from .lang import complement_det, product
 
 
 @dataclass(frozen=True)
@@ -219,39 +219,23 @@ def build_uaut(eps_aut, n: int, limit=200000) -> tuple[MonotoneGraph, dict]:
     return g, {names[i]: v for i, v in enumerate(vertices)}
 
 
-def _complement_product(edges, core: ParityAutomaton, starts):
-    """Product of a letter-graph with the complement of the deterministic
-    `core`, reachable from the (vertex, state) pairs `starts`; the first
-    priority is the complement's."""
-    comp = complement_det(core)
-    succ: dict[int, list] = {}
-    for (s, a, t) in edges:
-        succ.setdefault(s, []).append((a, t))
-
-    def step(key):
-        v, q = key
-        for (a, t) in succ.get(v, ()):
-            tr = comp.dsucc(q, a)
-            yield (t, tr.dst), tr.priority, 0, None
-
-    return explore(starts, step)
-
-
 def all_paths_satisfy(g: MonotoneGraph, core: ParityAutomaton, start_state):
     """Every infinite path from every vertex (q, ...) must lie in q^-1 W:
-    the product with the complement of the deterministic core has no
-    reachable cycle whose minimal complement priority is even.
+    the product of the graph, read as an automaton whose transitions all
+    have priority 0, with the complement of the deterministic core has no
+    reachable cycle whose minimal complement priority (the second) is even.
 
     `start_state` maps a graph vertex to the core state it asserts.  The
     report names the least such minimum."""
     starts = [(v, start_state(v)) for v in range(g.n)]
     starts = [key for key in starts if key[1] is not None]
-    product, _ = _complement_product(g.edges, core, starts)
+    graph = build(g.n, g.alphabet, 0, [(s, a, 0, t) for (s, a, t) in g.edges])
+    prod, _ = product(graph.by_src, complement_det(core), starts)
     bad = [
-        product.pr1[e]
-        for inner in even_cycle_sccs(product, range(len(starts)))
+        prod.pr2[e]
+        for inner in even_cycle_sccs(prod, range(len(starts)))
         for e in inner
-        if product.pr1[e] % 2 == 0
+        if prod.pr2[e] % 2 == 0
     ]
     if bad:
         return f"bad cycle: complement priority {min(bad)} reachable"
@@ -265,11 +249,13 @@ def all_paths_satisfy(g: MonotoneGraph, core: ParityAutomaton, start_state):
 
 def _graph_satisfying(n, edges, objective: ParityAutomaton):
     """Vertices of a sinkless letter-graph from which all paths satisfy the
-    deterministic objective: one product with its complement for all
-    vertices, in which a vertex fails iff it reaches an accepting cycle."""
+    deterministic objective: one product of the graph (its edges as
+    0-priority transitions) with the complement for all vertices, in which a
+    vertex fails iff it reaches an accepting cycle."""
     starts = [(v, objective.initial) for v in range(n)]  # node ids 0..n-1
-    product, _ = _complement_product(edges, objective, starts)
-    bad = reaches_even_cycle(product, range(n))
+    graph = build(n, objective.alphabet, 0, [(s, a, 0, t) for (s, a, t) in edges])
+    prod, _ = product(graph.by_src, complement_det(objective), starts)
+    bad = reaches_even_cycle(prod, range(n))
     return [v for v in range(n) if not bad[v]]
 
 

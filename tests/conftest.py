@@ -448,7 +448,7 @@ def _tracker_dfa(aut, q, accepting_pairs) -> WordDfa:
             if not ts:
                 continue
             if len(ts) != 1:
-                raise ValueError("tracker DFA needs a deterministic automaton")
+                raise ValueError(f"the run of state {q} forks at state {s} on {a!r}")
             t = ts[0]
             m2 = t.priority if m is None else min(m, t.priority)
             key = (t.dst, m2)
@@ -708,8 +708,10 @@ def reference_incl(a, q, b, p):
 
 
 def reference_disjoint(a, co):
-    """`lang.disjoint_from_det` as it was before the integer product: explore
-    the reachable product afresh and run one Tarjan pass per even pair."""
+    """Whether L(a) and L(co) share no word (`not DetProduct(a,
+    co).has_common_word()`), as `lang` decided it before the integer
+    product: explore the reachable product afresh and run one Tarjan pass
+    per even pair."""
     nodes, edges = _explore_product(a, co, [(a.initial, co.initial)])
     return not any(accepting for _, _, accepting in _even_pair_sccs(len(nodes), edges))
 

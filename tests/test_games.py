@@ -68,6 +68,28 @@ def test_solve_non_uniform_game():
     assert not brute_force_positional(arena, w).uniform
 
 
+def test_solve_then_oracle_solves_the_reachable_game_once(monkeypatch):
+    # a gadget check asks solve and the oracle about one arena and objective;
+    # the region of the pairs (vertex, initial state) is solved once
+    real, depth, runs = games._zielonka, [0], []
+
+    def counted(*args):
+        runs.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(games, "_zielonka", counted)
+    games._eve_wins_initial.cache_clear()
+    arena, w = game_ab_prefix()
+    res = solve(arena, w)
+    bf = brute_force_positional(arena, w)
+    assert res.eve_wins_from(0) and res.eve_wins_from(1) and not bf.uniform
+    assert sum(runs) == 1
+
+
 def test_solve_reach_aa_arena():
     arena = GameArena(
         3,

@@ -12,10 +12,10 @@ from posaut.automaton import (
     upword,
 )
 from posaut.epscomplete import decide_positionality_p2
+from posaut.games import EVE, GameArena, solve
 from posaut.lang import (
     DetProduct,
     complement_det,
-    disjoint_from_det,
     incl_det,
     incl_nd_in_det,
     noninclusion_pairs,
@@ -216,10 +216,8 @@ def test_residual_relations_match_pairwise(index):
     assert noninclusion_pairs(aut, states) == set(cex)
     for q in states[:3]:
         for p in states[:3]:
-            holds = disjoint_from_det(
-                aut.with_initial(q), complement_det(aut.with_initial(p))
-            )
-            assert holds == ((q, p) not in cex), (q, p)
+            product = DetProduct(aut.with_initial(q), complement_det(aut.with_initial(p)))
+            assert product.has_common_word() == ((q, p) in cex), (q, p)
 
     rp = residual_preorder(aut)
     rank, witness = _pairwise_preorder(aut, cex)
@@ -242,8 +240,8 @@ def test_completion_failure_words_match_direct_inclusion(name):
     with_odd = replace(
         base, transitions=base.transitions + (Transition(wit.p, EPS, wit.x + 1, wit.q),)
     )
-    assert not disjoint_from_det(with_even, complement_det(aut))
-    assert not disjoint_from_det(with_odd, complement_det(aut))
+    assert DetProduct(with_even, complement_det(aut)).has_common_word()
+    assert DetProduct(with_odd, complement_det(aut)).has_common_word()
     assert wit.cex1 == incl_nd_in_det(with_even, aut)
     assert wit.cex2 == incl_nd_in_det(with_odd, aut)
 
@@ -258,7 +256,19 @@ def test_kernel_matches_lasso_search(seed):
         co = complement_det(c)
         included = incl_nd_in_det(a, c) is True
         assert DetProduct(a, co).has_common_word() == (not included), (seed, i)
-        assert disjoint_from_det(a, co) == included == reference_disjoint(a, co), (seed, i)
+        assert included == reference_disjoint(a, co), (seed, i)
+
+
+def test_missing_letter_raises_value_error():
+    # the left side reads c, which the deterministic side has no row for
+    a = build(1, ("a", "c"), 0, [(0, "c", 0, 0)])
+    c = aut_accept_all(("a",))
+    with pytest.raises(ValueError, match="right-hand side has no transitions on 'c'"):
+        incl_nd_in_det(a, c)
+    with pytest.raises(ValueError, match="right-hand side has no transitions on 'c'"):
+        DetProduct(a, complement_det(c))
+    with pytest.raises(ValueError, match="objective has no transitions on 'c'"):
+        solve(GameArena(1, (EVE,), ((0, "c", 0),), ("a", "c")), c)
 
 
 def test_kernel_push_and_pop():

@@ -218,7 +218,7 @@ def test_progress_errors_match_reference():
     levels = ({0: 0, 1: 0}, {0: 0, 1: 0}, {0: 0, 1: 1})
     sig = SignatureAutomaton(aut, NestedPreorders(levels, 2))
     for check in (reference_full_progress_consistency, check_full_progress_consistency):
-        with pytest.raises(ValueError, match="tracker DFA"):
+        with pytest.raises(ValueError, match="the run of state 1 forks at state 1 on 'a'"):
             check(sig)
     # p's run reaches the fork at state 2 only through an eps-transition,
     # which the run never takes: no error
