@@ -645,38 +645,24 @@ def is_faithful(aut: ParityAutomaton, cong: Congruence, x: int):
     property (targets land in one class) is required.  Returns True or a
     string describing the offending transition pair.
     """
+    letters = list(aut.alphabet) + ([EPS] if aut.has_eps else [])
     for q in aut.states():
         for p in aut.states():
             if p <= q or not cong.same(q, p):
                 continue
-            letters = set(aut.alphabet)
-            if aut.has_eps:
-                letters.add(EPS)
             for a in letters:
                 tq, tp = aut.succ(q, a), aut.succ(p, a)
-                if not tq and not tp:
-                    continue
                 if bool(tq) != bool(tp):
                     return f"states {q}~{p}: letter {a!r} enabled on one side only"
                 for t1 in tq:
-                    if t1.priority <= x:
-                        for t2 in tp:
-                            if t2.priority != t1.priority:
-                                return (
-                                    f"states {q}~{p}: {t1} vs {t2} disagree on a "
-                                    f"priority <= {x}"
-                                )
-                            if not cong.same(t1.dst, t2.dst):
-                                return f"states {q}~{p}: {t1} vs {t2} leave the class"
-                    else:
-                        for t2 in tp:
-                            if t2.priority <= x:
-                                return (
-                                    f"states {q}~{p}: {t1} vs {t2} disagree on a "
-                                    f"priority <= {x}"
-                                )
-                            if not cong.same(t1.dst, t2.dst):
-                                return f"states {q}~{p}: {t1} vs {t2} leave the class"
+                    for t2 in tp:
+                        if t1.priority != t2.priority and min(t1.priority, t2.priority) <= x:
+                            return (
+                                f"states {q}~{p}: {t1} vs {t2} disagree on a "
+                                f"priority <= {x}"
+                            )
+                        if not cong.same(t1.dst, t2.dst):
+                            return f"states {q}~{p}: {t1} vs {t2} leave the class"
     return True
 
 

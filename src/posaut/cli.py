@@ -280,7 +280,19 @@ def cmd_member(args, out):
     return 0
 
 
+# the options each gadget kind cannot do without; entry words default to empty
+_GADGET_NEEDS = {
+    "residual": ("w1", "w2"),
+    "progress": ("w", "wprime"),
+    "two-loops": ("l1", "l2"),
+    "completion": ("q", "p", "x"),
+}
+
+
 def cmd_gadget(args, out):
+    missing = [f"--{k}" for k in _GADGET_NEEDS[args.kind] if getattr(args, k) is None]
+    if missing:
+        raise ValueError(f"gadget {args.kind} needs {' '.join(missing)}")
     objective = parse_dpa(_read(args.objective))
     objective.check_valid()
     if args.kind == "residual":
@@ -302,11 +314,10 @@ def cmd_gadget(args, out):
     elif args.kind == "completion":
         wdet = parse_dpa(_read(args.wdet)) if args.wdet else objective
         g = completion_gadget(objective, wdet, args.q, args.p, args.x)
-        if args.obj_out:
-            _write(args.obj_out, emit_dpa(g.objective))
-            out.emit("objective", args.obj_out)
-    else:
-        raise ValueError(f"unknown gadget {args.kind!r}")
+    g.arena.check_valid()
+    if args.kind == "completion" and args.obj_out:
+        _write(args.obj_out, emit_dpa(g.objective))
+        out.emit("objective", args.obj_out)
     _write(args.output, emit_arena(g.arena))
     out.emit("written", args.output)
     out.emit("designated", list(g.designated), f"designated: {list(g.designated)}")

@@ -143,17 +143,23 @@ def parse_arena(text: str) -> GameArena:
 
 @dataclass
 class _Game:
-    """Vertex-priority min-parity game (edge priorities via subdivision)."""
+    """Vertex-priority min-parity game (edge priorities via subdivision),
+    indexed by node id.  Only the ids in `nodes` were built; the others
+    have no successor list."""
 
     owner: list[int]  # 0 = Eve, 1 = Adam
     priority: list[int]
-    succ: list[list[int]]
+    succ: list[list[int] | None]
+    nodes: list[int]  # ascending
 
 
 def _preds(game: _Game):
-    pred = [[] for _ in range(len(game.owner))]
-    for v, outs in enumerate(game.succ):
-        for w in outs:
+    """Predecessor lists of the built nodes, each in id order."""
+    pred = [None] * len(game.succ)
+    for v in game.nodes:
+        pred[v] = []
+    for v in game.nodes:
+        for w in game.succ[v]:
             pred[w].append(v)
     return pred
 
@@ -247,32 +253,45 @@ def _neutral(objective: ParityAutomaton) -> int:
     return (objective.d_max + 2) | 1
 
 
-def _product_game(arena: GameArena, objective: ParityAutomaton):
-    """Subdivided product: node v*m + q is the pair (v, q), with m objective
-    states, and carries a neutral priority; node base + idx*m + q, with
-    base = n_vertices*m, is the move along arena edge idx from (v, q) and
-    carries the transition priority.  Returns (game, m)."""
+def _product_game(arena: GameArena, objective: ParityAutomaton, roots):
+    """The subdivided product game, built breadth first from the (vertex,
+    state) pairs `roots` and closed under moves.  Node v*m + q is the pair
+    (v, q), with m objective states, owned by v's owner and carrying a
+    neutral priority; node base + idx*m + q, with base = n_vertices*m, is
+    Adam's move along arena edge idx from (v, q) and carries the transition
+    priority (neutral for an eps-edge, which stutters the objective).
+    Returns (game, m)."""
     rows = _letter_rows(arena, objective)
     neutral = _neutral(objective)
     m = objective.n_states
     base = arena.n_vertices * m
-    owner = [0 if o == EVE else 1 for o in arena.owner for _ in range(m)]
-    priority = [neutral] * base
-    succ = [[] for _ in range(base)]
-    for (s, a, t) in arena.edges:
-        row = rows.get(a)
-        for q in range(m):
+    size = base + len(arena.edges) * m
+    owner, priority, succ, nodes = [1] * size, [neutral] * size, [None] * size, []
+    queue = deque(v * m + q for v, q in roots)
+    while queue:
+        i = queue.popleft()
+        if succ[i] is not None:
+            continue
+        v, q = divmod(i, m)
+        owner[i] = 0 if arena.owner[v] == EVE else 1
+        outs = succ[i] = []
+        nodes.append(i)
+        for idx, (_, a, t) in arena.by_src[v]:
+            k = base + idx * m + q
+            row = rows.get(a)
             if row is None:
-                priority.append(neutral)
                 dst = t * m + q
             else:
                 tr = row[q]
-                priority.append(tr.priority)
+                priority[k] = tr.priority
                 dst = t * m + tr.dst
-            succ[s * m + q].append(len(succ))
-            succ.append([dst])
-    owner.extend([1] * (len(succ) - base))
-    return _Game(owner, priority, succ), m
+            outs.append(k)
+            succ[k] = [dst]
+            nodes.append(k)
+            if succ[dst] is None:
+                queue.append(dst)
+    nodes.sort()
+    return _Game(owner, priority, succ, nodes), m
 
 
 class SolveResult:
@@ -289,20 +308,17 @@ class SolveResult:
         self.objective = objective
         self.initial_state = objective.initial
 
-    @cached_property
-    def _initial_region(self) -> frozenset:
-        return _eve_wins_initial(self.arena, self.objective)
-
     def eve_wins_from(self, vertex: int) -> bool:
-        return vertex in self._initial_region
+        return vertex in _eve_wins_initial(self.arena, self.objective)
 
     @cached_property
     def _full(self):
         arena, objective = self.arena, self.objective
-        game, m = _product_game(arena, objective)
-        w0, w1, s0, _ = _zielonka(game, _preds(game), set(range(len(game.owner))))
-        base = arena.n_vertices * m
-        pairs = [divmod(i, m) for i in range(base)]
+        m = objective.n_states
+        pairs = [divmod(i, m) for i in range(arena.n_vertices * m)]
+        game, _ = _product_game(arena, objective, pairs)
+        w0, w1, s0, _ = _zielonka(game, _preds(game), set(game.nodes))
+        base = len(pairs)
         eve = frozenset(pairs[i] for i in range(base) if i in w0)
         adam = frozenset(pairs[i] for i in range(base) if i in w1)
         # Eve's move at pair node i is the subdivision node base + idx*m + q
@@ -343,38 +359,10 @@ def _eve_wins_initial(arena: GameArena, objective: ParityAutomaton) -> frozenset
     game's restricted to it.  The last answer is kept: a gadget check asks
     `solve(...).eve_wins_from` and `brute_force_positional` for the same
     arena and objective."""
-    rows = _letter_rows(arena, objective)
-    neutral = _neutral(objective)
-    owner, priority, succ = [], [], []
-    node = {}  # (v, q) -> node id
-    queue = deque()
-
-    def pair(v, q):
-        i = node.get((v, q))
-        if i is None:
-            i = node[(v, q)] = len(owner)
-            owner.append(0 if arena.owner[v] == EVE else 1)
-            priority.append(neutral)
-            succ.append([])
-            queue.append((v, q, i))
-        return i
-
-    roots = [pair(v, objective.initial) for v in range(arena.n_vertices)]
-    while queue:
-        v, q, i = queue.popleft()
-        for _, (_, a, t) in arena.by_src[v]:
-            row = rows.get(a)
-            if row is None:
-                pr, dst = neutral, pair(t, q)
-            else:
-                pr, dst = row[q].priority, pair(t, row[q].dst)
-            succ[i].append(len(owner))
-            owner.append(1)
-            priority.append(pr)
-            succ.append([dst])
-    game = _Game(owner, priority, succ)
-    w0 = _zielonka(game, _preds(game), set(range(len(owner))))[0]
-    return frozenset(v for v, i in enumerate(roots) if i in w0)
+    init = objective.initial
+    game, m = _product_game(arena, objective, [(v, init) for v in range(arena.n_vertices)])
+    w0 = _zielonka(game, _preds(game), set(game.nodes))[0]
+    return frozenset(v for v in range(arena.n_vertices) if v * m + init in w0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +457,15 @@ class _ArenaBuilder:
         if not word and start != end:
             raise ValueError("empty word needs identical endpoints")
 
+    def entry(self, word, hub):
+        """A fresh vertex whose path labelled `word` leads into `hub`, or `hub`
+        itself for the empty word."""
+        if not word:
+            return hub
+        v = self.vertex()
+        self.chain(v, word, hub)
+        return v
+
     def lasso(self, start, w: UPWord):
         """Path for w.u then a cycle for w.v, hanging off `start`."""
         if w.u:
@@ -499,14 +496,7 @@ def gadget_residual(u1, u2, w1: UPWord, w2: UPWord, objective) -> Gadget:
     from both entries but no positional choice serves both."""
     b = _ArenaBuilder(objective.alphabet)
     choice = b.vertex()
-    designated = []
-    for u in (u1, u2):
-        if u:
-            v = b.vertex()
-            b.chain(v, u, choice)
-            designated.append(v)
-        else:
-            designated.append(choice)
+    designated = [b.entry(u, choice) for u in (u1, u2)]
     b.lasso(choice, w1)
     b.lasso(choice, w2)
     return Gadget(b.build(), tuple(dict.fromkeys(designated)), objective)
@@ -516,12 +506,7 @@ def gadget_progress(u, w, wprime: UPWord, objective) -> Gadget:
     """Entry u to a choice vertex carrying a w-loop and a w'-lasso exit."""
     b = _ArenaBuilder(objective.alphabet)
     choice = b.vertex()
-    if u:
-        v0 = b.vertex()
-        b.chain(v0, u, choice)
-        designated = (v0,)
-    else:
-        designated = (choice,)
+    designated = (b.entry(u, choice),)
     b.chain(choice, w, choice)
     b.lasso(choice, wprime)
     return Gadget(b.build(), designated, objective)
@@ -533,12 +518,7 @@ def gadget_two_loops(u0, l1, l2, objective) -> Gadget:
         raise ValueError("loop words must be nonempty")
     b = _ArenaBuilder(objective.alphabet)
     hub = b.vertex()
-    if u0:
-        v0 = b.vertex()
-        b.chain(v0, u0, hub)
-        designated = (v0,)
-    else:
-        designated = (hub,)
+    designated = (b.entry(u0, hub),)
     b.chain(hub, l1, hub)
     b.chain(hub, l2, hub)
     return Gadget(b.build(), designated, objective)
@@ -568,6 +548,9 @@ def completion_gadget(
     if x % 2 != 0:
         raise ValueError("the completion gadget needs an even priority")
     n = aut.n_states
+    for state in (q, qp):
+        if not 0 <= state < n:
+            raise ValueError(f"state {state} out of range for {n} states")
     d = max(aut.d_max, x + 1)
     # arena -----------------------------------------------------------------
     tokens = {}

@@ -20,6 +20,7 @@ from itertools import permutations
 
 from .automaton import (
     Congruence,
+    FormatError,
     ParityAutomaton,
     Transition,
     access_word,
@@ -888,22 +889,30 @@ def emit_sig(sig: SignatureAutomaton) -> str:
 
 def parse_sig(text: str) -> SignatureAutomaton:
     dpa_lines = []
-    pre_lines = []
-    for raw in text.splitlines():
+    pre_lines = []  # (line number, fields after 'preorder:')
+    for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped.startswith("preorder:"):
-            pre_lines.append(stripped)
-        else:
-            dpa_lines.append(raw)
+            pre_lines.append((ln, stripped[len("preorder:"):].split()))
+            raw = ""  # so that parse_dpa reports the file's line numbers
+        dpa_lines.append(raw)
     aut = parse_dpa("\n".join(dpa_lines))
     levels = {}
-    for line in pre_lines:
-        parts = line.split()
-        x = int(parts[1])
-        ranks = [int(v) for v in parts[2:]]
+    for ln, fields in pre_lines:
+        try:
+            x, *ranks = (int(f) for f in fields)
+        except ValueError:
+            raise FormatError("preorder needs '<level> <rank per state>'", ln) from None
+        if x < 0 or x in levels:
+            raise FormatError(f"negative or repeated preorder level {x}", ln)
         if len(ranks) != aut.n_states:
-            raise ValueError(f"preorder line for level {x} has {len(ranks)} ranks")
-        levels[x] = {q: r for q, r in enumerate(ranks)}
-    d = max(levels) if levels else 0
-    ordered = tuple(levels[x] for x in range(d + 1))
+            raise FormatError(f"preorder line for level {x} has {len(ranks)} ranks", ln)
+        levels[x] = ln, ranks
+    if not levels:
+        raise FormatError("missing preorder lines")
+    d = max(levels)
+    for x in range(d):
+        if x not in levels:
+            raise FormatError(f"missing preorder level {x} below level {d}", levels[d][0])
+    ordered = tuple(dict(enumerate(levels[x][1])) for x in range(d + 1))
     return SignatureAutomaton(aut, NestedPreorders(ordered, d))

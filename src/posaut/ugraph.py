@@ -404,11 +404,16 @@ def parse_mgraph(text: str) -> MonotoneGraph:
             parts = value.split()
             if len(parts) != 3:
                 raise FormatError("edge needs '<src> <letter> <dst>'", ln)
-            edges.append(tuple(parts))
+            edges.append((ln, parts))
         else:
             raise FormatError(f"unknown key {key!r}", ln)
     if alphabet is None or names is None:
         raise FormatError("missing alphabet or order header")
     idx = {nm: i for i, nm in enumerate(names)}
-    resolved = tuple((idx[s], a, idx[t]) for (s, a, t) in edges)
-    return MonotoneGraph(names, resolved, alphabet)
+    resolved = []
+    for ln, (s, a, t) in edges:
+        for name in (s, t):
+            if name not in idx:
+                raise FormatError(f"edge names undeclared vertex {name!r}", ln)
+        resolved.append((idx[s], a, idx[t]))
+    return MonotoneGraph(names, tuple(resolved), alphabet)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +258,33 @@ def test_is_faithful_three_priorities():
     assert is_faithful(aut, good, 0) is True
     bad = congruence_from_classes(3, [[0, 1], [2]])
     assert is_faithful(aut, bad, 0) is not True
+
+
+FAITHFUL_LETTER_CASE = """
+from posaut.automaton import EPS, build, congruence_from_classes, is_faithful
+cong = congruence_from_classes(2, [[0, 1]])
+# states 0 and 1 disagree on b, c, d and eps (priority 0 against 1)
+t = [(0, "a", 1, 0), (1, "a", 1, 1)] + [(q, a, q, q) for a in "bcd" for q in (0, 1)]
+print(is_faithful(build(2, "abcd", 0, t + [(0, EPS, 0, 1), (1, EPS, 1, 0)]), cong, 0))
+# d and eps are enabled in state 0 or 1 only
+t = [(q, a, 1, q) for a in "abc" for q in (0, 1)] + [(1, "d", 1, 1), (0, EPS, 1, 1)]
+print(is_faithful(build(2, "abcd", 0, t), cong, 0))
+"""
+
+
+def test_is_faithful_names_letters_in_alphabet_order_then_eps():
+    expected = (
+        "states 0~1: 0-b:0->0 vs 1-b:1->1 disagree on a priority <= 0\n"
+        "states 0~1: letter 'd' enabled on one side only\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for seed in ("0", "1", "4"):
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run(
+            [sys.executable, "-c", FAITHFUL_LETTER_CASE],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == expected, seed
 
 
 def test_rebuild_moves_kept_transitions_through_the_image():

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from posaut.automaton import emit_dpa, parse_dpa
+from posaut.automaton import FormatError, emit_dpa, parse_dpa
 from posaut.cli import main
 from posaut.games import emit_arena, GameArena, EVE
+from posaut.ugraph import parse_mgraph
 from posaut.zoo import (
     aut_buchi_a_or_reach_aa,
     aut_inf_a_or_fin_bb,
@@ -55,6 +56,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.dpa"
     bad.write_text("dpa\nalphabet: a\nstates: x\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == 2
+    fig3 = write(tmp_path / "fig3.dpa", aut_inf_a_or_fin_bb())
+    sig = tmp_path / "fig3.sig"
+    assert main(["signature", fig3, "-o", str(sig)]) == 0
+    lines = sig.read_text().splitlines()
+    assert lines[-3:] == ["preorder: 0 0 1 1", "preorder: 1 0 1 1", "preorder: 2 0 1 2"]
+    body = lines[:-3]
+    capsys.readouterr()
+    for pre, error in (
+        (["preorder:"], "line 16: preorder needs"),
+        (["preorder: 0 0 1 1", "preorder: 2 0 1 2"], "line 17: missing preorder level 1"),
+        ([], "missing preorder lines"),
+    ):
+        bad = tmp_path / "bad.sig"
+        bad.write_text("\n".join(body + pre) + "\n", encoding="utf-8")
+        assert main(["ugraph", str(bad), "-n", "1"]) == 2
+        assert error in capsys.readouterr().err
+    with pytest.raises(FormatError, match="line 4: edge names undeclared vertex 'z'"):
+        parse_mgraph("mgraph\nalphabet: a\norder: x y\nedge: x a z\n")
 
 
 def test_bipositional(tmp_path):
@@ -133,6 +152,18 @@ def test_gadget_command(tmp_path, capsys):
     assert text.startswith("arena")
     # gadget validates: eve wins from designated, no uniform strategy
     assert main(["oracle", str(out), reach]) == 1
+    capsys.readouterr()
+    for argv, error in (
+        (["residual", reach], "gadget residual needs --w1 --w2"),
+        (["progress", reach, "--w", "b a"], "gadget progress needs --wprime"),
+        (["completion", reach, "--q", "0"], "gadget completion needs --p --x"),
+        (["completion", reach, "--q", "0", "--p", "9", "--x", "0"], "state 9 out of range"),
+        (["two-loops", reach, "--u0", "z", "--l1", "a", "--l2", "b"], "edge letter 'z' not in alphabet"),
+    ):
+        out.unlink(missing_ok=True)
+        assert main(["gadget", argv[0], argv[1], "-o", str(out)] + argv[2:]) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_zoo_and_seed_reproducibility(tmp_path, capsys):

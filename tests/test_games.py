@@ -346,26 +346,43 @@ def test_oracle_region_is_solve_region():
 
 
 def test_eve_wins_from_solves_only_the_reachable_game(monkeypatch):
-    calls = []
+    builds = []
     product_game = games._product_game
 
-    def refuse(arena, objective):
-        raise AssertionError("eve_wins_from built the full product game")
+    def spy(arena, objective, roots):
+        roots = list(roots)
+        game, m = product_game(arena, objective, roots)
+        builds.append((roots, game))
+        return game, m
 
-    def spy(arena, objective):
-        calls.append(arena)
-        return product_game(arena, objective)
-
+    monkeypatch.setattr(games, "_product_game", spy)
     for name, arena, objective in solver_cases():
-        monkeypatch.setattr(games, "_product_game", refuse)
+        games._eve_wins_initial.cache_clear()
         res = solve(arena, objective)
         wins = [v for v in range(arena.n_vertices) if res.eve_wins_from(v)]
-        monkeypatch.setattr(games, "_product_game", spy)
+        m = objective.n_states
+        all_pairs = [divmod(i, m) for i in range(arena.n_vertices * m)]
+        full, _ = product_game(arena, objective, all_pairs)
+        assert full.nodes == list(range((arena.n_vertices + len(arena.edges)) * m)), name
+        # eve_wins_from builds the full game's nodes reachable from (v, initial)
+        [(roots, game)] = builds
+        assert roots == [(v, objective.initial) for v in range(arena.n_vertices)], name
+        reachable, stack = set(), [v * m + q for v, q in roots]
+        while stack:
+            i = stack.pop()
+            if i not in reachable:
+                reachable.add(i)
+                stack.extend(full.succ[i])
+        assert game.nodes == sorted(reachable), name
+        for i in reachable:
+            assert game.succ[i] == full.succ[i], name
+            assert (game.owner[i], game.priority[i]) == (full.owner[i], full.priority[i]), name
+        builds.clear()
         assert wins == [v for v, q in sorted(res.eve_region) if q == objective.initial], name
         assert res.adam_region is not None and res.strategy is not None
-        # one full solve serves all three
-        assert calls == [arena], name
-        calls.clear()
+        # one full build serves all three
+        assert [roots for roots, _ in builds] == [all_pairs], name
+        builds.clear()
 
 
 def test_out_edges_per_vertex():
