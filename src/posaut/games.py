@@ -1,16 +1,19 @@
 """Finite games with parity-automaton objectives.
 
 An arena is a two-player edge-labelled graph; the objective is a
-deterministic parity automaton over the edge letters (eps-edges stutter it).
+deterministic parity automaton over the edge letters (eps-edges stutter it),
+read through one row function, (state, letter) -> (priority, state').
 `solve` computes exact winning regions of the product parity game with a
 recursive attractor (Zielonka) solver.  It solves only what is read:
 `eve_wins_from` solves the part of the product reachable from the pairs
 (vertex, initial state), and the full regions and Eve's strategy are solved
 on the whole product when first read.  `brute_force_positional` enumerates
-all positional strategies of Eve and checks whether one wins from her whole
-winning region.  The gadget builders turn positionality witnesses into small
+all positional strategies of Eve and checks each on that solved reachable
+game: with Eve's choices fixed, one pass of the parity-cycle kernel asks
+whether Adam can reach a cycle of odd least priority from her winning
+region.  The gadget builders turn positionality witnesses into small
 Eve-games, and `completion_gadget` builds the two-copy redirection game with
-its composite objective.
+its composite objective, a `parityunion.Cascade` stepped on demand.
 """
 
 from __future__ import annotations
@@ -18,21 +21,19 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product as iproduct
 
 from .automaton import (
     EPS,
+    EdgeGraph,
     FormatError,
     ParityAutomaton,
-    Transition,
     UPWord,
     even_cycle_sccs,
-    priority_span,
     tarjan_scc,
 )
-from .lang import complement_det, product
-from .parityunion import union_parity_automaton
+from .parityunion import Cascade, union_parity_automaton
 
 EVE = "eve"
 ADAM = "adam"
@@ -121,12 +122,18 @@ def parse_arena(text: str) -> GameArena:
             parts = value.split()
             if len(parts) != 2 or parts[1] not in (EVE, ADAM):
                 raise FormatError("vertex needs '<id> eve|adam'", ln)
-            owners[int(parts[0])] = parts[1]
+            try:
+                owners[int(parts[0])] = parts[1]
+            except ValueError:
+                raise FormatError(f"bad vertex id {parts[0]!r}", ln) from None
         elif key == "edge":
             parts = value.split()
             if len(parts) != 3:
                 raise FormatError("edge needs '<src> <letter|eps> <dst>'", ln)
-            edges.append((int(parts[0]), parts[1], int(parts[2])))
+            try:
+                edges.append((int(parts[0]), parts[1], int(parts[2])))
+            except ValueError:
+                raise FormatError(f"bad edge fields {value!r}", ln) from None
         else:
             raise FormatError(f"unknown key {key!r}", ln)
     if alphabet is None:
@@ -235,33 +242,44 @@ def _zielonka(game: _Game, pred, alive):
     return w0b, w1 | battr | w1b, s0b, strat1
 
 
-def _letter_rows(arena: GameArena, objective: ParityAutomaton):
-    """Per letter, the objective's transition from every state, in state
-    order (`objective.delta`); every letter of an arena edge must have one."""
+def _stepper(arena: GameArena, objective):
+    """The objective's row function, (state, letter) -> (priority, state'):
+    `Cascade.step`, or a read of `objective.delta` for a `ParityAutomaton`.
+    The objective must be deterministic and eps-free, with a transition on
+    every letter of an arena edge."""
     if not objective.deterministic or objective.has_eps:
         raise ValueError("objective must be deterministic and eps-free")
-    rows = objective.delta
+    if isinstance(objective, ParityAutomaton):
+        rows = objective.delta
+
+        def step(q, a):
+            t = rows[a][q]
+            return t.priority, t.dst
+    else:
+        step = objective.step
+    letters = set(objective.alphabet)
     for (_, a, _) in arena.edges:
-        if a != EPS and a not in rows:
+        if a != EPS and a not in letters:
             raise ValueError(f"objective has no transitions on {a!r}")
-    return rows
+    return step
 
 
-def _neutral(objective: ParityAutomaton) -> int:
+def _neutral(objective) -> int:
     """The priority of product nodes and eps-moves: odd and above every
     transition priority (the least odd number >= d_max + 2)."""
     return (objective.d_max + 2) | 1
 
 
-def _product_game(arena: GameArena, objective: ParityAutomaton, roots):
+def _product_game(arena: GameArena, objective, roots):
     """The subdivided product game, built breadth first from the (vertex,
     state) pairs `roots` and closed under moves.  Node v*m + q is the pair
     (v, q), with m objective states, owned by v's owner and carrying a
     neutral priority; node base + idx*m + q, with base = n_vertices*m, is
     Adam's move along arena edge idx from (v, q) and carries the transition
-    priority (neutral for an eps-edge, which stutters the objective).
+    priority (neutral for an eps-edge, which stutters the objective).  The
+    objective's transitions are read through its row function (`_stepper`).
     Returns (game, m)."""
-    rows = _letter_rows(arena, objective)
+    step = _stepper(arena, objective)
     neutral = _neutral(objective)
     m = objective.n_states
     base = arena.n_vertices * m
@@ -278,13 +296,11 @@ def _product_game(arena: GameArena, objective: ParityAutomaton, roots):
         nodes.append(i)
         for idx, (_, a, t) in arena.by_src[v]:
             k = base + idx * m + q
-            row = rows.get(a)
-            if row is None:
+            if a == EPS:
                 dst = t * m + q
             else:
-                tr = row[q]
-                priority[k] = tr.priority
-                dst = t * m + tr.dst
+                priority[k], r = step(q, a)
+                dst = t * m + r
             outs.append(k)
             succ[k] = [dst]
             nodes.append(k)
@@ -298,18 +314,18 @@ class SolveResult:
     """The answer of `solve` for one arena and objective.
 
     `eve_wins_from(v)` reads the region of the pairs (v, initial state),
-    computed on first use by `_eve_wins_initial` on the part of the product
+    computed on first use by `_initial_solve` on the part of the product
     game reachable from them.  The full regions and Eve's strategy come from
     one Zielonka run on the whole product game, made when one of them is
     first read."""
 
-    def __init__(self, arena: GameArena, objective: ParityAutomaton):
+    def __init__(self, arena: GameArena, objective):
         self.arena = arena
         self.objective = objective
         self.initial_state = objective.initial
 
     def eve_wins_from(self, vertex: int) -> bool:
-        return vertex in _eve_wins_initial(self.arena, self.objective)
+        return vertex in _initial_solve(self.arena, self.objective)[2]
 
     @cached_property
     def _full(self):
@@ -340,29 +356,38 @@ class SolveResult:
         return self._full[2]
 
 
-def solve(arena: GameArena, objective: ParityAutomaton) -> SolveResult:
+def solve(arena: GameArena, objective) -> SolveResult:
     """Exact winning regions per (vertex, automaton-state) pair, with Eve's
     winning strategy (memory = automaton state).  The arena and the
     objective's letters are checked here; each region is solved when it is
-    first read (see `SolveResult`)."""
+    first read (see `SolveResult`).  The objective is a deterministic
+    `ParityAutomaton` or a `parityunion.Cascade`."""
     arena.check_valid()
-    _letter_rows(arena, objective)
+    _stepper(arena, objective)
     return SolveResult(arena, objective)
 
 
-@lru_cache(maxsize=1)
-def _eve_wins_initial(arena: GameArena, objective: ParityAutomaton) -> frozenset:
-    """The vertices v from which Eve wins (v, objective.initial).
+# the last (arena, objective, answer) of `_initial_solve`, matched by identity
+_last_solve: list = []
 
-    Solves only the part of the product game reachable from those pairs.
+
+def _initial_solve(arena: GameArena, objective):
+    """The part of the product game reachable from the pairs (v,
+    objective.initial), solved: (game, m, region), where `region` holds the
+    vertices v from which Eve wins (v, objective.initial).
+
     That part is closed under moves, so its winning regions are the whole
-    game's restricted to it.  The last answer is kept: a gadget check asks
-    `solve(...).eve_wins_from` and `brute_force_positional` for the same
-    arena and objective."""
+    game's restricted to it.  The last answer is kept, for the same arena
+    and objective objects: a gadget check asks `solve(...).eve_wins_from`
+    and `brute_force_positional` about one gadget."""
+    if _last_solve and _last_solve[0] is arena and _last_solve[1] is objective:
+        return _last_solve[2]
     init = objective.initial
     game, m = _product_game(arena, objective, [(v, init) for v in range(arena.n_vertices)])
     w0 = _zielonka(game, _preds(game), set(game.nodes))[0]
-    return frozenset(v for v in range(arena.n_vertices) if v * m + init in w0)
+    region = frozenset(v for v in range(arena.n_vertices) if v * m + init in w0)
+    _last_solve[:] = [arena, objective, (game, m, region)]
+    return game, m, region
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +414,41 @@ class NoUniformStrategy:
     uniform = False
 
 
-def _strategy_wins(comp, restricted, vertex) -> bool:
-    """All infinite plays from `vertex` under the restriction satisfy the
-    objective: the `lang.product` of the restricted moves (per vertex, as
-    0-priority transitions) with the complement `comp`, reachable from
-    (vertex, comp.initial), has no accepting cycle of the kernel.
-    Eps-moves stutter the complement; the check relies on
-    `GameArena.validate` rejecting eps-cycles, so that every cycle consumes
-    a letter."""
-    g, _ = product(restricted, comp, [(vertex, comp.initial)])
-    return next(even_cycle_sccs(g, [0]), None) is None
+def _pair_graph(game: _Game, n_pairs: int):
+    """The built pair nodes of the game (ids below `n_pairs`) as an
+    `EdgeGraph` for the parity-cycle kernel, numbered 0..k-1 in id order:
+    each move node becomes an edge between the pairs it joins, with the
+    move's priority + 1 first and 0 second, so that an accepting cycle is a
+    cycle of the game whose least priority is odd (the pair nodes carry the
+    neutral priority, above all others).  A pair's edges are in the order of
+    its moves.  Returns the graph and the list of pair ids."""
+    pairs = [i for i in game.nodes if i < n_pairs]
+    dense = {i: j for j, i in enumerate(pairs)}
+    succ, priority = game.succ, game.priority
+    g = EdgeGraph(len(pairs))
+    for j, i in enumerate(pairs):
+        moves = succ[i]
+        g.out[j] = range(len(g.dst), len(g.dst) + len(moves))
+        g.src += [j] * len(moves)
+        g.dst += [dense[succ[k][0]] for k in moves]
+        g.pr1 += [priority[k] + 1 for k in moves]
+    g.pr2 = [0] * len(g.dst)
+    return g, pairs
 
 
-def brute_force_positional(arena: GameArena, objective: ParityAutomaton, bound=None):
+def brute_force_positional(arena: GameArena, objective, bound=None):
     """Enumerate Eve's positional strategies; succeed iff one wins from her
-    entire winning region (evaluated from the objective's initial state)."""
+    entire winning region (evaluated from the objective's initial state).
+
+    Each strategy is checked on the reachable game that `_initial_solve`
+    solved: Eve's pairs keep only the chosen move, and one pass of the
+    parity-cycle kernel from all pairs (v, initial) of the region asks
+    whether Adam can reach a cycle whose least priority is odd.  Every cycle
+    reads a letter, as `GameArena.validate` rejects eps-cycles."""
     if bound is None:
         bound = int(os.environ.get("POSAUT_LIMIT", "1000000"))
     arena.check_valid()
-    region0 = _eve_wins_initial(arena, objective)
+    game, m, region0 = _initial_solve(arena, objective)
     eve_vertices = [v for v in range(arena.n_vertices) if arena.owner[v] == EVE]
     per_vertex = [arena.by_src[v] for v in eve_vertices]
     total = 1
@@ -415,16 +456,23 @@ def brute_force_positional(arena: GameArena, objective: ParityAutomaton, bound=N
         total *= max(len(outs), 1)
         if total > bound:
             raise ValueError(f"strategy space exceeds bound {bound}")
-    comp = complement_det(objective)
-    moves = [Transition(s, a, 0, t) for (s, a, t) in arena.edges]
-    # Adam's moves are fixed; each strategy overwrites Eve's rows
-    restricted = [[moves[i] for i, _ in outs] for outs in arena.by_src]
-    index_lists = [[i for (i, _) in outs] for outs in per_vertex]
-    for combo in iproduct(*index_lists):
-        choice = dict(zip(eve_vertices, combo))
-        for v, idx in choice.items():
-            restricted[v] = [moves[idx]]
-        if all(_strategy_wins(comp, restricted, v) for v in region0):
+    g, pairs = _pair_graph(game, arena.n_vertices * m)
+    full_out = g.out
+    # the graph's nodes of each Eve vertex's built pairs
+    position = {v: k for k, v in enumerate(eve_vertices)}
+    eve_nodes = [[] for _ in eve_vertices]
+    for j, i in enumerate(pairs):
+        k = position.get(i // m)
+        if k is not None:
+            eve_nodes[k].append(j)
+    roots = [j for j, i in enumerate(pairs) if i % m == objective.initial and i // m in region0]
+    for combo in iproduct(*(range(len(outs)) for outs in per_vertex)):
+        g.out = list(full_out)
+        for nodes, c in zip(eve_nodes, combo):
+            for j in nodes:
+                g.out[j] = (full_out[j][c],)
+        if next(even_cycle_sccs(g, roots), None) is None:
+            choice = {v: outs[c][0] for v, outs, c in zip(eve_vertices, per_vertex, combo)}
             return UniformlyPositional(PositionalStrategy(choice))
     return NoUniformStrategy(region0)
 
@@ -488,7 +536,7 @@ class _ArenaBuilder:
 class Gadget:
     arena: GameArena
     designated: tuple[int, ...]  # vertices Eve must win from
-    objective: ParityAutomaton  # the objective to solve against
+    objective: ParityAutomaton | Cascade  # the objective to solve against
 
 
 def gadget_residual(u1, u2, w1: UPWord, w2: UPWord, objective) -> Gadget:
@@ -543,15 +591,15 @@ def completion_gadget(
     duplicates so that the opponent can simulate any run of the augmented
     automaton, jumping exactly where the run uses the added eps-transition.
     The composite objective (language, or odd parity, or
-    infinitely-enter-with-finitely-small) is materialised as one
-    deterministic parity automaton over letter_priority_type tokens."""
+    infinitely-enter-with-finitely-small) is one deterministic parity
+    automaton over letter_priority_type tokens, a `Cascade` whose
+    transitions are worked out as the game meets them."""
     if x % 2 != 0:
         raise ValueError("the completion gadget needs an even priority")
     n = aut.n_states
     for state in (q, qp):
         if not 0 <= state < n:
             raise ValueError(f"state {state} out of range for {n} states")
-    d = max(aut.d_max, x + 1)
     # arena -----------------------------------------------------------------
     tokens = {}
 
@@ -578,7 +626,7 @@ def completion_gadget(
     owner = tuple([ADAM] * (2 * n) + [EVE])
     alphabet = tuple(sorted(tokens))
     arena = GameArena(2 * n + 1, owner, tuple(edges), alphabet)
-    objective = _composite_objective(w_det, alphabet, tokens, d)
+    objective = _composite_objective(w_det, alphabet, tokens)
     designated = [vid(aut.initial, 0), vid(aut.initial, 1)]
     if aut.initial in (q, qp):
         # runs of the augmented automaton may jump before reading anything
@@ -586,10 +634,10 @@ def completion_gadget(
     return Gadget(arena, tuple(designated), objective)
 
 
-def _composite_objective(w_det, alphabet, tokens, d):
+def _composite_objective(w_det, alphabet, tokens) -> Cascade:
     """Deterministic parity automaton for W_Sigma u OddParity u GType over the
-    token alphabet: product of w_det with the Zielonka-tree automaton of the
-    three-stream union condition."""
+    token alphabet: the cascade of w_det with the Zielonka-tree automaton of
+    the three-stream union condition, stepped on demand."""
     dw = w_det.d_max
     # eps-steps stutter the language stream at an even value above all real
     # priorities: plays with finitely many letters correspond to no run of
@@ -597,16 +645,12 @@ def _composite_objective(w_det, alphabet, tokens, d):
     # completed automaton would let the opponent win vacuously
     stutter1 = dw + 1 if (dw + 1) % 2 == 0 else dw + 2
     type_map = {"s": 1, "e": 2, "n": 3}
-
-    # stream tuples depend on the w_det transition taken, so build the union
-    # automaton over abstract triples and product with w_det's state
-    letter_streams = {}
-    for t, (letter, pr, typ) in tokens.items():
-        letter_streams[t] = (pr + 1, type_map[typ])
-    # collect all possible (s1, s2, s3) combos as abstract letters
+    # per token: its letter and its fixed second and third streams
+    streams = {t: (letter, pr + 1, type_map[typ]) for t, (letter, pr, typ) in tokens.items()}
+    # the union automaton's letters are the stream triples the tokens can
+    # carry, as the first stream is the priority of the w_det step taken
     combos = set()
-    for t, (letter, pr, typ) in tokens.items():
-        s2, s3 = letter_streams[t]
+    for letter, s2, s3 in streams.values():
         if letter == EPS:
             combos.add((stutter1, s2, s3))
         else:
@@ -618,37 +662,16 @@ def _composite_objective(w_det, alphabet, tokens, d):
     union = union_parity_automaton(
         [names[c] for c in combo_letters], {names[c]: c for c in combo_letters}
     )
-    # product states: (w_det state, union state)
-    n_states = w_det.n_states * union.n_states
-
-    def sid(wq, uq):
-        return wq * union.n_states + uq
-
     rows = w_det.delta
-    ordered = sorted(tokens.items())
-    trans = []
-    for wq in w_det.states():
-        # per token: its union letter and w_det's successor from wq
-        steps = []
-        for t, (letter, pr, typ) in ordered:
-            s2, s3 = letter_streams[t]
-            if letter == EPS:
-                steps.append((t, names[(stutter1, s2, s3)], wq))
-            else:
-                tr = rows[letter][wq]
-                steps.append((t, names[(tr.priority, s2, s3)], tr.dst))
-        for uq in union.states():
-            for t, name, wq2 in steps:
-                ut = union.delta[name][uq]
-                trans.append(Transition(sid(wq, uq), t, ut.priority, sid(wq2, ut.dst)))
-    return ParityAutomaton(
-        n_states=n_states,
-        alphabet=alphabet,
-        initial=sid(w_det.initial, union.initial),
-        transitions=tuple(trans),
-        priority_range=priority_span(trans),
-        deterministic=True,
-    )
+
+    def link(wq, token):
+        letter, s2, s3 = streams[token]
+        if letter == EPS:
+            return names[(stutter1, s2, s3)], wq
+        tr = rows[letter][wq]
+        return names[(tr.priority, s2, s3)], tr.dst
+
+    return Cascade(w_det.n_states, w_det.initial, union, alphabet, link)
 
 
 # ---------------------------------------------------------------------------

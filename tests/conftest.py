@@ -807,3 +807,114 @@ trans: 5 b 2 2
 trans: 6 a 1 0
 trans: 6 b 0 4
 """
+
+
+# ---------------------------------------------------------------------------
+# Gadget checks as they were before the completion objective was stepped on
+# demand and the oracle ran on the solved game: the composite objective built
+# in full, and each positional strategy checked by a product of the
+# restricted arena with the objective's complement, one start vertex at a
+# time
+# ---------------------------------------------------------------------------
+
+
+def reference_composite_objective(w_det, alphabet, tokens):
+    """Deterministic parity automaton for W_Sigma u OddParity u GType over the
+    token alphabet: product of w_det with the Zielonka-tree automaton of the
+    three-stream union condition, with every transition built."""
+    from posaut.automaton import ParityAutomaton, Transition, priority_span
+    from posaut.parityunion import union_parity_automaton
+
+    dw = w_det.d_max
+    stutter1 = dw + 1 if (dw + 1) % 2 == 0 else dw + 2
+    type_map = {"s": 1, "e": 2, "n": 3}
+    letter_streams = {}
+    for t, (letter, pr, typ) in tokens.items():
+        letter_streams[t] = (pr + 1, type_map[typ])
+    combos = set()
+    for t, (letter, pr, typ) in tokens.items():
+        s2, s3 = letter_streams[t]
+        if letter == EPS:
+            combos.add((stutter1, s2, s3))
+        else:
+            for tr in w_det.transitions:
+                if tr.letter == letter:
+                    combos.add((tr.priority, s2, s3))
+    combo_letters = sorted(combos)
+    names = {c: f"c{i}" for i, c in enumerate(combo_letters)}
+    union = union_parity_automaton(
+        [names[c] for c in combo_letters], {names[c]: c for c in combo_letters}
+    )
+    n_states = w_det.n_states * union.n_states
+
+    def sid(wq, uq):
+        return wq * union.n_states + uq
+
+    rows = w_det.delta
+    ordered = sorted(tokens.items())
+    trans = []
+    for wq in w_det.states():
+        steps = []
+        for t, (letter, pr, typ) in ordered:
+            s2, s3 = letter_streams[t]
+            if letter == EPS:
+                steps.append((t, names[(stutter1, s2, s3)], wq))
+            else:
+                tr = rows[letter][wq]
+                steps.append((t, names[(tr.priority, s2, s3)], tr.dst))
+        for uq in union.states():
+            for t, name, wq2 in steps:
+                ut = union.delta[name][uq]
+                trans.append(Transition(sid(wq, uq), t, ut.priority, sid(wq2, ut.dst)))
+    return ParityAutomaton(
+        n_states=n_states,
+        alphabet=alphabet,
+        initial=sid(w_det.initial, union.initial),
+        transitions=tuple(trans),
+        priority_range=priority_span(trans),
+        deterministic=True,
+    )
+
+
+def _reference_strategy_wins(comp, restricted, vertex) -> bool:
+    """No play from `vertex` under the restricted moves is rejected: the
+    product with the complement `comp` has no accepting cycle."""
+    from posaut.automaton import even_cycle_sccs
+    from posaut.lang import product
+
+    g, _ = product(restricted, comp, [(vertex, comp.initial)])
+    return next(even_cycle_sccs(g, [0]), None) is None
+
+
+def reference_brute_force(arena, objective, bound=1_000_000):
+    """`games.brute_force_positional` with a product per strategy and start
+    vertex; the region is read from `solve(...).eve_wins_from`.  A stepped
+    objective is materialised first."""
+    from itertools import product as iproduct
+
+    from posaut.automaton import Transition
+    from posaut.games import EVE, NoUniformStrategy, PositionalStrategy, UniformlyPositional, solve
+    from posaut.lang import complement_det
+
+    objective = getattr(objective, "materialise", lambda: objective)()
+    arena.check_valid()
+    sv = solve(arena, objective)
+    region0 = frozenset(v for v in range(arena.n_vertices) if sv.eve_wins_from(v))
+    eve_vertices = [v for v in range(arena.n_vertices) if arena.owner[v] == EVE]
+    per_vertex = [arena.by_src[v] for v in eve_vertices]
+    total = 1
+    for outs in per_vertex:
+        total *= max(len(outs), 1)
+        if total > bound:
+            raise ValueError(f"strategy space exceeds bound {bound}")
+    comp = complement_det(objective)
+    moves = [Transition(s, a, 0, t) for (s, a, t) in arena.edges]
+    restricted = [[moves[i] for i, _ in outs] for outs in arena.by_src]
+    index_lists = [[i for (i, _) in outs] for outs in per_vertex]
+    for combo in iproduct(*index_lists):
+        choice = dict(zip(eve_vertices, combo))
+        for v, idx in choice.items():
+            restricted[v] = [moves[idx]]
+        if all(_reference_strategy_wins(comp, restricted, v) for v in region0):
+            return UniformlyPositional(PositionalStrategy(choice))
+    return NoUniformStrategy(region0)

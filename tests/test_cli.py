@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -74,6 +75,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
         assert error in capsys.readouterr().err
     with pytest.raises(FormatError, match="line 4: edge names undeclared vertex 'z'"):
         parse_mgraph("mgraph\nalphabet: a\norder: x y\nedge: x a z\n")
+    reach = write(tmp_path / "reach.dpa", aut_reach_aa())
+    for body, error in (
+        ("vertex: x eve\n", "line 3: bad vertex id 'x'"),
+        ("vertex: 0 eve\nedge: 0 a y\n", "line 4: bad edge fields '0 a y'"),
+    ):
+        bad = tmp_path / "bad.arena"
+        bad.write_text("arena\nalphabet: a b\n" + body, encoding="utf-8")
+        assert main(["solve", str(bad), reach]) == 2
+        assert error in capsys.readouterr().err
 
 
 def test_bipositional(tmp_path):
@@ -164,6 +174,21 @@ def test_gadget_command(tmp_path, capsys):
         assert main(["gadget", argv[0], argv[1], "-o", str(out)] + argv[2:]) == 2
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_completion_gadget_objective_text(tmp_path, capsys):
+    # the objective `--obj-out` writes, pinned by the digest of its text:
+    # 6 states (w_det's 3 times 2 leaves) over 8 tokens
+    reach = write(tmp_path / "reach.dpa", aut_reach_aa())
+    obj = tmp_path / "obj.dpa"
+    argv = ["gadget", "completion", reach, "--q", "1", "--p", "0", "--x", "0"]
+    assert main(argv + ["-o", str(tmp_path / "g.arena"), "--obj-out", str(obj)]) == 0
+    assert "designated: [0, 3, 6]" in capsys.readouterr().out
+    text = obj.read_bytes()
+    assert text.startswith(b"dpa\nalphabet: a_0_n a_0_s a_1_n b_0_n b_0_s b_1_n eps_0_n eps_1_e\nstates: 6\n")
+    assert text.count(b"\ntrans: ") == 48
+    digest = "fb5ed290d42e31a057e4982aeeb4a6cc20c5f0732c7f3a81ae5921f77c73cafc"
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 def test_zoo_and_seed_reproducibility(tmp_path, capsys):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from posaut import games
-from posaut.automaton import EPS, build, up_membership, upword
+from posaut.automaton import EPS, build, emit_dpa, up_membership, upword
 from posaut.epscomplete import decide_positionality_p2
 from posaut.games import (
     ADAM,
@@ -23,6 +23,7 @@ from posaut.games import (
 )
 from posaut.lang import complement_det, incl_nd_in_det
 from posaut.normalform import normalize
+from posaut.parityunion import Cascade
 from posaut.signature import decide_positionality_p1
 from posaut.witnesses import CompletionFailure, NotPositional, Positional
 from posaut.zoo import (
@@ -32,7 +33,14 @@ from posaut.zoo import (
     aut_reach_aa,
 )
 
-from conftest import FIXTURES, NOT_POSITIONAL_FIXTURES, random_automaton
+from conftest import (
+    FIXTURES,
+    NOT_POSITIONAL_FIXTURES,
+    blowup,
+    random_automaton,
+    reference_brute_force,
+    reference_composite_objective,
+)
 
 
 def game_ab_prefix():
@@ -70,7 +78,8 @@ def test_solve_non_uniform_game():
 
 def test_solve_then_oracle_solves_the_reachable_game_once(monkeypatch):
     # a gadget check asks solve and the oracle about one arena and objective;
-    # the region of the pairs (vertex, initial state) is solved once
+    # the game reachable from the pairs (vertex, initial state) is built and
+    # solved once, and the oracle checks its strategies on that game
     real, depth, runs = games._zielonka, [0], []
 
     def counted(*args):
@@ -81,13 +90,22 @@ def test_solve_then_oracle_solves_the_reachable_game_once(monkeypatch):
         finally:
             depth[0] -= 1
 
+    builds = []
+    product_game = games._product_game
+
+    def spy(arena, objective, roots):
+        builds.append(list(roots))
+        return product_game(arena, objective, roots)
+
     monkeypatch.setattr(games, "_zielonka", counted)
-    games._eve_wins_initial.cache_clear()
+    monkeypatch.setattr(games, "_product_game", spy)
+    games._last_solve.clear()
     arena, w = game_ab_prefix()
     res = solve(arena, w)
     bf = brute_force_positional(arena, w)
     assert res.eve_wins_from(0) and res.eve_wins_from(1) and not bf.uniform
     assert sum(runs) == 1
+    assert builds == [[(0, w.initial), (1, w.initial)]]
 
 
 def test_solve_reach_aa_arena():
@@ -340,7 +358,7 @@ def test_oracle_region_is_solve_region():
         expected = frozenset(
             v for v in range(arena.n_vertices) if (v, objective.initial) in res.eve_region
         )
-        assert games._eve_wins_initial(arena, objective) == expected, name
+        assert games._initial_solve(arena, objective)[2] == expected, name
         got = frozenset(v for v in range(arena.n_vertices) if solve(arena, objective).eve_wins_from(v))
         assert got == expected, name
 
@@ -357,7 +375,7 @@ def test_eve_wins_from_solves_only_the_reachable_game(monkeypatch):
 
     monkeypatch.setattr(games, "_product_game", spy)
     for name, arena, objective in solver_cases():
-        games._eve_wins_initial.cache_clear()
+        games._last_solve.clear()
         res = solve(arena, objective)
         wins = [v for v in range(arena.n_vertices) if res.eve_wins_from(v)]
         m = objective.n_states
@@ -377,12 +395,90 @@ def test_eve_wins_from_solves_only_the_reachable_game(monkeypatch):
         for i in reachable:
             assert game.succ[i] == full.succ[i], name
             assert (game.owner[i], game.priority[i]) == (full.owner[i], full.priority[i]), name
+        # the oracle checks its strategies on that game and builds none
+        brute_force_positional(arena, objective)
+        assert len(builds) == 1, name
         builds.clear()
         assert wins == [v for v, q in sorted(res.eve_region) if q == objective.initial], name
         assert res.adam_region is not None and res.strategy is not None
         # one full build serves all three
         assert [roots for roots, _ in builds] == [all_pairs], name
         builds.clear()
+
+
+def completion_gadgets():
+    """Completion gadgets of p2's witnesses on the zoo fixtures, their k = 2
+    blow-ups and 100 seeded random DPAs with n = 6-10, with the token map of
+    each gadget's alphabet."""
+    auts = []
+    for name, (make, _) in FIXTURES.items():
+        auts += [(name, make()), (f"{name}/k2", blowup(make(), 2, 0))]
+    rng = random.Random(17)
+    for i in range(100):
+        letters = ("a", "b", "c")[: rng.randint(2, 3)]
+        auts.append((f"random{i}", random_automaton(rng, rng.randint(6, 10), letters, dmax=rng.choice((3, 5)))))
+    for name, aut in auts:
+        res = decide_positionality_p2(aut)
+        if res.positional or not isinstance(res.witness, CompletionFailure):
+            continue
+        w = res.witness
+        g = completion_gadget(aut, aut, w.q, w.p, w.x)
+        tokens = {}
+        for t in g.arena.alphabet:
+            letter, pr, typ = t.rsplit("_", 2)
+            tokens[t] = (letter, int(pr), typ)
+        yield name, g, reference_composite_objective(aut, g.arena.alphabet, tokens)
+
+
+def test_stepped_objective_matches_reference():
+    count = 0
+    for name, g, ref in completion_gadgets():
+        obj = g.objective
+        assert isinstance(obj, Cascade), name
+        assert (obj.n_states, obj.initial, obj.priority_range) == (ref.n_states, ref.initial, ref.priority_range), name
+        for a, row in ref.delta.items():
+            for q, t in enumerate(row):
+                assert obj.step(q, a) == (t.priority, t.dst), (name, q, a)
+        assert emit_dpa(obj) == emit_dpa(ref), name
+        count += 1
+    assert count >= 90
+
+
+def test_oracle_matches_reference():
+    rng = random.Random(2025)
+    cases = []
+    for i in range(300):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        arena = random_arena(rng, rng.randint(1, 6), letters)
+        cases.append((f"random{i}", arena, random_automaton(rng, rng.randint(1, 4), letters, dmax=rng.randint(0, 4))))
+    cases += [(name, g.arena, g.objective) for name, g, _ in completion_gadgets()]
+    outcomes = set()
+    for name, arena, objective in cases:
+        got, ref = brute_force_positional(arena, objective), reference_brute_force(arena, objective)
+        assert got.uniform == ref.uniform, name
+        if got.uniform:
+            assert got.strategy.choice == ref.strategy.choice, name
+        else:
+            assert got.region == ref.region, name
+        outcomes.add(got.uniform)
+    assert outcomes == {True, False}
+
+
+def test_gadget_check_does_not_materialise_the_objective(monkeypatch):
+    aut = aut_reach_aa()
+    g = gadget_for_witness(decide_positionality_p2(aut).witness, aut, aut=aut, w_det=aut)
+
+    def refuse(self):
+        raise AssertionError("the composite objective was materialised")
+
+    monkeypatch.setattr(Cascade, "materialise", refuse)
+    games._last_solve.clear()
+    sv = solve(g.arena, g.objective)
+    assert all(sv.eve_wins_from(v) for v in g.designated)
+    assert not brute_force_positional(g.arena, g.objective).uniform
+    assert sv.eve_region and sv.strategy
+    with pytest.raises(AssertionError, match="materialised"):
+        g.objective.transitions
 
 
 def test_out_edges_per_vertex():
