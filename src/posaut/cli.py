@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .automaton import (
@@ -30,6 +29,7 @@ from .games import (
     brute_force_positional,
     completion_gadget,
     emit_arena,
+    env_limit,
     gadget_progress,
     gadget_residual,
     gadget_two_loops,
@@ -341,8 +341,8 @@ def build_parser():
     parser.add_argument(
         "--limit",
         type=int,
-        default=int(os.environ.get("POSAUT_LIMIT", "1000000")),
-        help="search bound (strategy enumeration, graph sizes)",
+        help="search bound (strategy enumeration, graph sizes); "
+        "default: POSAUT_LIMIT, or 1000000",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -436,6 +436,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = _Out(args.format)
     try:
+        if args.limit is None:
+            args.limit = env_limit()
         code = args.func(args, out)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

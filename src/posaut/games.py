@@ -172,74 +172,89 @@ def _preds(game: _Game):
 
 
 def _attractor_fast(game: _Game, pred, player: int, target, alive):
-    """`player`'s attractor to `target` within `alive`, in time linear in the
-    part of the subgame it touches: an opponent vertex gets its count of live
-    successors when a predecessor edge first reaches it."""
-    attr = set(v for v in target if v in alive)
-    strategy = {}
+    """`player`'s attractor to `target` (a subset of `alive`) within `alive`,
+    in time linear in the part of the subgame it touches.  An opponent
+    vertex with one successor (every move node) is attracted when that
+    successor is; one with more gets its count of live successors when a
+    predecessor edge first reaches it.  Returns (attractor, moves): for Eve,
+    `moves` maps each vertex she owns that was attracted from outside
+    `target` to the successor that drew it in; for Adam, whose moves nothing
+    reads, it is None."""
+    # inserted one by one, as the queue's order decides Eve's moves:
+    # `set(target)` would copy target's table and iterate in another order
+    attr = set(list(target))
+    moves = {} if player == 0 else None
     count = {}  # opponent vertex -> live successors not yet attracted
-    queue = deque(attr)
+    queue = list(attr)
     succ, owner = game.succ, game.owner
-    while queue:
-        u = queue.popleft()
+    for u in queue:  # breadth first: the list grows while it is read
         for v in pred[u]:
-            if v not in alive or v in attr:
+            if v in attr or v not in alive:
                 continue
             if owner[v] == player:
-                attr.add(v)
-                strategy[v] = u
-                queue.append(v)
-                continue
-            left = count.get(v)
-            if left is None:
-                left = sum(1 for w in succ[v] if w in alive)
-            left -= 1
-            if left == 0:
-                attr.add(v)
-                queue.append(v)
-            else:
-                count[v] = left
-    return attr, strategy
+                if moves is not None:
+                    moves[v] = u
+            elif len(succ[v]) > 1:
+                left = count.get(v)
+                if left is None:
+                    left = len(alive.intersection(succ[v]))
+                left -= 1
+                if left:
+                    count[v] = left
+                    continue
+            attr.add(v)
+            queue.append(v)
+    return attr, moves
 
 
-def _zielonka(game: _Game, pred, alive):
-    """Returns (win0, win1, strat0, strat1) on the subgame induced by alive."""
+def _zielonka(game: _Game, pred, buckets, lo, alive):
+    """Returns (win0, win1, strat0) on the subgame induced by alive: both
+    winning regions and Eve's winning moves on hers.  `buckets` holds
+    (priority, nodes of that priority) pairs, least priority first; no node
+    of `alive` is in a bucket below index `lo`."""
     if not alive:
-        return set(), set(), {}, {}
-    p = min(game.priority[v] for v in alive)
+        return set(), set(), {}
+    while alive.isdisjoint(buckets[lo][1]):
+        lo += 1
+    p, priority = buckets[lo][0], game.priority
     player = p % 2
-    target = {v for v in alive if game.priority[v] == p}
-    attr, astrat = _attractor_fast(game, pred, player, target, alive)
-    rest = alive - attr
-    w0, w1, s0, s1 = _zielonka(game, pred, rest)
-    wins = (w0, w1)
-    strats = (s0, s1)
-    if not wins[1 - player]:
-        # `player` wins everywhere: attractor moves plus any move staying alive
-        strat = dict(strats[player])
-        strat.update(astrat)
+    # built by iterating `alive`: the attractor's queue follows this set's
+    # order, and with it the moves Eve's strategy records
+    target = {v for v in alive if priority[v] == p}
+    attr, moves = _attractor_fast(game, pred, player, target, alive)
+    w0, w1, s0 = _zielonka(game, pred, buckets, lo + 1, alive - attr)
+    if not (w1 if player == 0 else w0):
+        # `player` wins everywhere
+        if player == 1:
+            return set(), set(alive), {}
+        # Eve: attractor moves plus any move staying alive
+        s0.update(moves)
+        succ, owner = game.succ, game.owner
         for v in alive:
-            if game.owner[v] == player and v not in strat:
-                for w in game.succ[v]:
+            if owner[v] == 0 and v not in s0:
+                for w in succ[v]:
                     if w in alive:
-                        strat[v] = w
+                        s0[v] = w
                         break
-        full = set(alive)
-        if player == 0:
-            return full, set(), strat, {}
-        return set(), full, {}, strat
-    opp = 1 - player
-    battr, bstrat = _attractor_fast(game, pred, opp, wins[opp], alive)
-    w0b, w1b, s0b, s1b = _zielonka(game, pred, alive - battr)
-    if opp == 0:
-        strat0 = dict(s0)
-        strat0.update(bstrat)
-        strat0.update(s0b)
-        return w0 | battr | w0b, w1b, strat0, s1b
-    strat1 = dict(s1)
-    strat1.update(bstrat)
-    strat1.update(s1b)
-    return w0b, w1 | battr | w1b, s0b, strat1
+        return set(alive), set(), s0
+    if player == 1:
+        battr, bmoves = _attractor_fast(game, pred, 0, w0, alive)
+        w0b, w1b, s0b = _zielonka(game, pred, buckets, lo, alive - battr)
+        s0.update(bmoves)
+        s0.update(s0b)
+        return w0 | battr | w0b, w1b, s0
+    battr, _ = _attractor_fast(game, pred, 1, w1, alive)
+    w0b, w1b, s0b = _zielonka(game, pred, buckets, lo, alive - battr)
+    return w0b, w1 | battr | w1b, s0b
+
+
+def _solve_game(game: _Game):
+    """Zielonka on the whole built game: (win0, win1, strat0)."""
+    by = {}
+    for v in game.nodes:
+        by.setdefault(game.priority[v], []).append(v)
+    buckets = [(p, set(by[p])) for p in sorted(by)]
+    return _zielonka(game, _preds(game), buckets, 0, set(game.nodes))
 
 
 def _stepper(arena: GameArena, objective):
@@ -333,7 +348,7 @@ class SolveResult:
         m = objective.n_states
         pairs = [divmod(i, m) for i in range(arena.n_vertices * m)]
         game, _ = _product_game(arena, objective, pairs)
-        w0, w1, s0, _ = _zielonka(game, _preds(game), set(game.nodes))
+        w0, w1, s0 = _solve_game(game)
         base = len(pairs)
         eve = frozenset(pairs[i] for i in range(base) if i in w0)
         adam = frozenset(pairs[i] for i in range(base) if i in w1)
@@ -384,7 +399,7 @@ def _initial_solve(arena: GameArena, objective):
         return _last_solve[2]
     init = objective.initial
     game, m = _product_game(arena, objective, [(v, init) for v in range(arena.n_vertices)])
-    w0 = _zielonka(game, _preds(game), set(game.nodes))[0]
+    w0 = _solve_game(game)[0]
     region = frozenset(v for v in range(arena.n_vertices) if v * m + init in w0)
     _last_solve[:] = [arena, objective, (game, m, region)]
     return game, m, region
@@ -436,6 +451,16 @@ def _pair_graph(game: _Game, n_pairs: int):
     return g, pairs
 
 
+def env_limit() -> int:
+    """The search bound that the POSAUT_LIMIT environment variable sets,
+    1,000,000 when it is unset."""
+    raw = os.environ.get("POSAUT_LIMIT", "1000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"POSAUT_LIMIT must be an integer, got {raw!r}") from None
+
+
 def brute_force_positional(arena: GameArena, objective, bound=None):
     """Enumerate Eve's positional strategies; succeed iff one wins from her
     entire winning region (evaluated from the objective's initial state).
@@ -446,7 +471,7 @@ def brute_force_positional(arena: GameArena, objective, bound=None):
     whether Adam can reach a cycle whose least priority is odd.  Every cycle
     reads a letter, as `GameArena.validate` rejects eps-cycles."""
     if bound is None:
-        bound = int(os.environ.get("POSAUT_LIMIT", "1000000"))
+        bound = env_limit()
     arena.check_valid()
     game, m, region0 = _initial_solve(arena, objective)
     eve_vertices = [v for v in range(arena.n_vertices) if arena.owner[v] == EVE]

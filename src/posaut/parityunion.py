@@ -20,133 +20,148 @@ from .automaton import ParityAutomaton, Transition, build
 
 @dataclass
 class ZNode:
-    letters: frozenset
+    letters: int  # bitmask: bit j is the j-th letter in sorted order
     accept: bool
     depth: int
     children: list = field(default_factory=list)
-    leaf_index: int | None = None
+    first_leaf: int | None = None  # leftmost leaf at or below, once numbered
 
 
-def _f_union(letters, tuples):
-    if not letters:
-        return False
-    k = len(next(iter(tuples.values())))
-    return any(
-        min(tuples[a][i] for a in letters) % 2 == 0 for i in range(k)
-    )
+class _Condition:
+    """The union condition over `letters`, with letter sets as bitmasks:
+    bit j is the j-th letter in sorted order.  `exactly[i]` lists, by
+    increasing priority t, the pairs (t, letters whose stream-i priority is
+    t)."""
 
-
-def _children_sets(letters, tuples, accept):
-    """The maximal subsets of `letters` whose acceptance differs from
-    `accept`, as candidates cut by per-stream thresholds.  Letter sets are
-    bitmasks over `letters` in iteration order: a candidate is the AND of
-    per-stream masks "priority >= threshold"."""
-    order = list(letters)
-    k = len(next(iter(tuples.values())))
-    columns = [[tuples[a][i] for a in order] for i in range(k)]
-    values = [sorted(set(col)) for col in columns]
-    # at_least[i][t] and exactly[i][t]: letters whose stream-i priority is
-    # >= t and == t, for the priorities t present
-    at_least, exactly = [], []
-    for i in range(k):
-        eq = {t: 0 for t in values[i]}
-        for j, t in enumerate(columns[i]):
-            eq[t] |= 1 << j
-        ge, acc = {}, 0
-        for t in reversed(values[i]):
-            acc |= eq[t]
-            ge[t] = acc
-        at_least.append(ge)
-        exactly.append(eq)
-
-    def accepts(mask):
-        # some stream's least priority over the letters of `mask` is even
+    def __init__(self, letters, tuples):
+        self.names = sorted(set(letters))
+        self.full = (1 << len(self.names)) - 1
+        k = len(tuples[self.names[0]])
+        self.exactly = []
         for i in range(k):
-            least = next(t for t in values[i] if mask & exactly[i][t])
-            if least % 2 == 0:
-                return True
+            eq = {}
+            for j, a in enumerate(self.names):
+                t = tuples[a][i]
+                eq[t] = eq.get(t, 0) | 1 << j
+            self.exactly.append(sorted(eq.items()))
+
+    def accepts(self, mask) -> bool:
+        """Some stream's least priority over the letters of `mask` is even."""
+        for eq in self.exactly:
+            for t, m in eq:
+                if mask & m:
+                    if t % 2 == 0:
+                        return True
+                    break
         return False
 
-    full = (1 << len(order)) - 1
+    def bits(self, mask) -> list[int]:
+        return [j for j in range(len(self.names)) if mask >> j & 1]
+
+
+def _children_sets(cond: _Condition, mask, accept):
+    """The maximal subsets of `mask` whose acceptance differs from `accept`,
+    sorted by their letters, as candidates cut by per-stream thresholds: a
+    candidate is the AND of `mask` with per-stream masks "priority >= t", for
+    the priorities t present in `mask`."""
+    at_least = []  # per stream, (t, letters of `mask` with priority >= t)
+    for eq in cond.exactly:
+        ge, acc = [], 0
+        for t, m in reversed(eq):
+            if mask & m:
+                acc |= m & mask
+                ge.append((t, acc))
+        at_least.append(ge)
     candidates = []
     if accept:
         # maximal subsets where every stream's minimum is odd: raise each
         # stream above an odd threshold (or leave it unconstrained)
-        options = [[full] + [at_least[i][t] for t in values[i] if t % 2 == 1] for i in range(k)]
+        options = [[mask] + [m for t, m in ge if t % 2 == 1] for ge in at_least]
+        tried = set()
         for masks in iproduct(*options):
-            sub = full
+            sub = mask
             for m in masks:
                 sub &= m
-            if sub and not accepts(sub):
-                candidates.append(sub)
+            if sub and sub not in tried:
+                tried.add(sub)
+                if not cond.accepts(sub):
+                    candidates.append(sub)
     else:
         # maximal subsets where some stream's minimum is even: cut one stream
         # at an even value
-        for i in range(k):
-            for e in values[i]:
-                if e % 2 != 0:
-                    continue
-                sub = at_least[i][e]
-                if sub and accepts(sub):
+        for ge in at_least:
+            for t, sub in ge:
+                if t % 2 == 0 and cond.accepts(sub):
                     candidates.append(sub)
     maximal = []
     for s in candidates:
-        if any(s & t == s and s != t for t in candidates):
+        if s in maximal or any(s & t == s and s != t for t in candidates):
             continue
-        if s not in maximal:
-            maximal.append(s)
-    return [frozenset(a for j, a in enumerate(order) if s >> j & 1) for s in maximal]
+        maximal.append(s)
+    return sorted(maximal, key=cond.bits)
 
 
 def zielonka_tree(letters, tuples) -> ZNode:
-    def subtree(subset, depth):
-        node = ZNode(frozenset(subset), _f_union(subset, tuples), depth)
-        for child in sorted(_children_sets(subset, tuples, node.accept), key=sorted):
-            node.children.append(subtree(child, depth + 1))
+    """The Zielonka tree of the union condition over `letters`, children in
+    the order of their sorted letters.  Children are computed once per
+    distinct letter set."""
+    cond = _Condition(letters, tuples)
+    known = {}  # letter set -> (accept, children)
+
+    def subtree(mask, depth):
+        if mask not in known:
+            accept = cond.accepts(mask)
+            known[mask] = accept, _children_sets(cond, mask, accept)
+        accept, children = known[mask]
+        node = ZNode(mask, accept, depth)
+        node.children = [subtree(c, depth + 1) for c in children]
         return node
 
-    return subtree(frozenset(letters), 0)
+    return subtree(cond.full, 0)
 
 
 def union_parity_automaton(letters, tuples) -> ParityAutomaton:
     """The Zielonka-tree automaton for the union condition over `letters`:
     deterministic and complete, with the tree's leaves as states, leaf 0
-    initial, and transitions in (leaf, letter) order."""
+    initial, and transitions in (leaf, letter) order.  From a leaf, a letter
+    goes up to the deepest node of the leaf's branch that holds it.  That
+    node's depth (plus one if the root rejects) is the priority, and the
+    successor is the leftmost leaf of its next child round-robin, or the
+    leaf itself."""
     root = zielonka_tree(letters, tuples)
-    leaves: list[list[ZNode]] = []  # branches, root first
+    branches = []  # per leaf, its (node, position among its siblings) from the root
 
     def collect(node, path):
-        path = path + [node]
+        node.first_leaf = len(branches)
         if not node.children:
-            node.leaf_index = len(leaves)
-            leaves.append(path)
-        for ch in node.children:
-            collect(ch, path)
+            branches.append(path)
+        for pos, ch in enumerate(node.children):
+            collect(ch, path + [(ch, pos)])
 
-    collect(root, [])
+    collect(root, [(root, 0)])
     base = 0 if root.accept else 1
+    bit = {a: j for j, a in enumerate(sorted(set(letters)))}
     trans = []
-    for idx, branch in enumerate(leaves):
+    for idx, branch in enumerate(branches):
+        move = {}  # letter bit -> (priority, successor)
+        below, nxt = 0, idx
+        for depth in range(len(branch) - 1, -1, -1):
+            node = branch[depth][0]
+            if depth < len(branch) - 1:
+                # the leftmost leaf of the child after the branch's, round-robin
+                kids = node.children
+                nxt = kids[(branch[depth + 1][1] + 1) % len(kids)].first_leaf
+            # the letters whose deepest node on the branch is this one
+            fresh = node.letters & ~below
+            below = node.letters
+            while fresh:
+                low = fresh & -fresh
+                move[low.bit_length() - 1] = (depth + base, nxt)
+                fresh ^= low
         for a in letters:
-            support = None
-            for node in branch:
-                if a in node.letters:
-                    support = node
-                else:
-                    break
-            if support is None:
-                raise ValueError(f"letter {a!r} missing from the root alphabet")
-            if not support.children:
-                nxt = support.leaf_index
-            else:
-                on_branch = branch[support.depth + 1]
-                pos = support.children.index(on_branch)
-                node = support.children[(pos + 1) % len(support.children)]
-                while node.children:
-                    node = node.children[0]
-                nxt = node.leaf_index
-            trans.append((idx, a, support.depth + base, nxt))
-    return build(len(leaves), letters, 0, trans, deterministic=True)
+            p, t = move[bit[a]]
+            trans.append((idx, a, p, t))
+    return build(len(branches), letters, 0, trans, deterministic=True)
 
 
 class Cascade:

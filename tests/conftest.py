@@ -279,12 +279,24 @@ def run_lasso(aut, u, v) -> bool:
 
 
 
-def reference_children_sets(letters, tuples, accept):
-    """`parityunion._children_sets` as it was before letter sets became
-    bitmasks: each candidate tests every letter against its threshold tuple
-    and keeps the maximal ones in candidate order."""
-    from posaut.parityunion import _f_union
+# ---------------------------------------------------------------------------
+# Reference union DPA: the Zielonka tree on frozensets of letters, each
+# node's children computed anew, and each transition found by walking the
+# leaf's branch from the root
+# ---------------------------------------------------------------------------
 
+
+def _reference_f_union(letters, tuples):
+    if not letters:
+        return False
+    k = len(next(iter(tuples.values())))
+    return any(min(tuples[a][i] for a in letters) % 2 == 0 for i in range(k))
+
+
+def reference_children_sets(letters, tuples, accept):
+    """The maximal subsets of `letters` whose acceptance differs from
+    `accept`: each candidate tests every letter against its threshold tuple,
+    and the maximal ones are kept in candidate order."""
     k = len(next(iter(tuples.values())))
     values = [sorted({tuples[a][i] for a in letters}) for i in range(k)]
     candidates = []
@@ -296,7 +308,7 @@ def reference_children_sets(letters, tuples, accept):
                 for a in letters
                 if all(t is None or tuples[a][i] >= t for i, t in enumerate(thresholds))
             )
-            if sub and not _f_union(sub, tuples):
+            if sub and not _reference_f_union(sub, tuples):
                 candidates.append(sub)
     else:
         for i in range(k):
@@ -304,7 +316,7 @@ def reference_children_sets(letters, tuples, accept):
                 if e % 2 != 0:
                     continue
                 sub = frozenset(a for a in letters if tuples[a][i] >= e)
-                if sub and _f_union(sub, tuples):
+                if sub and _reference_f_union(sub, tuples):
                     candidates.append(sub)
     out = []
     for s in candidates:
@@ -313,6 +325,63 @@ def reference_children_sets(letters, tuples, accept):
         if s not in out:
             out.append(s)
     return out
+
+
+@dataclass
+class _RefZNode:
+    letters: frozenset
+    accept: bool
+    depth: int
+    children: list
+    leaf_index: int | None = None
+
+
+def reference_union_parity_automaton(letters, tuples):
+    """The Zielonka-tree DPA of the union condition over `letters`: the tree
+    built subset by subset, children sorted by their sorted letters, and
+    each transition found by walking the leaf's branch."""
+    from posaut.automaton import build
+
+    def subtree(subset, depth):
+        node = _RefZNode(frozenset(subset), _reference_f_union(subset, tuples), depth, [])
+        for child in sorted(reference_children_sets(subset, tuples, node.accept), key=sorted):
+            node.children.append(subtree(child, depth + 1))
+        return node
+
+    root = subtree(frozenset(letters), 0)
+    leaves = []  # branches, root first
+
+    def collect(node, path):
+        path = path + [node]
+        if not node.children:
+            node.leaf_index = len(leaves)
+            leaves.append(path)
+        for ch in node.children:
+            collect(ch, path)
+
+    collect(root, [])
+    base = 0 if root.accept else 1
+    trans = []
+    for idx, branch in enumerate(leaves):
+        for a in letters:
+            support = None
+            for node in branch:
+                if a in node.letters:
+                    support = node
+                else:
+                    break
+            if not support.children:
+                nxt = support.leaf_index
+            else:
+                on_branch = branch[support.depth + 1]
+                pos = support.children.index(on_branch)
+                node = support.children[(pos + 1) % len(support.children)]
+                while node.children:
+                    node = node.children[0]
+                nxt = node.leaf_index
+            trans.append((idx, a, support.depth + base, nxt))
+    return build(len(leaves), letters, 0, trans, deterministic=True)
+
 
 @pytest.fixture
 def rng():
@@ -823,7 +892,6 @@ def reference_composite_objective(w_det, alphabet, tokens):
     token alphabet: product of w_det with the Zielonka-tree automaton of the
     three-stream union condition, with every transition built."""
     from posaut.automaton import ParityAutomaton, Transition, priority_span
-    from posaut.parityunion import union_parity_automaton
 
     dw = w_det.d_max
     stutter1 = dw + 1 if (dw + 1) % 2 == 0 else dw + 2
@@ -842,7 +910,7 @@ def reference_composite_objective(w_det, alphabet, tokens):
                     combos.add((tr.priority, s2, s3))
     combo_letters = sorted(combos)
     names = {c: f"c{i}" for i, c in enumerate(combo_letters)}
-    union = union_parity_automaton(
+    union = reference_union_parity_automaton(
         [names[c] for c in combo_letters], {names[c]: c for c in combo_letters}
     )
     n_states = w_det.n_states * union.n_states

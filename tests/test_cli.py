@@ -36,6 +36,20 @@ def test_positional_exit_codes(tmp_path, capsys):
         assert main(["positional", reach, "--method", method]) == 1
 
 
+def test_non_integer_limit_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("POSAUT_LIMIT", "abc")
+    out = str(tmp_path / "x.dpa")
+    assert main(["zoo", "reach_aa", "-o", out]) == 2
+    assert capsys.readouterr().err == "error: POSAUT_LIMIT must be an integer, got 'abc'\n"
+    # --limit takes the place of the variable
+    assert main(["--limit", "10", "zoo", "reach_aa", "-o", out]) == 0
+    monkeypatch.setenv("POSAUT_LIMIT", "5")
+    arena = tmp_path / "g.arena"
+    arena.write_text(emit_arena(GameArena(1, (EVE,), ((0, "a", 0),) * 6, ("a", "b"))))
+    assert main(["oracle", str(arena), out]) == 2
+    assert "strategy space exceeds bound 5" in capsys.readouterr().err
+
+
 def test_member_example(tmp_path, capsys):
     b = write(tmp_path / "b.dpa", aut_buchi_a_or_reach_aa())
     assert main(["member", b, "--u", "-", "--v", "b"]) == 0

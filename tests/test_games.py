@@ -40,6 +40,7 @@ from conftest import (
     random_automaton,
     reference_brute_force,
     reference_composite_objective,
+    reference_union_parity_automaton,
 )
 
 
@@ -106,6 +107,16 @@ def test_solve_then_oracle_solves_the_reachable_game_once(monkeypatch):
     assert res.eve_wins_from(0) and res.eve_wins_from(1) and not bf.uniform
     assert sum(runs) == 1
     assert builds == [[(0, w.initial), (1, w.initial)]]
+
+
+def test_oracle_reads_an_integer_limit(monkeypatch):
+    arena, w = game_ab_prefix()
+    monkeypatch.setenv("POSAUT_LIMIT", "3")
+    with pytest.raises(ValueError, match="strategy space exceeds bound 3"):
+        brute_force_positional(arena, w)
+    monkeypatch.setenv("POSAUT_LIMIT", "abc")
+    with pytest.raises(ValueError, match="POSAUT_LIMIT must be an integer, got 'abc'"):
+        brute_force_positional(arena, w)
 
 
 def test_solve_reach_aa_arena():
@@ -328,7 +339,8 @@ def solver_cases():
 
 
 def test_solve_matches_eager_reference():
-    for name, arena, objective in solver_cases():
+    # the completion gadgets' cascades make Zielonka recurse about 100 levels
+    for name, arena, objective in [*solver_cases(), *completion_gadget_cases()]:
         got, ref = solve(arena, objective), reference_solve(arena, objective)
         assert got.eve_region == ref.eve_region, name
         assert got.adam_region == ref.adam_region, name
@@ -430,7 +442,15 @@ def completion_gadgets():
         yield name, g, reference_composite_objective(aut, g.arena.alphabet, tokens)
 
 
-def test_stepped_objective_matches_reference():
+def test_stepped_objective_matches_reference(monkeypatch):
+    unions = []
+    union_parity_automaton = games.union_parity_automaton
+
+    def spy(letters, tuples):
+        unions.append((letters, tuples, union_parity_automaton(letters, tuples)))
+        return unions[-1][2]
+
+    monkeypatch.setattr(games, "union_parity_automaton", spy)
     count = 0
     for name, g, ref in completion_gadgets():
         obj = g.objective
@@ -442,6 +462,10 @@ def test_stepped_objective_matches_reference():
         assert emit_dpa(obj) == emit_dpa(ref), name
         count += 1
     assert count >= 90
+    # each gadget's union DPA, apart from the cascade around it
+    assert len(unions) == count
+    for letters, tuples, union in unions:
+        assert emit_dpa(union) == emit_dpa(reference_union_parity_automaton(letters, tuples))
 
 
 def test_oracle_matches_reference():

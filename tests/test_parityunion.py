@@ -4,9 +4,15 @@ import random
 import pytest
 
 from posaut import parityunion
+from posaut.automaton import emit_dpa
 from posaut.parityunion import union_parity_automaton, zielonka_tree
 
-from conftest import reference_children_sets, run_lasso, union_accepts
+from conftest import (
+    reference_children_sets,
+    reference_union_parity_automaton,
+    run_lasso,
+    union_accepts,
+)
 
 
 def test_small_exhaustive():
@@ -62,14 +68,20 @@ def random_tuple_maps(seed, count):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_children_sets_match_reference(seed, monkeypatch):
+def test_children_sets_match_reference(seed):
+    # `_children_sets` takes and gives bitmasks; compared as sets of letters,
+    # in the tree's children order (sorted by their sorted letters)
     for letters, tuples in random_tuple_maps(seed, 60):
+        cond = parityunion._Condition(letters, tuples)
         for accept in (False, True):
-            got = parityunion._children_sets(frozenset(letters), tuples, accept)
-            assert got == reference_children_sets(frozenset(letters), tuples, accept)
-        tree, aut = zielonka_tree(letters, tuples), union_parity_automaton(letters, tuples)
-        monkeypatch.setattr(parityunion, "_children_sets", reference_children_sets)
-        assert zielonka_tree(letters, tuples) == tree
-        ref = union_parity_automaton(letters, tuples)
-        monkeypatch.undo()
-        assert ref == aut
+            got = parityunion._children_sets(cond, cond.full, accept)
+            got = [frozenset(cond.names[j] for j in cond.bits(s)) for s in got]
+            ref = reference_children_sets(frozenset(letters), tuples, accept)
+            assert got == sorted(ref, key=sorted)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_union_dpa_matches_reference(seed):
+    for letters, tuples in random_tuple_maps(seed, 60):
+        aut = union_parity_automaton(letters, tuples)
+        assert emit_dpa(aut) == emit_dpa(reference_union_parity_automaton(letters, tuples))
