@@ -123,7 +123,8 @@ class ParityAutomaton:
         """Structural diagnostics; an empty list means the automaton is well formed.
 
         Unreachable states are reported as warnings (prefix ``warning:``),
-        everything else is a violation.
+        everything else is a violation; reachability is not checked when a
+        transition references an unknown state.
         """
         issues = []
         if self.n_states <= 0:
@@ -143,9 +144,11 @@ class ParityAutomaton:
         dmin, dmax = self.priority_range
         if dmin > dmax:
             issues.append(f"empty priority range [{dmin}, {dmax}]")
+        dangling = False
         for t in self.transitions:
             if not (0 <= t.src < self.n_states and 0 <= t.dst < self.n_states):
                 issues.append(f"transition {t} references an unknown state")
+                dangling = True
             if t.letter != EPS and t.letter not in seen_alpha:
                 issues.append(f"transition {t} uses undeclared letter {t.letter!r}")
             if not (dmin <= t.priority <= dmax):
@@ -167,6 +170,8 @@ class ParityAutomaton:
                     issues.append(
                         f"declared deterministic but state {q} has eps-transitions"
                     )
+        if dangling:  # reachability needs every transition inside the states
+            return issues
         unreachable = set(self.states()) - set(self.reachable())
         for q in sorted(unreachable):
             issues.append(f"warning: state {q} unreachable from initial")
@@ -236,27 +241,15 @@ class ParityAutomaton:
 
 def access_word(aut: ParityAutomaton, target: int) -> tuple[str, ...] | None:
     """Shortest word reaching `target` from the initial state (eps-free BFS)."""
-    if target == aut.initial:
-        return ()
-    prev: dict[int, tuple[int, str]] = {aut.initial: None}
-    queue = deque([aut.initial])
-    while queue:
-        q = queue.popleft()
+
+    def step(q):
         for t in aut.by_src[q]:
-            if t.is_eps:
-                continue
-            if t.dst not in prev:
-                prev[t.dst] = (q, t.letter)
-                if t.dst == target:
-                    word = []
-                    s = target
-                    while prev[s] is not None:
-                        s0, a = prev[s]
-                        word.append(a)
-                        s = s0
-                    return tuple(reversed(word))
-                queue.append(t.dst)
-    return None
+            if not t.is_eps:
+                yield t.dst, 0, 0, t.letter
+
+    g, ids = explore([aut.initial], step)
+    v = ids.get(target)
+    return None if v is None else tree_word(g, v)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +369,8 @@ class EdgeGraph:
     Edge e runs from src[e] to dst[e] with priorities pr1[e] and pr2[e],
     where pr2[e] is `STUTTER` when the edge reads no letter; out[v] lists the
     ids of the edges leaving v in the order they were added, and label[e] is
-    any value attached to the edge when it was added."""
+    any value attached to the edge when it was added.  parent[v] is the edge
+    that discovered v, -1 for a start; only `explore` fills it."""
 
     def __init__(self, n: int = 0):
         self.out: list[list[int]] = [[] for _ in range(n)]
@@ -385,6 +379,7 @@ class EdgeGraph:
         self.pr1: list[int] = []
         self.pr2: list[int] = []
         self.label: list = []
+        self.parent: list[int] = []
 
     def add(self, u: int, v: int, p1: int, p2: int, label=None) -> None:
         self.out[u].append(len(self.dst))
@@ -399,28 +394,42 @@ def explore(starts, step) -> tuple[EdgeGraph, dict]:
     """The part of a product graph reachable from the node keys `starts`,
     explored breadth first.  Nodes are numbered in discovery order, `starts`
     first; `step(key)` yields one (key', p1, p2, label) per edge leaving
-    `key`, and edges are numbered in that order.  Returns the graph and the
-    map from node keys to ids."""
+    `key`, and edges are numbered in that order.  The edge that discovers a
+    node is its `parent`, so the parents form a breadth-first tree whose
+    paths are shortest (`tree_word`).  Returns the graph and the map from
+    node keys to ids, in discovery order."""
     g = EdgeGraph()
     ids: dict = {}
     queue = deque()
 
-    def node(key):
+    def node(key, e):
         i = ids.get(key)
         if i is None:
             i = ids[key] = len(g.out)
             g.out.append([])
+            g.parent.append(e)
             queue.append(key)
         return i
 
     for key in starts:
-        node(key)
+        node(key, -1)
     while queue:
         key = queue.popleft()
         s = ids[key]
-        for key2, p1, p2, label in step(key):
-            g.add(s, node(key2), p1, p2, label)
+        for key2, p1, p2, label in step(key):  # len(g.dst): the id `add` gives
+            g.add(s, node(key2, len(g.dst)), p1, p2, label)
     return g, ids
+
+
+def tree_word(g: EdgeGraph, v: int) -> tuple:
+    """The labels along `explore`'s tree path from a start to node v: a
+    shortest word leading there."""
+    word = []
+    e = g.parent[v]
+    while e != -1:
+        word.append(g.label[e])
+        e = g.parent[g.src[e]]
+    return tuple(reversed(word))
 
 
 def even_cycle_sccs(g, roots):
@@ -583,40 +592,15 @@ def parse_upword(text: str) -> UPWord:
 def up_membership(aut: ParityAutomaton, w: UPWord) -> bool:
     """Does the automaton accept u . v^omega?
 
-    Deterministic eps-free automata are simulated directly; otherwise the
-    answer is existential over runs whose eps-erasure equals the word, with
-    runs ending in an all-eps suffix excluded.
+    The answer is existential over runs whose eps-erasure equals the word,
+    with runs ending in an all-eps suffix excluded: the kernel on the
+    product of the automaton with the lasso graph of the word, whose
+    position i reads letter i of u.v; an eps move keeps its position and
+    reads none.
     """
     for a in w.u + w.v:
         if a not in aut.alphabet:
             raise ValueError(f"letter {a!r} not in the alphabet")
-    if aut.deterministic and not aut.has_eps:
-        return _up_membership_det(aut, w)
-    return _up_membership_nd(aut, w)
-
-
-def _up_membership_det(aut: ParityAutomaton, w: UPWord) -> bool:
-    q = aut.initial
-    for a in w.u:
-        q = aut.dsucc(q, a).dst
-    seen: dict[tuple[int, int], int] = {}
-    trace: list[int] = []  # priorities along the v-iteration
-    pos = 0
-    step = 0
-    while (q, pos) not in seen:
-        seen[(q, pos)] = step
-        t = aut.dsucc(q, w.v[pos])
-        trace.append(t.priority)
-        q = t.dst
-        pos = (pos + 1) % len(w.v)
-        step += 1
-    start = seen[(q, pos)]
-    return min(trace[start:]) % 2 == 0
-
-
-def _up_membership_nd(aut: ParityAutomaton, w: UPWord) -> bool:
-    # the product of the automaton with the lasso graph of w, whose position
-    # i reads letter i of u.v; an eps move keeps its position and reads none
     word, ulen = w.u + w.v, len(w.u)
     last = len(word) - 1
 

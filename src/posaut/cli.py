@@ -39,7 +39,7 @@ from .games import (
 from .lang import residual_preorder
 from .normalform import normalize
 from .progress import decide_bipositionality
-from .signature import decide_positionality_p1, emit_sig, parse_sig
+from .signature import decide_positionality_p1, emit_sig, parse_sig, validate_signature
 from .ugraph import (
     all_paths_satisfy,
     build_uaut,
@@ -102,6 +102,7 @@ def cmd_validate(args, out):
 
 def cmd_normalize(args, out):
     aut = parse_dpa(_read(args.file))
+    aut.check_valid()
     _write(args.output, emit_dpa(normalize(aut)))
     out.emit("written", args.output)
     return 0
@@ -203,6 +204,10 @@ def cmd_ugraph(args, out):
     if args.file.endswith(".sig"):
         sig = parse_sig(text)
         core = sig.automaton
+        core.check_valid()
+        problems = validate_signature(sig)
+        if problems is not True:
+            raise ValueError(f"invalid signature certificate: {problems[0]}")
     else:
         aut = parse_dpa(text)
         aut.check_valid()

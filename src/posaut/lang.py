@@ -11,7 +11,8 @@ of the product with the complement, decided by the parity-cycle kernel
 reads a letter and has even least priorities in both coordinates.  Only then
 is the witness lasso built, on the same arrays: for each even pair (x, y), a
 shortest cycle through a coordinate-1 priority-x and a coordinate-2
-priority-y edge inside one SCC of the edges >= (x, y), behind a BFS path;
+priority-y edge inside one SCC of the edges >= (x, y), behind its spine, the
+path to it in the product's own breadth-first tree (`automaton.tree_word`);
 the shortest such lasso, made canonical, is the witness.  The residual
 relations come from one `DetProduct` over all pairs of states at once
 (`noninclusion_pairs`), and the eps-completion loop extends one
@@ -39,6 +40,7 @@ from .automaton import (
     reaches_even_cycle,
     rebuild,
     tarjan_edges,
+    tree_word,
 )
 
 
@@ -95,26 +97,16 @@ def _included(g: EdgeGraph):
 
 def _shortest_lasso(g: EdgeGraph) -> UPWord:
     """The canonical shortest lasso from node 0 of a product with a common
-    word.
+    word, explored from that one start (`product`).
 
     For each even pair (x, y), the edges with priorities >= (x, y) are split
     into SCCs.  Each SCC that holds an edge of first priority x and one of
-    second priority y (a stutter is never one) gives a candidate: the BFS
-    path from node 0 to the shortest cycle through such a pair of anchor
-    edges.  The candidate with the fewest letters wins, then the least
-    (u, v)."""
+    second priority y (a stutter is never one) gives a candidate: the
+    shortest cycle through such a pair of anchor edges, behind the path from
+    node 0 to it in the product's own breadth-first tree (`tree_word`).  The
+    candidate with the fewest letters wins, then the least (u, v)."""
     src, dst, pr1, pr2, label = g.src, g.dst, g.pr1, g.pr2, g.label
     n = len(g.out)
-    pred: list[int | None] = [None] * n  # BFS tree edge into each node
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        for e in g.out[queue.popleft()]:
-            if not seen[dst[e]]:
-                seen[dst[e]] = True
-                pred[dst[e]] = e
-                queue.append(dst[e])
     best: tuple[int, tuple, tuple] | None = None  # (length, u, v)
     for x in sorted({p for p in pr1 if p % 2 == 0}):
         for y in sorted({p for p in pr2 if p % 2 == 0}):  # STUTTER is odd
@@ -131,11 +123,7 @@ def _shortest_lasso(g: EdgeGraph) -> UPWord:
                         ys.setdefault(c, []).append(e)
             for c in xs.keys() & ys.keys():
                 cycle = _cycle_through(adj, src, dst, comp_of, c, xs[c], ys[c])
-                u, e = [], pred[src[cycle[0]]]
-                while e is not None:
-                    u.append(label[e])
-                    e = pred[src[e]]
-                u = tuple(a for a in reversed(u) if a != EPS)
+                u = tuple(a for a in tree_word(g, src[cycle[0]]) if a != EPS)
                 v = tuple(label[e] for e in cycle if label[e] != EPS)
                 cand = (len(u) + len(v), u, v)
                 if best is None or cand < best:

@@ -11,10 +11,9 @@ comes from `lang`, whose inclusions run on the kernel
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .automaton import ParityAutomaton, access_word
+from .automaton import ParityAutomaton, access_word, explore, tree_word
 from .lang import complement_det, residual_preorder
 # unused here, but bench/tracing.py rebinds both names in this module
 from .lang import safe_incl  # noqa: F401
@@ -93,11 +92,8 @@ def _shortest_odd_loop(aut: ParityAutomaton, route, q: int, p: int):
     q to p along `route` while p's run on w returns to p at an odd least
     priority: one breadth-first search over (route state, run state,
     running minimum or None) from (q, p, None), whose run must not fork."""
-    start = (q, p, None)
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
+
+    def step(node):
         r, s, m = node
         for a in aut.alphabet:
             r2 = route.get((r, a))
@@ -105,17 +101,12 @@ def _shortest_odd_loop(aut: ParityAutomaton, route, q: int, p: int):
             if r2 is None or not ts:
                 continue
             t = ts[0]
-            nxt = (r2, t.dst, t.priority if m is None else min(m, t.priority))
-            if nxt in prev:
-                continue
-            prev[nxt] = (node, a)
-            if nxt[:2] == (p, p) and nxt[2] % 2:
-                word = []
-                while prev[nxt] is not None:
-                    nxt, letter = prev[nxt]
-                    word.append(letter)
-                return tuple(reversed(word))
-            queue.append(nxt)
+            yield (r2, t.dst, t.priority if m is None else min(m, t.priority)), 0, 0, a
+
+    g, ids = explore([(q, p, None)], step)
+    for (r, s, m), v in ids.items():
+        if r == s == p and m is not None and m % 2:
+            return tree_word(g, v)
     return None
 
 

@@ -25,12 +25,14 @@ from .automaton import (
     Transition,
     access_word,
     emit_dpa,
+    explore,
     one_per_src_letter,
     parse_dpa,
     quotient_leq_x,
     rebuild,
     safe_components,
     tarjan_scc,
+    tree_word,
     up_membership,
     upword,
 )
@@ -491,28 +493,21 @@ def _bisimulation_quotient(aut: ParityAutomaton) -> ParityAutomaton:
 def _loops_back(aut: ParityAutomaton, r: int, s: int) -> dict[int, tuple[str, ...]]:
     """Per priority m, a shortest word w with r -w-> r at an odd least
     priority and s -w-> r at least priority m: one breadth-first search over
-    the two runs with their running minima."""
+    the two runs with their running minima, from (r, s) with r != s."""
     top = aut.d_max + 1
-    start = (r, s, top, top)
-    prev = {start: None}
-    queue = deque([start])
-    found = {}
-    while queue:
-        node = queue.popleft()
+    rows = aut.delta.items()
+
+    def step(node):
         s1, s2, m1, m2 = node
-        for a, ts in aut.delta.items():
+        for a, ts in rows:
             t1, t2 = ts[s1], ts[s2]
-            nxt = (t1.dst, t2.dst, min(m1, t1.priority), min(m2, t2.priority))
-            if nxt in prev:
-                continue
-            prev[nxt] = (node, a)
-            queue.append(nxt)
-            if nxt[0] == nxt[1] == r and nxt[2] % 2 and nxt[3] not in found:
-                word, back = [], nxt
-                while prev[back] is not None:
-                    back, letter = prev[back]
-                    word.append(letter)
-                found[nxt[3]] = tuple(reversed(word))
+            yield (t1.dst, t2.dst, min(m1, t1.priority), min(m2, t2.priority)), 0, 0, a
+
+    g, ids = explore([(r, s, top, top)], step)
+    found = {}
+    for (s1, s2, m1, m2), v in ids.items():
+        if s1 == s2 == r and m1 % 2 and m2 not in found:
+            found[m2] = tree_word(g, v)
     return found
 
 
@@ -557,27 +552,25 @@ def _monoid_loops(aut: ParityAutomaton) -> TwoLoopData | None:
     maps every state to (target, least priority) and comes with a shortest
     word.  Exact for every two-loop witness, since the three facts depend
     only on the state u0 reaches and the elements of l1 and l2; the monoid
-    can be exponential in the number of states."""
-    words = {}
-    queue = deque()
-    for a, ts in aut.delta.items():
-        e = tuple((t.dst, t.priority) for t in ts)
-        if e not in words:
-            words[e] = (a,)
-            queue.append(e)
-    while queue:
-        e = queue.popleft()
-        for a, ts in aut.delta.items():
-            f = tuple((ts[d].dst, min(m, ts[d].priority)) for d, m in e)
-            if f not in words:
-                words[f] = words[e] + (a,)
-                queue.append(f)
+    can be exponential in the number of states.  The search starts from the
+    empty word's element, whose least priority d_max + 1 no letter reaches,
+    and leaves it out."""
+    rows = aut.delta.items()
+
+    def step(e):
+        for a, ts in rows:
+            yield tuple((ts[d].dst, min(m, ts[d].priority)) for d, m in e), 0, 0, a
+
+    g, ids = explore([tuple((q, aut.d_max + 1) for q in aut.states())], step)
+    elements = list(ids)[1:]
     for q in aut.states():
-        rejected = [e for e in words if not _accepts_rounds(q, (e,))]
+        rejected = [e for e in elements if not _accepts_rounds(q, (e,))]
         for e in rejected:
             for f in rejected:
                 if _accepts_rounds(q, (e, f)):
-                    return TwoLoopData(access_word(aut, q), words[e], words[f])
+                    return TwoLoopData(
+                        access_word(aut, q), tree_word(g, ids[e]), tree_word(g, ids[f])
+                    )
     return None
 
 

@@ -553,7 +553,6 @@ def _reference_first_failure(aut, rank, x):
 def reference_progress_consistency(aut, rp):
     """`progress.check_progress_consistency(aut, rp)` with two DFAs and one
     intersection per ordered pair."""
-    from posaut.automaton import access_word
     from posaut.witnesses import ProgressWitness
 
     if not rp.total:
@@ -562,7 +561,9 @@ def reference_progress_consistency(aut, rp):
     if found is None:
         return True
     q, p, w = found
-    return ProgressWitness(kind="plain", q=q, p=p, w=w, context_u=access_word(aut, q))
+    return ProgressWitness(
+        kind="plain", q=q, p=p, w=w, context_u=reference_access_word(aut, q)
+    )
 
 
 def reference_full_progress_consistency(sig):
@@ -575,6 +576,117 @@ def reference_full_progress_consistency(sig):
             q, p, w = found
             return ProgressWitness(kind="full", q=q, p=p, w=w, level_x=x)
     return True
+
+
+# ---------------------------------------------------------------------------
+# Shortest witness words, each from its own breadth-first search as
+# `automaton` and `signature` built them before they shared `explore`'s
+# tree: the references for access words and two-loop witnesses
+# ---------------------------------------------------------------------------
+
+
+def reference_access_word(aut, target):
+    """`automaton.access_word`: shortest word reaching `target` from the
+    initial state, eps moves skipped."""
+    if target == aut.initial:
+        return ()
+    prev = {aut.initial: None}
+    queue = deque([aut.initial])
+    while queue:
+        q = queue.popleft()
+        for t in aut.by_src[q]:
+            if t.is_eps:
+                continue
+            if t.dst not in prev:
+                prev[t.dst] = (q, t.letter)
+                if t.dst == target:
+                    word = []
+                    s = target
+                    while prev[s] is not None:
+                        s0, a = prev[s]
+                        word.append(a)
+                        s = s0
+                    return tuple(reversed(word))
+                queue.append(t.dst)
+    return None
+
+
+def _reference_loops_back(aut, r, s):
+    top = aut.d_max + 1
+    start = (r, s, top, top)
+    prev = {start: None}
+    queue = deque([start])
+    found = {}
+    while queue:
+        node = queue.popleft()
+        s1, s2, m1, m2 = node
+        for a, ts in aut.delta.items():
+            t1, t2 = ts[s1], ts[s2]
+            nxt = (t1.dst, t2.dst, min(m1, t1.priority), min(m2, t2.priority))
+            if nxt in prev:
+                continue
+            prev[nxt] = (node, a)
+            queue.append(nxt)
+            if nxt[0] == nxt[1] == r and nxt[2] % 2 and nxt[3] not in found:
+                word, back = [], nxt
+                while prev[back] is not None:
+                    back, letter = prev[back]
+                    word.append(letter)
+                found[nxt[3]] = tuple(reversed(word))
+    return found
+
+
+def reference_hub_loops(aut):
+    """`signature._hub_loops`: the two-loop witness of the first ordered hub
+    pair that carries one, or None."""
+    from itertools import permutations
+
+    from posaut.witnesses import TwoLoopData
+
+    for r1, r2 in permutations(aut.states(), 2):
+        back1 = _reference_loops_back(aut, r1, r2)
+        if not back1:
+            continue
+        back2 = _reference_loops_back(aut, r2, r1)
+        pairs = [
+            (len(w1) + len(w2), w1, w2)
+            for m1, w1 in back1.items()
+            for m2, w2 in back2.items()
+            if min(m1, m2) % 2 == 0
+        ]
+        if pairs:
+            _, l1, l2 = min(pairs)
+            return TwoLoopData(reference_access_word(aut, r1), l1, l2)
+    return None
+
+
+def reference_monoid_loops(aut):
+    """`signature._monoid_loops`: a two-loop witness from the transition
+    monoid, each element with the shortest word found first, or None."""
+    from posaut.signature import _accepts_rounds
+    from posaut.witnesses import TwoLoopData
+
+    words = {}
+    queue = deque()
+    for a, ts in aut.delta.items():
+        e = tuple((t.dst, t.priority) for t in ts)
+        if e not in words:
+            words[e] = (a,)
+            queue.append(e)
+    while queue:
+        e = queue.popleft()
+        for a, ts in aut.delta.items():
+            f = tuple((ts[d].dst, min(m, ts[d].priority)) for d, m in e)
+            if f not in words:
+                words[f] = words[e] + (a,)
+                queue.append(f)
+    for q in aut.states():
+        rejected = [e for e in words if not _accepts_rounds(q, (e,))]
+        for e in rejected:
+            for f in rejected:
+                if _accepts_rounds(q, (e, f)):
+                    return TwoLoopData(reference_access_word(aut, q), words[e], words[f])
+    return None
 
 
 # ---------------------------------------------------------------------------

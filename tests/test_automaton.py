@@ -29,7 +29,13 @@ from posaut.zoo import (
     aut_parity_letters,
 )
 
-from conftest import FIXTURES, random_automaton, random_eps_automaton, random_upword
+from conftest import (
+    FIXTURES,
+    random_automaton,
+    random_eps_automaton,
+    random_upword,
+    run_lasso,
+)
 
 
 # -- validate ----------------------------------------------------------------
@@ -173,6 +179,14 @@ def test_up_membership_matches_oracles(rng):
         for _ in range(100):
             u, v = random_upword(rng, aut.alphabet)
             assert up_membership(aut, upword(u, v)) == oracle(u, v), (name, u, v)
+    # deterministic automata run the product path too; the direct
+    # simulation is the oracle
+    for i in range(200):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        aut = random_automaton(rng, rng.randint(1, 8), letters, rng.randint(1, 5))
+        for _ in range(5):
+            u, v = random_upword(rng, letters)
+            assert up_membership(aut, upword(u, v)) == run_lasso(aut, u, v), (i, u, v)
 
 
 def test_up_membership_nondeterministic():

@@ -71,6 +71,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.dpa"
     bad.write_text("dpa\nalphabet: a\nstates: x\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == 2
+    header = "dpa\nalphabet: a\nstates: 2\ninitial: 0\npriorities: 0 1\ndeterministic: true\n"
+    for trans in ("trans: 0 a 0 5\n", "trans: 7 a 1 0\n"):
+        bad.write_text(header + trans + "trans: 1 a 0 0\n", encoding="utf-8")
+        for args in (["validate"], ["normalize", "-o", str(tmp_path / "out.dpa")], ["positional"]):
+            assert main(args[:1] + [str(bad)] + args[1:]) == 2, (trans, args)
+            captured = capsys.readouterr()
+            assert "references an unknown state" in captured.out + captured.err, args
     fig3 = write(tmp_path / "fig3.dpa", aut_inf_a_or_fin_bb())
     sig = tmp_path / "fig3.sig"
     assert main(["signature", fig3, "-o", str(sig)]) == 0
@@ -82,6 +89,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
         (["preorder:"], "line 16: preorder needs"),
         (["preorder: 0 0 1 1", "preorder: 2 0 1 2"], "line 17: missing preorder level 1"),
         ([], "missing preorder lines"),
+        (
+            ["preorder: 0 1 0 1", "preorder: 1 0 1 1", "preorder: 2 0 1 2"],
+            "invalid signature certificate: level 1 does not refine level 0",
+        ),
     ):
         bad = tmp_path / "bad.sig"
         bad.write_text("\n".join(body + pre) + "\n", encoding="utf-8")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from posaut.automaton import (
+    access_word,
     build,
     congruence_from_classes,
     parse_dpa,
@@ -17,6 +18,7 @@ from posaut.signature import (
     SignatureAutomaton,
     _bisimulation_quotient,
     _hub_loops,
+    _monoid_loops,
     _preorders_up_to,
     check_total_safe_order,
     decide_positionality_p1,
@@ -44,7 +46,17 @@ from posaut.zoo import (
     aut_reach_aa,
 )
 
-from conftest import FIXTURES, POSITIONAL_FIXTURES, SEED_58_DPA, blowup, random_upword
+from conftest import (
+    FIXTURES,
+    POSITIONAL_FIXTURES,
+    SEED_58_DPA,
+    blowup,
+    random_automaton,
+    random_upword,
+    reference_access_word,
+    reference_hub_loops,
+    reference_monoid_loops,
+)
 
 
 def classes_of(aut, level_ranks):
@@ -343,6 +355,29 @@ def test_two_loops_without_a_hub_pair():
     assert isinstance(res.witness, PolishLanguageChange)
     assert res.witness.loops == find_two_loops(aut)
     assert _hub_facts(aut, res.witness.loops)
+
+
+def test_witness_words_match_reference():
+    # the searches read their words off `explore`'s tree; the references
+    # each run their own breadth-first search with a walk back
+    base = parse_dpa(SEED_58_DPA)
+    rng = random.Random(20)
+    auts = [blowup(base, k, seed) for k in (1, 2, 3) for seed in range(5)]
+    for _ in range(600):
+        n, letters = rng.randint(2, 5), ("a", "b", "c")[: rng.randint(2, 3)]
+        auts.append(random_automaton(rng, n, letters, rng.randint(2, 4)))
+    hub = monoid = 0
+    for i, aut in enumerate(auts):
+        quo = _bisimulation_quotient(aut)
+        for q in quo.states():
+            assert access_word(quo, q) == reference_access_word(quo, q), (i, q)
+        loops = _hub_loops(quo)
+        assert loops == reference_hub_loops(quo), i
+        other = _monoid_loops(quo)
+        assert other == reference_monoid_loops(quo), i
+        hub += loops is not None
+        monoid += loops is None and other is not None
+    assert hub >= 250 and monoid >= 40, (hub, monoid)
 
 
 @pytest.mark.parametrize("name", POSITIONAL_FIXTURES)
