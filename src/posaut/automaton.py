@@ -360,7 +360,7 @@ def tarjan_edges(roots, adj, dst, n):
 # The parity-cycle kernel
 # ---------------------------------------------------------------------------
 
-STUTTER = sys.maxsize  # second priority of a product edge that reads no letter
+STUTTER = sys.maxsize  # odd: the priority of a coordinate that reads no letter
 
 
 class EdgeGraph:
@@ -432,22 +432,29 @@ def tree_word(g: EdgeGraph, v: int) -> tuple:
     return tuple(reversed(word))
 
 
-def even_cycle_sccs(g, roots):
+def even_cycle_sccs(g, roots, priorities=None):
     """Lazily yield, for each accepting SCC of `g` reachable from `roots`,
     the ids of its inner edges.  `g` is an `EdgeGraph` or has its five
-    integer arrays (`out`, `src`, `dst`, `pr1`, `pr2`).
+    integer arrays (`out`, `src`, `dst`, `pr1`, `pr2`).  `priorities` lists
+    the coordinates, one per-edge priority array each; (pr1, pr2) by
+    default.
 
     An SCC accepts when it holds a cycle that reads a letter and whose least
-    first and least second priorities are both even; `STUTTER` never counts
-    as a least priority.  Recursive SCC decomposition (Emerson and Lei): an
-    SCC whose inner edges have least priorities (x, y) accepts if x and y
-    are both even and is dropped if it reads no letter; otherwise its
-    candidate cycles avoid the edges that carry an odd x or an odd y, and
-    what is left is decomposed at the next level.  Each level raises an odd
-    least priority, so there are at most as many levels as odd priorities;
-    one Tarjan pass finds all SCCs of a level.  The edges yielded are
-    exactly the edges on such cycles reachable from `roots`, each once."""
-    src, dst, pr1, pr2 = g.src, g.dst, g.pr1, g.pr2
+    priority in every coordinate is even; `STUTTER` never counts as a least
+    priority.  Recursive SCC decomposition (Emerson and Lei): an SCC whose
+    inner edges have least priorities x1..xk accepts if all of them are
+    even; otherwise its candidate cycles avoid the edges that carry an odd
+    xi in coordinate i, and what is left is decomposed at the next level.
+    `STUTTER` is odd and above every priority, so an SCC whose least is
+    `STUTTER` in some coordinate (it reads no letter) keeps no edge.  Each
+    level raises
+    an odd least priority, so there are at most as many levels as odd
+    priorities; one Tarjan pass finds all SCCs of a level.  The edges
+    yielded are exactly the edges on such cycles reachable from `roots`,
+    each once."""
+    src, dst = g.src, g.dst
+    if priorities is None:
+        priorities = (g.pr1, g.pr2)
     n = len(g.out)
     adj = g.out
     while True:
@@ -457,17 +464,14 @@ def even_cycle_sccs(g, roots):
             inner = [e for v in members for e in adj[v] if comp_of[dst[e]] == c]
             if not inner:
                 continue
-            y = min(map(pr2.__getitem__, inner))
-            if y == STUTTER:
-                continue
-            x = min(map(pr1.__getitem__, inner))
-            if x % 2 == 0 and y % 2 == 0:
+            scc = inner
+            for pr in priorities:
+                x = min(map(pr.__getitem__, scc))
+                if x % 2:
+                    inner = [e for e in inner if pr[e] != x]
+            if inner is scc:  # every least priority is even
                 yield inner
                 continue
-            if x % 2:
-                inner = [e for e in inner if pr1[e] != x]
-            if y % 2:
-                inner = [e for e in inner if pr2[e] != y]
             keep.extend(inner)
         if not keep:
             return

@@ -318,10 +318,11 @@ def cmd_gadget(args, out):
         )
     elif args.kind == "completion":
         wdet = parse_dpa(_read(args.wdet)) if args.wdet else objective
+        wdet.check_valid()
         g = completion_gadget(objective, wdet, args.q, args.p, args.x)
     g.arena.check_valid()
     if args.kind == "completion" and args.obj_out:
-        _write(args.obj_out, emit_dpa(g.objective))
+        _write(args.obj_out, emit_dpa(g.objective.materialise()))
         out.emit("objective", args.obj_out)
     _write(args.output, emit_arena(g.arena))
     out.emit("written", args.output)

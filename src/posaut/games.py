@@ -1,19 +1,19 @@
 """Finite games with parity-automaton objectives.
 
 An arena is a two-player edge-labelled graph; the objective is a
-deterministic parity automaton over the edge letters (eps-edges stutter it),
-read through one row function, (state, letter) -> (priority, state').
-`solve` computes exact winning regions of the product parity game with a
-recursive attractor (Zielonka) solver.  It solves only what is read:
-`eve_wins_from` solves the part of the product reachable from the pairs
-(vertex, initial state), and the full regions and Eve's strategy are solved
-on the whole product when first read.  `brute_force_positional` enumerates
-all positional strategies of Eve and checks each on that solved reachable
-game: with Eve's choices fixed, one pass of the parity-cycle kernel asks
-whether Adam can reach a cycle of odd least priority from her winning
-region.  The gadget builders turn positionality witnesses into small
-Eve-games, and `completion_gadget` builds the two-copy redirection game with
-its composite objective, a `parityunion.Cascade` stepped on demand.
+deterministic automaton over the edge letters (eps-edges stutter it) whose
+steps carry one priority per stream, read as (state, letter) -> (stream
+priorities, state'): one stream for a `ParityAutomaton`, three for the
+completion gadget's `parityunion.StreamObjective`.  Eve wins a play when
+some stream's least recurring priority is even.  `solve` computes exact
+winning regions of the product game with Zielonka's recursive attractor
+solver for such disjunctions, solving only what is read: `eve_wins_from`
+the part reachable from the pairs (vertex, initial state), the full regions
+and Eve's strategy the whole product.  `brute_force_positional` checks each
+positional strategy of Eve on that solved reachable game with one pass of
+the parity-cycle kernel: can Adam reach, from her winning region, a cycle
+on which every stream's least priority is odd?  The gadget builders turn
+positionality witnesses into small Eve-games.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .automaton import (
     even_cycle_sccs,
     tarjan_scc,
 )
-from .parityunion import Cascade, union_parity_automaton
+from .parityunion import StreamObjective
 
 EVE = "eve"
 ADAM = "adam"
@@ -150,12 +150,13 @@ def parse_arena(text: str) -> GameArena:
 
 @dataclass
 class _Game:
-    """Vertex-priority min-parity game (edge priorities via subdivision),
-    indexed by node id.  Only the ids in `nodes` were built; the others
-    have no successor list."""
+    """Vertex-priority game with one min-parity stream per priority list
+    (edge priorities via subdivision), indexed by node id: Eve wins a play
+    when some stream's least recurring priority is even.  Only the ids in
+    `nodes` were built; the others have no successor list."""
 
     owner: list[int]  # 0 = Eve, 1 = Adam
-    priority: list[int]
+    priorities: list[list[int]]  # per stream, per node
     succ: list[list[int] | None]
     nodes: list[int]  # ascending
 
@@ -209,25 +210,45 @@ def _attractor_fast(game: _Game, pred, player: int, target, alive):
 
 def _zielonka(game: _Game, pred, buckets, lo, alive):
     """Returns (win0, win1, strat0) on the subgame induced by alive: both
-    winning regions and Eve's winning moves on hers.  `buckets` holds
-    (priority, nodes of that priority) pairs, least priority first; no node
-    of `alive` is in a bucket below index `lo`."""
+    winning regions and Eve's winning moves on hers.  `buckets[s]` holds
+    stream s's (priority, nodes of that priority) pairs, least priority
+    first; no node of `alive` is in a bucket of stream s below `lo[s]`.
+    Zielonka's recursion for a disjunction of parity conditions (Chatterjee,
+    Henzinger and Piterman, "Generalized Parity Games", 2007); with one
+    stream it is Zielonka's algorithm."""
     if not alive:
         return set(), set(), {}
-    while alive.isdisjoint(buckets[lo][1]):
-        lo += 1
-    p, priority = buckets[lo][0], game.priority
-    player = p % 2
-    # built by iterating `alive`: the attractor's queue follows this set's
-    # order, and with it the moves Eve's strategy records
-    target = {v for v in alive if priority[v] == p}
-    attr, moves = _attractor_fast(game, pred, player, target, alive)
-    w0, w1, s0 = _zielonka(game, pred, buckets, lo + 1, alive - attr)
-    if not (w1 if player == 0 else w0):
-        # `player` wins everywhere
+    lo = list(lo)
+    least = []
+    for s, bucket in enumerate(buckets):
+        while alive.isdisjoint(bucket[lo[s]][1]):
+            lo[s] += 1
+        least.append(bucket[lo[s]][0])
+    even = [s for s, p in enumerate(least) if p % 2 == 0]
+    # Eve's branch on the first stream with an even least priority, else
+    # Adam's on each stream in turn: the first whose rest holds an Eve
+    # region gives Zielonka's Adam branch, and if none does, Adam wins
+    for s in even[:1] or range(len(buckets)):
+        player, priority = least[s] % 2, game.priorities[s]
+        # built by iterating `alive`: the attractor's queue follows this set's
+        # order, and with it the moves Eve's strategy records
+        target = {v for v in alive if priority[v] == least[s]}
+        attr, moves = _attractor_fast(game, pred, player, target, alive)
+        rest = lo[:s] + [lo[s] + 1] + lo[s + 1:]
+        w0, w1, s0 = _zielonka(game, pred, buckets, rest, alive - attr)
         if player == 1:
-            return set(), set(alive), {}
-        # Eve: attractor moves plus any move staying alive
+            if not w0:
+                continue
+            battr, bmoves = _attractor_fast(game, pred, 0, w0, alive)
+            w0b, w1b, s0b = _zielonka(game, pred, buckets, lo, alive - battr)
+            s0.update(bmoves)
+            s0.update(s0b)
+            return w0 | battr | w0b, w1b, s0
+        if w1:
+            battr, _ = _attractor_fast(game, pred, 1, w1, alive)
+            w0b, w1b, s0b = _zielonka(game, pred, buckets, lo, alive - battr)
+            return w0b, w1 | battr | w1b, s0b
+        # Eve wins everywhere: attractor moves plus any move staying alive
         s0.update(moves)
         succ, owner = game.succ, game.owner
         for v in alive:
@@ -237,51 +258,41 @@ def _zielonka(game: _Game, pred, buckets, lo, alive):
                         s0[v] = w
                         break
         return set(alive), set(), s0
-    if player == 1:
-        battr, bmoves = _attractor_fast(game, pred, 0, w0, alive)
-        w0b, w1b, s0b = _zielonka(game, pred, buckets, lo, alive - battr)
-        s0.update(bmoves)
-        s0.update(s0b)
-        return w0 | battr | w0b, w1b, s0
-    battr, _ = _attractor_fast(game, pred, 1, w1, alive)
-    w0b, w1b, s0b = _zielonka(game, pred, buckets, lo, alive - battr)
-    return w0b, w1 | battr | w1b, s0b
+    return set(), set(alive), {}
 
 
 def _solve_game(game: _Game):
     """Zielonka on the whole built game: (win0, win1, strat0)."""
-    by = {}
-    for v in game.nodes:
-        by.setdefault(game.priority[v], []).append(v)
-    buckets = [(p, set(by[p])) for p in sorted(by)]
-    return _zielonka(game, _preds(game), buckets, 0, set(game.nodes))
+    buckets = []
+    for priority in game.priorities:
+        by = {}
+        for v in game.nodes:
+            by.setdefault(priority[v], []).append(v)
+        buckets.append([(p, set(by[p])) for p in sorted(by)])
+    return _zielonka(game, _preds(game), buckets, [0] * len(buckets), set(game.nodes))
 
 
 def _stepper(arena: GameArena, objective):
-    """The objective's row function, (state, letter) -> (priority, state'):
-    `Cascade.step`, or a read of `objective.delta` for a `ParityAutomaton`.
-    The objective must be deterministic and eps-free, with a transition on
-    every letter of an arena edge."""
+    """The objective's row function, (state, letter) -> (stream priorities,
+    state'), and its number of streams: `StreamObjective.step`, or one
+    stream read off `objective.delta` for a `ParityAutomaton`.  The
+    objective must be deterministic and eps-free, with a transition on every
+    letter of an arena edge."""
     if not objective.deterministic or objective.has_eps:
         raise ValueError("objective must be deterministic and eps-free")
-    if isinstance(objective, ParityAutomaton):
-        rows = objective.delta
-
-        def step(q, a):
-            t = rows[a][q]
-            return t.priority, t.dst
-    else:
-        step = objective.step
     letters = set(objective.alphabet)
     for (_, a, _) in arena.edges:
         if a != EPS and a not in letters:
             raise ValueError(f"objective has no transitions on {a!r}")
-    return step
+    if isinstance(objective, StreamObjective):
+        return objective.step, objective.streams
+    rows = {a: [((t.priority,), t.dst) for t in row] for a, row in objective.delta.items()}
+    return (lambda q, a: rows[a][q]), 1
 
 
 def _neutral(objective) -> int:
-    """The priority of product nodes and eps-moves: odd and above every
-    transition priority (the least odd number >= d_max + 2)."""
+    """The priority of product nodes and eps-moves in every stream: odd and
+    above every transition priority (the least odd number >= d_max + 2)."""
     return (objective.d_max + 2) | 1
 
 
@@ -290,16 +301,17 @@ def _product_game(arena: GameArena, objective, roots):
     state) pairs `roots` and closed under moves.  Node v*m + q is the pair
     (v, q), with m objective states, owned by v's owner and carrying a
     neutral priority; node base + idx*m + q, with base = n_vertices*m, is
-    Adam's move along arena edge idx from (v, q) and carries the transition
-    priority (neutral for an eps-edge, which stutters the objective).  The
-    objective's transitions are read through its row function (`_stepper`).
-    Returns (game, m)."""
-    step = _stepper(arena, objective)
+    Adam's move along arena edge idx from (v, q) and carries the
+    transition's stream priorities (neutral for an eps-edge, which stutters
+    the objective).  The objective's transitions are read through its row
+    function (`_stepper`).  Returns (game, m)."""
+    step, streams = _stepper(arena, objective)
     neutral = _neutral(objective)
     m = objective.n_states
     base = arena.n_vertices * m
     size = base + len(arena.edges) * m
-    owner, priority, succ, nodes = [1] * size, [neutral] * size, [None] * size, []
+    owner, succ, nodes = [1] * size, [None] * size, []
+    priorities = [[neutral] * size for _ in range(streams)]
     queue = deque(v * m + q for v, q in roots)
     while queue:
         i = queue.popleft()
@@ -314,7 +326,9 @@ def _product_game(arena: GameArena, objective, roots):
             if a == EPS:
                 dst = t * m + q
             else:
-                priority[k], r = step(q, a)
+                ps, r = step(q, a)
+                for priority, p in zip(priorities, ps):
+                    priority[k] = p
                 dst = t * m + r
             outs.append(k)
             succ[k] = [dst]
@@ -322,7 +336,7 @@ def _product_game(arena: GameArena, objective, roots):
             if succ[dst] is None:
                 queue.append(dst)
     nodes.sort()
-    return _Game(owner, priority, succ, nodes), m
+    return _Game(owner, priorities, succ, nodes), m
 
 
 class SolveResult:
@@ -376,7 +390,9 @@ def solve(arena: GameArena, objective) -> SolveResult:
     winning strategy (memory = automaton state).  The arena and the
     objective's letters are checked here; each region is solved when it is
     first read (see `SolveResult`).  The objective is a deterministic
-    `ParityAutomaton` or a `parityunion.Cascade`."""
+    `ParityAutomaton` (one stream) or a `parityunion.StreamObjective` (one
+    priority per stream on each transition, solved without building its
+    union automaton); the pairs are over its states."""
     arena.check_valid()
     _stepper(arena, objective)
     return SolveResult(arena, objective)
@@ -432,23 +448,24 @@ class NoUniformStrategy:
 def _pair_graph(game: _Game, n_pairs: int):
     """The built pair nodes of the game (ids below `n_pairs`) as an
     `EdgeGraph` for the parity-cycle kernel, numbered 0..k-1 in id order:
-    each move node becomes an edge between the pairs it joins, with the
-    move's priority + 1 first and 0 second, so that an accepting cycle is a
-    cycle of the game whose least priority is odd (the pair nodes carry the
+    each move node becomes an edge between the pairs it joins, carrying each
+    stream's priority + 1, so that an accepting cycle is a cycle of the game
+    on which every stream's least priority is odd (the pair nodes carry the
     neutral priority, above all others).  A pair's edges are in the order of
-    its moves.  Returns the graph and the list of pair ids."""
+    its moves.  Returns the graph, its per-stream priority arrays and the
+    list of pair ids."""
     pairs = [i for i in game.nodes if i < n_pairs]
     dense = {i: j for j, i in enumerate(pairs)}
-    succ, priority = game.succ, game.priority
+    succ = game.succ
     g = EdgeGraph(len(pairs))
+    moves = []
     for j, i in enumerate(pairs):
-        moves = succ[i]
-        g.out[j] = range(len(g.dst), len(g.dst) + len(moves))
-        g.src += [j] * len(moves)
-        g.dst += [dense[succ[k][0]] for k in moves]
-        g.pr1 += [priority[k] + 1 for k in moves]
-    g.pr2 = [0] * len(g.dst)
-    return g, pairs
+        g.out[j] = range(len(moves), len(moves) + len(succ[i]))
+        moves += succ[i]
+        g.src += [j] * len(succ[i])
+    g.dst = [dense[succ[k][0]] for k in moves]
+    streams = [[priority[k] + 1 for k in moves] for priority in game.priorities]
+    return g, streams, pairs
 
 
 def env_limit() -> int:
@@ -468,8 +485,9 @@ def brute_force_positional(arena: GameArena, objective, bound=None):
     Each strategy is checked on the reachable game that `_initial_solve`
     solved: Eve's pairs keep only the chosen move, and one pass of the
     parity-cycle kernel from all pairs (v, initial) of the region asks
-    whether Adam can reach a cycle whose least priority is odd.  Every cycle
-    reads a letter, as `GameArena.validate` rejects eps-cycles."""
+    whether Adam can reach a cycle on which every stream's least priority
+    is odd.  Every cycle reads a letter, as `GameArena.validate` rejects
+    eps-cycles."""
     if bound is None:
         bound = env_limit()
     arena.check_valid()
@@ -481,7 +499,7 @@ def brute_force_positional(arena: GameArena, objective, bound=None):
         total *= max(len(outs), 1)
         if total > bound:
             raise ValueError(f"strategy space exceeds bound {bound}")
-    g, pairs = _pair_graph(game, arena.n_vertices * m)
+    g, streams, pairs = _pair_graph(game, arena.n_vertices * m)
     full_out = g.out
     # the graph's nodes of each Eve vertex's built pairs
     position = {v: k for k, v in enumerate(eve_vertices)}
@@ -496,7 +514,7 @@ def brute_force_positional(arena: GameArena, objective, bound=None):
         for nodes, c in zip(eve_nodes, combo):
             for j in nodes:
                 g.out[j] = (full_out[j][c],)
-        if next(even_cycle_sccs(g, roots), None) is None:
+        if next(even_cycle_sccs(g, roots, streams), None) is None:
             choice = {v: outs[c][0] for v, outs, c in zip(eve_vertices, per_vertex, combo)}
             return UniformlyPositional(PositionalStrategy(choice))
     return NoUniformStrategy(region0)
@@ -559,9 +577,13 @@ class _ArenaBuilder:
 
 @dataclass(frozen=True)
 class Gadget:
+    """A game that checks a positionality witness.  The objective is the
+    analysed `ParityAutomaton`, or for the completion gadget a three-stream
+    `StreamObjective` on the states of `w_det`."""
+
     arena: GameArena
     designated: tuple[int, ...]  # vertices Eve must win from
-    objective: ParityAutomaton | Cascade  # the objective to solve against
+    objective: ParityAutomaton | StreamObjective  # the objective to solve against
 
 
 def gadget_residual(u1, u2, w1: UPWord, w2: UPWord, objective) -> Gadget:
@@ -616,9 +638,10 @@ def completion_gadget(
     duplicates so that the opponent can simulate any run of the augmented
     automaton, jumping exactly where the run uses the added eps-transition.
     The composite objective (language, or odd parity, or
-    infinitely-enter-with-finitely-small) is one deterministic parity
-    automaton over letter_priority_type tokens, a `Cascade` whose
-    transitions are worked out as the game meets them."""
+    infinitely-enter-with-finitely-small) is a three-stream
+    `StreamObjective` on the states of `w_det` over letter_priority_type
+    tokens, which must be deterministic with a transition on every letter
+    of `aut`."""
     if x % 2 != 0:
         raise ValueError("the completion gadget needs an even priority")
     n = aut.n_states
@@ -659,10 +682,13 @@ def completion_gadget(
     return Gadget(arena, tuple(designated), objective)
 
 
-def _composite_objective(w_det, alphabet, tokens) -> Cascade:
-    """Deterministic parity automaton for W_Sigma u OddParity u GType over the
-    token alphabet: the cascade of w_det with the Zielonka-tree automaton of
-    the three-stream union condition, stepped on demand."""
+def _composite_objective(w_det, alphabet, tokens) -> StreamObjective:
+    """W_Sigma u OddParity u GType over the token alphabet as three streams
+    on the states of w_det: the priority of w_det's step, and two fixed per
+    token."""
+    if not w_det.deterministic or w_det.has_eps:
+        raise ValueError("w_det must be deterministic and eps-free")
+    rows = w_det.delta
     dw = w_det.d_max
     # eps-steps stutter the language stream at an even value above all real
     # priorities: plays with finitely many letters correspond to no run of
@@ -670,33 +696,23 @@ def _composite_objective(w_det, alphabet, tokens) -> Cascade:
     # completed automaton would let the opponent win vacuously
     stutter1 = dw + 1 if (dw + 1) % 2 == 0 else dw + 2
     type_map = {"s": 1, "e": 2, "n": 3}
-    # per token: its letter and its fixed second and third streams
-    streams = {t: (letter, pr + 1, type_map[typ]) for t, (letter, pr, typ) in tokens.items()}
-    # the union automaton's letters are the stream triples the tokens can
-    # carry, as the first stream is the priority of the w_det step taken
-    combos = set()
-    for letter, s2, s3 in streams.values():
-        if letter == EPS:
-            combos.add((stutter1, s2, s3))
-        else:
-            for tr in w_det.transitions:
-                if tr.letter == letter:
-                    combos.add((tr.priority, s2, s3))
-    combo_letters = sorted(combos)
-    names = {c: f"c{i}" for i, c in enumerate(combo_letters)}
-    union = union_parity_automaton(
-        [names[c] for c in combo_letters], {names[c]: c for c in combo_letters}
-    )
-    rows = w_det.delta
+    # per token: w_det's row of its letter (None for eps) and its fixed
+    # second and third streams
+    streams = {}
+    for t, (letter, pr, typ) in tokens.items():
+        if letter != EPS and letter not in rows:
+            raise ValueError(f"w_det has no transitions on {letter!r}")
+        streams[t] = (rows.get(letter), pr + 1, type_map[typ])
 
-    def link(wq, token):
-        letter, s2, s3 = streams[token]
-        if letter == EPS:
-            return names[(stutter1, s2, s3)], wq
-        tr = rows[letter][wq]
-        return names[(tr.priority, s2, s3)], tr.dst
+    def step(q, token):
+        row, s2, s3 = streams[token]
+        if row is None:
+            return (stutter1, s2, s3), q
+        t = row[q]
+        return (t.priority, s2, s3), t.dst
 
-    return Cascade(w_det.n_states, w_det.initial, union, alphabet, link)
+    d_max = max(stutter1, 3, *(s2 for _, s2, _ in streams.values()))
+    return StreamObjective(w_det.n_states, w_det.initial, alphabet, step, 3, d_max)
 
 
 # ---------------------------------------------------------------------------

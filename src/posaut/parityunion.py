@@ -5,9 +5,10 @@ some stream's minimal recurring priority is even.  The acceptance depends
 only on the set of letters seen infinitely often, so it is a Muller
 condition; the Zielonka tree of that condition yields a small deterministic
 `ParityAutomaton` (states are the tree's leaves, transitions walk the tree
-with round-robin child switching).  `Cascade` runs a deterministic
-automaton and such a union automaton side by side, the first choosing the
-second's letter, and works out each transition when it is first read.
+with round-robin child switching).  A `StreamObjective` is a deterministic
+automaton whose steps carry such priority tuples; the game solver reads
+its streams directly, and the union automaton is built only to
+materialise it as one `ParityAutomaton`.
 """
 
 from __future__ import annotations
@@ -164,74 +165,47 @@ def union_parity_automaton(letters, tuples) -> ParityAutomaton:
     return build(len(branches), letters, 0, trans, deterministic=True)
 
 
-class Cascade:
-    """A deterministic parity automaton whose transitions are worked out
-    when they are read: the cascade of a deterministic `first` automaton with
-    the deterministic `second`, whose letter each step of `first` chooses.
+class StreamObjective:
+    """A deterministic automaton whose transitions carry one priority per
+    stream; a word is accepted when some stream's least recurring priority
+    is even.  The game solver reads it as it is (`games.solve`): `step(q,
+    a)` gives the tuple of stream priorities and the successor of state q
+    on letter a, and `d_max` bounds every stream's priorities.
 
-    State q1 * second.n_states + q2 is the pair (q1, q2).  `link(q1, a)`
-    gives the letter of `second` and first's next state for letter `a` in
-    first-state q1; the cascade then moves `second` along that letter and
-    takes its priority.  `link` is asked once per (q1, a), the first time a
-    state with first-state q1 reads `a`.  The priority range is second's, so
-    every pair of a second state and a letter `link` can give must be a
-    transition of the cascade.
-
-    `step` is the row function the game solver reads.  `materialise` builds
-    the equal `ParityAutomaton`, with transitions in (state, letter) order;
-    any other public attribute of a `ParityAutomaton` (`transitions`,
-    `delta`, `dsucc`, ...) is read from it."""
+    `materialise` builds the equal `ParityAutomaton`: the cascade of this
+    automaton with the union automaton of its stream tuples, whose letter
+    each step chooses.  State q1 * m + q2 is the pair (q1, union state q2),
+    transitions are in (state, letter) order, and the priorities are the
+    union automaton's."""
 
     deterministic = True
     has_eps = False
 
-    def __init__(self, first_states: int, first_initial: int, second: ParityAutomaton, alphabet, link):
+    def __init__(self, n_states: int, initial: int, alphabet, step, streams: int, d_max: int):
+        self.n_states = n_states
+        self.initial = initial
         self.alphabet = tuple(alphabet)
-        self.n_states = first_states * second.n_states
-        self.initial = first_initial * second.n_states + second.initial
-        self.priority_range = second.priority_range
-        self._second = second
-        self._m2 = second.n_states
-        self._link = link
-        # per first-state, letter -> (second's row, first-state offset)
-        self._links = [{} for _ in range(first_states)]
-        self._automaton = None
-
-    @property
-    def d_max(self):
-        return self.priority_range[1]
-
-    def step(self, q: int, a: str) -> tuple[int, int]:
-        """The (priority, successor) of state q on letter a."""
-        m2 = self._m2
-        q1, q2 = divmod(q, m2)
-        links = self._links[q1]
-        hit = links.get(a)
-        if hit is None:
-            b, r1 = self._link(q1, a)
-            hit = links[a] = (self._second.delta[b], r1 * m2)
-        row, offset = hit
-        t = row[q2]
-        return t.priority, offset + t.dst
+        self.step = step
+        self.streams = streams
+        self.d_max = d_max
 
     def materialise(self) -> ParityAutomaton:
-        if self._automaton is None:
-            trans = []
-            for q in range(self.n_states):
-                for a in self.alphabet:
-                    p, r = self.step(q, a)
-                    trans.append(Transition(q, a, p, r))
-            self._automaton = ParityAutomaton(
-                n_states=self.n_states,
-                alphabet=self.alphabet,
-                initial=self.initial,
-                transitions=tuple(trans),
-                priority_range=self.priority_range,
-                deterministic=True,
-            )
-        return self._automaton
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.materialise(), name)
+        rows = [[self.step(q, a) for a in self.alphabet] for q in range(self.n_states)]
+        tuples = sorted({s for row in rows for s, _ in row})
+        names = {s: f"c{i}" for i, s in enumerate(tuples)}
+        union = union_parity_automaton(list(names.values()), {names[s]: s for s in tuples})
+        m = union.n_states
+        trans = []
+        for q1, row in enumerate(rows):
+            for q2 in range(m):
+                for a, (s, r1) in zip(self.alphabet, row):
+                    t = union.delta[names[s]][q2]
+                    trans.append(Transition(q1 * m + q2, a, t.priority, r1 * m + t.dst))
+        return ParityAutomaton(
+            n_states=self.n_states * m,
+            alphabet=self.alphabet,
+            initial=self.initial * m + union.initial,
+            transitions=tuple(trans),
+            priority_range=union.priority_range,
+            deterministic=True,
+        )

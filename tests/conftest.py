@@ -196,6 +196,17 @@ def blowup(aut, k, seed):
     ).trim()
 
 
+def seed_65_blowup(k):
+    """The non-positional blow-ups of the ROADMAP baseline: a random DPA
+    drawn from random.Random(65) (n = 18, 3 letters, d_max = 4; the draws of
+    `bench/inputs.random_dpa`), trimmed and blown up k times."""
+    rng = random.Random(65)
+    n = rng.randint(13, 20)
+    letters = ("a", "b", "c")[: rng.choice((2, 3))]
+    aut = random_automaton(rng, n, letters, dmax=rng.choice((2, 3, 4, 5))).trim()
+    return blowup(aut, k, 65)
+
+
 def enumerate_cycles(aut):
     """All transition subsets that form a strongly connected subgraph, i.e.
     support a closed walk using exactly those transitions.  Exponential;

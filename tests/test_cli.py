@@ -188,7 +188,19 @@ def test_gadget_command(tmp_path, capsys):
     # gadget validates: eve wins from designated, no uniform strategy
     assert main(["oracle", str(out), reach]) == 1
     capsys.readouterr()
+    # --wdet automata that are invalid or lack the objective's letter b
+    header = "dpa\nstates: 2\ninitial: 0\npriorities: 0 1\ndeterministic: true\n"
+    for name, body in (
+        ("state", "alphabet: a b\ntrans: 0 a 0 5\ntrans: 0 b 0 1\ntrans: 1 a 0 0\ntrans: 1 b 1 1\n"),
+        ("priority", "alphabet: a b\ntrans: 0 a 5 0\ntrans: 0 b 0 1\ntrans: 1 a 0 0\ntrans: 1 b 1 1\n"),
+        ("letter", "alphabet: a\ntrans: 0 a 0 1\ntrans: 1 a 0 0\n"),
+    ):
+        (tmp_path / f"{name}.dpa").write_text(header + body, encoding="utf-8")
+    completion = ["completion", reach, "--q", "1", "--p", "0", "--x", "0", "--wdet"]
     for argv, error in (
+        (completion + [str(tmp_path / "state.dpa")], "references an unknown state"),
+        (completion + [str(tmp_path / "priority.dpa")], "priority outside [0, 1]"),
+        (completion + [str(tmp_path / "letter.dpa")], "w_det has no transitions on 'b'"),
         (["residual", reach], "gadget residual needs --w1 --w2"),
         (["progress", reach, "--w", "b a"], "gadget progress needs --wprime"),
         (["completion", reach, "--q", "0"], "gadget completion needs --p --x"),

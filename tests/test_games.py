@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from posaut import games
+from posaut import games, parityunion
 from posaut.automaton import EPS, build, emit_dpa, up_membership, upword
 from posaut.epscomplete import decide_positionality_p2
 from posaut.games import (
@@ -23,7 +23,7 @@ from posaut.games import (
 )
 from posaut.lang import complement_det, incl_nd_in_det
 from posaut.normalform import normalize
-from posaut.parityunion import Cascade
+from posaut.parityunion import StreamObjective
 from posaut.signature import decide_positionality_p1
 from posaut.witnesses import CompletionFailure, NotPositional, Positional
 from posaut.zoo import (
@@ -40,7 +40,7 @@ from conftest import (
     random_automaton,
     reference_brute_force,
     reference_composite_objective,
-    reference_union_parity_automaton,
+    seed_65_blowup,
 )
 
 
@@ -339,8 +339,11 @@ def solver_cases():
 
 
 def test_solve_matches_eager_reference():
-    # the completion gadgets' cascades make Zielonka recurse about 100 levels
+    # the completion gadgets' objectives, materialised as one parity
+    # automaton, make Zielonka recurse about 100 levels
     for name, arena, objective in [*solver_cases(), *completion_gadget_cases()]:
+        if isinstance(objective, StreamObjective):
+            objective = objective.materialise()
         got, ref = solve(arena, objective), reference_solve(arena, objective)
         assert got.eve_region == ref.eve_region, name
         assert got.adam_region == ref.adam_region, name
@@ -406,7 +409,8 @@ def test_eve_wins_from_solves_only_the_reachable_game(monkeypatch):
         assert game.nodes == sorted(reachable), name
         for i in reachable:
             assert game.succ[i] == full.succ[i], name
-            assert (game.owner[i], game.priority[i]) == (full.owner[i], full.priority[i]), name
+            assert game.owner[i] == full.owner[i], name
+            assert [p[i] for p in game.priorities] == [p[i] for p in full.priorities], name
         # the oracle checks its strategies on that game and builds none
         brute_force_positional(arena, objective)
         assert len(builds) == 1, name
@@ -420,9 +424,10 @@ def test_eve_wins_from_solves_only_the_reachable_game(monkeypatch):
 
 def completion_gadgets():
     """Completion gadgets of p2's witnesses on the zoo fixtures, their k = 2
-    blow-ups and 100 seeded random DPAs with n = 6-10, with the token map of
-    each gadget's alphabet."""
-    auts = []
+    blow-ups, 100 seeded random DPAs with n = 6-10 and the non-positional
+    blow-ups with n = 18 and 36, each with its reference composite
+    objective."""
+    auts = [(f"seed65/k{k}", seed_65_blowup(k)) for k in (1, 2)]
     for name, (make, _) in FIXTURES.items():
         auts += [(name, make()), (f"{name}/k2", blowup(make(), 2, 0))]
     rng = random.Random(17)
@@ -435,37 +440,39 @@ def completion_gadgets():
             continue
         w = res.witness
         g = completion_gadget(aut, aut, w.q, w.p, w.x)
-        tokens = {}
-        for t in g.arena.alphabet:
-            letter, pr, typ = t.rsplit("_", 2)
-            tokens[t] = (letter, int(pr), typ)
-        yield name, g, reference_composite_objective(aut, g.arena.alphabet, tokens)
+        yield name, g, reference_composite_objective(aut, g.arena.alphabet, _token_map(g.arena.alphabet))
 
 
-def test_stepped_objective_matches_reference(monkeypatch):
-    unions = []
-    union_parity_automaton = games.union_parity_automaton
+def _token_map(alphabet):
+    """Each completion-gadget token's (letter, priority, type)."""
+    tokens = {}
+    for t in alphabet:
+        letter, pr, typ = t.rsplit("_", 2)
+        tokens[t] = (letter, int(pr), typ)
+    return tokens
 
-    def spy(letters, tuples):
-        unions.append((letters, tuples, union_parity_automaton(letters, tuples)))
-        return unions[-1][2]
 
-    monkeypatch.setattr(games, "union_parity_automaton", spy)
+def test_stepped_objective_matches_reference():
+    # the three-stream objective on w_det's states against the reference
+    # cascade of w_det with the union DPA, one parity automaton: the same
+    # text once materialised, the same wins and the same oracle answer
     count = 0
     for name, g, ref in completion_gadgets():
-        obj = g.objective
-        assert isinstance(obj, Cascade), name
-        assert (obj.n_states, obj.initial, obj.priority_range) == (ref.n_states, ref.initial, ref.priority_range), name
-        for a, row in ref.delta.items():
-            for q, t in enumerate(row):
-                assert obj.step(q, a) == (t.priority, t.dst), (name, q, a)
-        assert emit_dpa(obj) == emit_dpa(ref), name
+        obj, arena = g.objective, g.arena
+        assert isinstance(obj, StreamObjective), name
+        assert emit_dpa(obj.materialise()) == emit_dpa(ref), name
+        # one objective after the other: `_initial_solve` keeps the last one
+        wins = [v for v in range(arena.n_vertices) if solve(arena, obj).eve_wins_from(v)]
+        assert wins == [v for v in range(arena.n_vertices) if solve(arena, ref).eve_wins_from(v)], name
+        assert set(g.designated) <= set(wins), name
+        got, want = brute_force_positional(arena, obj), reference_brute_force(arena, ref)
+        assert got.uniform == want.uniform, name
+        if got.uniform:
+            assert got.strategy.choice == want.strategy.choice, name
+        else:
+            assert got.region == want.region, name
         count += 1
-    assert count >= 90
-    # each gadget's union DPA, apart from the cascade around it
-    assert len(unions) == count
-    for letters, tuples, union in unions:
-        assert emit_dpa(union) == emit_dpa(reference_union_parity_automaton(letters, tuples))
+    assert count >= 92
 
 
 def test_oracle_matches_reference():
@@ -475,7 +482,7 @@ def test_oracle_matches_reference():
         letters = ("a", "b", "c")[: rng.randint(1, 3)]
         arena = random_arena(rng, rng.randint(1, 6), letters)
         cases.append((f"random{i}", arena, random_automaton(rng, rng.randint(1, 4), letters, dmax=rng.randint(0, 4))))
-    cases += [(name, g.arena, g.objective) for name, g, _ in completion_gadgets()]
+    # the completion gadgets are checked in test_stepped_objective_matches_reference
     outcomes = set()
     for name, arena, objective in cases:
         got, ref = brute_force_positional(arena, objective), reference_brute_force(arena, objective)
@@ -489,20 +496,26 @@ def test_oracle_matches_reference():
 
 
 def test_gadget_check_does_not_materialise_the_objective(monkeypatch):
+    # the check path of a completion gadget builds no union DPA: it is built
+    # only to materialise the objective as one parity automaton
+    calls = []
+    union_parity_automaton = parityunion.union_parity_automaton
+
+    def spy(letters, tuples):
+        calls.append(len(letters))
+        return union_parity_automaton(letters, tuples)
+
+    monkeypatch.setattr(parityunion, "union_parity_automaton", spy)
     aut = aut_reach_aa()
     g = gadget_for_witness(decide_positionality_p2(aut).witness, aut, aut=aut, w_det=aut)
-
-    def refuse(self):
-        raise AssertionError("the composite objective was materialised")
-
-    monkeypatch.setattr(Cascade, "materialise", refuse)
     games._last_solve.clear()
     sv = solve(g.arena, g.objective)
     assert all(sv.eve_wins_from(v) for v in g.designated)
     assert not brute_force_positional(g.arena, g.objective).uniform
     assert sv.eve_region and sv.strategy
-    with pytest.raises(AssertionError, match="materialised"):
-        g.objective.transitions
+    assert calls == []
+    g.objective.materialise()
+    assert len(calls) == 1
 
 
 def test_out_edges_per_vertex():

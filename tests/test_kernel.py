@@ -3,7 +3,7 @@ graphs, and every caller that asks it a parity-cycle question, checked
 against the even-pair product search of `conftest` on seeded random inputs."""
 
 import random
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -14,6 +14,7 @@ from posaut.automaton import (
     build,
     even_cycle_sccs,
     reaches_even_cycle,
+    tarjan_scc,
     up_membership,
     upword,
 )
@@ -107,6 +108,54 @@ def test_kernel_needs_both_minima_even():
     # a loop of (0, 0) at 1 makes every edge lie on an accepting cycle
     g.add(1, 1, 0, 0)
     assert _accepting_edges(g, [0]) == [0, 1, 2, 3]
+
+
+def _reference_accepting_edges(g, roots, priorities):
+    """The edges of every strongly connected edge set reachable from
+    `roots` whose least priority is even in each coordinate (`STUTTER` is
+    odd), found by trying every edge subset."""
+    reach, stack = set(roots), list(roots)
+    while stack:
+        for e in g.out[stack.pop()]:
+            if g.dst[e] not in reach:
+                reach.add(g.dst[e])
+                stack.append(g.dst[e])
+    edges = [e for e in range(len(g.dst)) if g.src[e] in reach]
+    found = set()
+    for size in range(1, len(edges) + 1):
+        for subset in combinations(edges, size):
+            if any(min(pr[e] for e in subset) % 2 for pr in priorities):
+                continue
+            nodes = sorted({g.src[e] for e in subset} | {g.dst[e] for e in subset})
+            dense = {v: i for i, v in enumerate(nodes)}
+            comps = tarjan_scc(len(nodes), [(dense[g.src[e]], dense[g.dst[e]]) for e in subset])
+            if len(comps) == 1:
+                found.update(subset)
+    return sorted(found)
+
+
+def test_kernel_k_coordinates_match_brute_force():
+    # seeded random multigraphs with 1-3 coordinates, STUTTER on some edges
+    rng = random.Random(700)
+    accepted = {1: 0, 2: 0, 3: 0}
+    for i in range(300):
+        k, n = rng.randint(1, 3), rng.randint(1, 4)
+        g = EdgeGraph(n)
+        priorities = [[] for _ in range(k)]
+        for _ in range(rng.randint(1, 7)):
+            g.add(rng.randrange(n), rng.randrange(n), 0, 0)
+            for pr in priorities:
+                pr.append(STUTTER if rng.random() < 0.15 else rng.randint(0, 4))
+        roots = sorted(rng.sample(range(n), rng.randint(1, n)))
+        got = [e for inner in even_cycle_sccs(g, roots, priorities) for e in inner]
+        want = _reference_accepting_edges(g, roots, priorities)
+        assert sorted(got) == want, (i, k)
+        assert len(got) == len(set(got)), (i, k)
+        accepted[k] += bool(want)
+        if k == 2:  # two coordinates by default are pr1 and pr2
+            g.pr1, g.pr2 = priorities
+            assert [e for inner in even_cycle_sccs(g, roots) for e in inner] == got, i
+    assert min(accepted.values()) >= 30, accepted
 
 
 # -- lang: inclusion witnesses and the residual relations ------------------------
