@@ -344,17 +344,21 @@ class SolveResult:
 
     `eve_wins_from(v)` reads the region of the pairs (v, initial state),
     computed on first use by `_initial_solve` on the part of the product
-    game reachable from them.  The full regions and Eve's strategy come from
-    one Zielonka run on the whole product game, made when one of them is
-    first read."""
+    game reachable from them and kept on the result.  The full regions and
+    Eve's strategy come from one Zielonka run on the whole product game,
+    made when one of them is first read."""
 
     def __init__(self, arena: GameArena, objective):
         self.arena = arena
         self.objective = objective
         self.initial_state = objective.initial
 
+    @cached_property
+    def _initial_region(self) -> frozenset:
+        return _initial_solve(self.arena, self.objective)[2]
+
     def eve_wins_from(self, vertex: int) -> bool:
-        return vertex in _initial_solve(self.arena, self.objective)[2]
+        return vertex in self._initial_region
 
     @cached_property
     def _full(self):

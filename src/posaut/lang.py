@@ -9,11 +9,13 @@ grow and shrink by one transition (`push`, `pop`).  Inclusion is emptiness
 of the product with the complement, decided by the parity-cycle kernel
 (`automaton.even_cycle_sccs`): a common word exists iff a reachable cycle
 reads a letter and has even least priorities in both coordinates.  Only then
-is the witness lasso built, on the same arrays: for each even pair (x, y), a
-shortest cycle through a coordinate-1 priority-x and a coordinate-2
-priority-y edge inside one SCC of the edges >= (x, y), behind its spine, the
-path to it in the product's own breadth-first tree (`automaton.tree_word`);
-the shortest such lasso, made canonical, is the witness.  The residual
+is the witness lasso built, on the kernel's accepting edges alone: for each
+even pair (x, y) with anchors, a shortest cycle through a coordinate-1
+priority-x and a coordinate-2 priority-y edge inside one SCC of the
+accepting edges >= (x, y), found by one bounded forward and one bounded
+backward breadth-first ball per x-anchor, behind its spine, the path to it
+in the product's own breadth-first tree (`automaton.tree_word`); the
+shortest such lasso, made canonical, is the witness.  The residual
 relations come from one `DetProduct` over all pairs of states at once
 (`noninclusion_pairs`), and the eps-completion loop extends one
 `DetProduct` in place.  Safe-language inclusion at a level x is likewise one
@@ -23,7 +25,6 @@ separating word is rebuilt on demand.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 from .automaton import (
@@ -87,42 +88,46 @@ def product(out, b: ParityAutomaton, starts) -> tuple[EdgeGraph, dict]:
     return explore(starts, step)
 
 
-def _included(g: EdgeGraph):
-    """True when the product `g` has no common word from node 0 (the
-    kernel decides), else its shortest lasso."""
-    if next(even_cycle_sccs(g, [0]), None) is None:
-        return True
-    return _shortest_lasso(g)
+def _shortest_lasso(g: EdgeGraph, acc: list[int]) -> UPWord:
+    """The canonical shortest lasso from node 0 of a product explored from
+    that one start (`product`), given its accepting edges `acc` (those of
+    the kernel's accepting SCCs) in id order.
 
-
-def _shortest_lasso(g: EdgeGraph) -> UPWord:
-    """The canonical shortest lasso from node 0 of a product with a common
-    word, explored from that one start (`product`).
-
-    For each even pair (x, y), the edges with priorities >= (x, y) are split
-    into SCCs.  Each SCC that holds an edge of first priority x and one of
-    second priority y (a stutter is never one) gives a candidate: the
-    shortest cycle through such a pair of anchor edges, behind the path from
-    node 0 to it in the product's own breadth-first tree (`tree_word`).  The
-    candidate with the fewest letters wins, then the least (u, v)."""
+    For each even pair (x, y), the accepting edges >= (x, y) are split into
+    SCCs by one Tarjan pass from the x-anchors (first priority x); a pair
+    without x-anchors or y-anchors (second priority y, never a stutter) is
+    skipped.  Each SCC with both gives a candidate: the shortest cycle
+    through such a pair (`_cycle_through`), behind the path from node 0 to
+    it in the product's own breadth-first tree (`tree_word`).  The fewest
+    letters win, then the least (u, v).  No SCC is lost: an inner edge of an
+    SCC of all edges >= (x, y) that holds both anchors lies on a cycle
+    through both, with least priorities (x, y), so it is accepting."""
     src, dst, pr1, pr2, label = g.src, g.dst, g.pr1, g.pr2, g.label
     n = len(g.out)
     best: tuple[int, tuple, tuple] | None = None  # (length, u, v)
-    for x in sorted({p for p in pr1 if p % 2 == 0}):
-        for y in sorted({p for p in pr2 if p % 2 == 0}):  # STUTTER is odd
-            adj = [[e for e in es if pr1[e] >= x and pr2[e] >= y] for es in g.out]
-            comp_of, _ = tarjan_edges(range(n), adj, dst, n)
-            xs: dict[int, list[int]] = {}
-            ys: dict[int, list[int]] = {}
-            for e in range(len(dst)):
+    for x in sorted({pr1[e] for e in acc if pr1[e] % 2 == 0}):
+        for y in sorted({pr2[e] for e in acc if pr2[e] % 2 == 0}):  # STUTTER is odd
+            sub = [e for e in acc if pr1[e] >= x and pr2[e] >= y]
+            roots = [src[e] for e in sub if pr1[e] == x]
+            if not roots or all(pr2[e] != y for e in sub):
+                continue
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for e in sub:
+                adj[src[e]].append(e)
+            comp_of, _ = tarjan_edges(roots, adj, dst, n)
+            xs, ys = {}, {}  # SCC -> its x- and y-anchors, in id order
+            ahead, behind = [[] for _ in range(n)], [[] for _ in range(n)]  # inner edges
+            for e in sub:
                 c = comp_of[src[e]]
-                if c == comp_of[dst[e]] and pr1[e] >= x and pr2[e] >= y:
+                if c == comp_of[dst[e]]:
+                    ahead[src[e]].append(e)
+                    behind[dst[e]].append(e)
                     if pr1[e] == x:
                         xs.setdefault(c, []).append(e)
                     if pr2[e] == y:
                         ys.setdefault(c, []).append(e)
             for c in xs.keys() & ys.keys():
-                cycle = _cycle_through(adj, src, dst, comp_of, c, xs[c], ys[c])
+                cycle = _cycle_through(ahead, behind, src, dst, xs[c], ys[c])
                 u = tuple(a for a in tree_word(g, src[cycle[0]]) if a != EPS)
                 v = tuple(label[e] for e in cycle if label[e] != EPS)
                 cand = (len(u) + len(v), u, v)
@@ -131,46 +136,64 @@ def _shortest_lasso(g: EdgeGraph) -> UPWord:
     return UPWord(best[1], best[2]).canonical()
 
 
-def _cycle_through(adj, src, dst, comp_of, c, xs, ys) -> list[int]:
-    """Shortest cycle inside SCC c through one edge of `xs` and one of `ys`:
-    the anchor pair that comes first among the shortest, joined by BFS
-    paths.  One BFS tree per start node serves every pair."""
-    trees: dict[int, tuple[dict, dict]] = {}  # start -> (tree edge, depth)
+def _ball(adj, ends, a, limit):
+    """Breadth-first search from node a along `adj` (edge e leads to
+    ends[e]), no deeper than `limit` (None: unbounded): the edge that
+    discovered each node reached, and the node's depth."""
+    prev, depth = {a: -1}, {a: 0}
+    frontier, d = [a], 0
+    while frontier and (limit is None or d < limit):
+        d += 1
+        reached = []
+        for v in frontier:
+            for e in adj[v]:
+                w = ends[e]
+                if w not in depth:
+                    prev[w], depth[w] = e, d
+                    reached.append(w)
+        frontier = reached
+    return prev, depth
 
-    def tree(a):
-        if a not in trees:
-            prev, depth = {a: None}, {a: 0}
-            queue = deque([a])
-            while queue:
-                v = queue.popleft()
-                for e in adj[v]:
-                    w = dst[e]
-                    if w not in prev and comp_of[w] == c:
-                        prev[w], depth[w] = e, depth[v] + 1
-                        queue.append(w)
-            trees[a] = prev, depth
-        return trees[a]
 
-    def path(a, b):
-        prev, out = tree(a)[0], []
+def _cycle_through(ahead, behind, src, dst, xs, ys) -> list[int]:
+    """Shortest cycle inside one SCC through an edge of `xs` and one of
+    `ys`: the pair (ex, ey) that comes first among the shortest, joined by
+    the paths of the breadth-first trees from dst[ex] and dst[ey] along the
+    SCC's edges (`ahead`).  Per ex, a forward ball from its head and a
+    backward ball (`behind`) to its tail, each no deeper than a cycle
+    shorter than the best so far allows, score every ey by lookups."""
+    tails: dict[int, list[tuple[int, int]]] = {}  # node -> (index, ey)
+    for i, ey in enumerate(ys):
+        tails.setdefault(src[ey], []).append((i, ey))
+    best = None  # (length, ex, ey, forward tree from dst[ex])
+    for ex in xs:
+        limit = None if best is None else best[0] - 2
+        prev, fwd = _ball(ahead, dst, dst[ex], limit)
+        back = _ball(behind, src, src[ex], limit)[1]
+        first = min(
+            (
+                (1 + d if ey == ex else 2 + d + back[dst[ey]], i, ey)
+                for w, d in fwd.items()
+                for i, ey in tails.get(w, ())
+                if ey == ex or dst[ey] in back
+            ),
+            default=None,
+        )
+        if first and (best is None or first[0] < best[0]):
+            best = (first[0], ex, first[2], prev)
+    length, ex, ey, prev = best
+
+    def path(tree, a, b):  # the edges from a to b in `tree`
+        out = []
         while b != a:
-            out.append(prev[b])
-            b = src[prev[b]]
+            out.append(tree[b])
+            b = src[tree[b]]
         return out[::-1]
 
-    best = None  # (length, ex, ey)
-    for ex in xs:
-        for ey in ys:
-            if ex == ey:
-                length = 1 + tree(dst[ex])[1][src[ex]]
-            else:
-                length = 2 + tree(dst[ex])[1][src[ey]] + tree(dst[ey])[1][src[ex]]
-            if best is None or length < best[0]:
-                best = (length, ex, ey)
-    _, ex, ey = best
     if ex == ey:
-        return [ex] + path(dst[ex], src[ex])
-    return [ex] + path(dst[ex], src[ey]) + [ey] + path(dst[ey], src[ex])
+        return [ex] + path(prev, dst[ex], src[ex])
+    tree = _ball(ahead, dst, dst[ey], length - 2)[0]
+    return [ex] + path(prev, dst[ex], src[ey]) + [ey] + path(tree, dst[ey], src[ex])
 
 
 def incl_det(a: ParityAutomaton, q: int, b: ParityAutomaton, p: int):
@@ -182,12 +205,16 @@ def incl_det(a: ParityAutomaton, q: int, b: ParityAutomaton, p: int):
 
 def incl_nd_in_det(a: ParityAutomaton, b: ParityAutomaton, q=None, p=None):
     """L(a) included in L(b) for possibly nondeterministic, eps-carrying `a`
-    and deterministic `b`; eps moves of `a` stutter `b`."""
+    and deterministic `b`; eps moves of `a` stutter `b`.  True when the
+    kernel finds no common word of `a` and the complement of `b`, else the
+    shortest lasso, searched on the product's accepting edges."""
     if not b.deterministic:
         raise ValueError("right-hand side must be deterministic")
     q = a.initial if q is None else q
     p = b.initial if p is None else p
-    return _included(product(a.by_src, complement_det(b), [(q, p)])[0])
+    g = product(a.by_src, complement_det(b), [(q, p)])[0]
+    acc = sorted(e for inner in even_cycle_sccs(g, [0]) for e in inner)
+    return _shortest_lasso(g, acc) if acc else True
 
 
 class DetProduct:

@@ -838,55 +838,54 @@ def _scc_map(n, edges):
 
 
 def _cycle_through(sub, comp_of, comp, x_edges, y_edges):
-    """Shortest cycle inside one SCC through one x-anchor and one y-anchor."""
+    """Shortest cycle inside one SCC through one x-anchor and one y-anchor:
+    the first pair among the shortest, joined by paths of the breadth-first
+    trees from the anchors' heads (one tree per start serves every pair)."""
     adj: dict[int, list[_PEdge]] = {}
     for e in sub:
         if comp_of[e.src] == comp and comp_of[e.dst] == comp:
             adj.setdefault(e.src, []).append(e)
 
-    def shortest(src, dst):
-        if src == dst:
-            return []
-        dist = {src: None}
-        queue = deque([src])
-        prev = {}
-        while queue:
-            v = queue.popleft()
-            for e in adj.get(v, ()):
-                if e.dst not in dist:
-                    dist[e.dst] = True
-                    prev[e.dst] = e
-                    if e.dst == dst:
-                        path = []
-                        w = dst
-                        while w != src:
-                            path.append(prev[w])
-                            w = prev[w].src
-                        return list(reversed(path))
-                    queue.append(e.dst)
-        return None
+    trees: dict[int, tuple[dict, dict]] = {}  # start -> (tree edge, depth)
 
-    best = None
+    def tree(src):
+        if src not in trees:
+            prev, depth = {src: None}, {src: 0}
+            queue = deque([src])
+            while queue:
+                v = queue.popleft()
+                for e in adj.get(v, ()):
+                    if e.dst not in prev:
+                        prev[e.dst], depth[e.dst] = e, depth[v] + 1
+                        queue.append(e.dst)
+            trees[src] = prev, depth
+        return trees[src]
+
+    def shortest(src, dst):
+        """The path from src to dst in the breadth-first tree from src."""
+        prev, path = tree(src)[0], []
+        while dst != src:
+            path.append(prev[dst])
+            dst = prev[dst].src
+        return path[::-1]
+
+    best = None  # (length, ex, ey): the first pair among the shortest
     for ex in x_edges:
         for ey in y_edges:
             if ex is ey:
-                back = shortest(ex.dst, ex.src)
-                if back is None:
-                    continue
-                cyc = [ex] + back
+                legs = [tree(ex.dst)[1].get(ex.src)]
             else:
-                mid = shortest(ex.dst, ey.src)
-                if mid is None:
-                    continue
-                back = shortest(ey.dst, ex.src)
-                if back is None:
-                    continue
-                cyc = [ex] + mid + [ey] + back
-            if best is None or len(cyc) < len(best):
-                best = cyc
+                legs = [tree(ex.dst)[1].get(ey.src), tree(ey.dst)[1].get(ex.src)]
+            if None in legs:
+                continue
+            if best is None or len(legs) + sum(legs) < best[0]:
+                best = (len(legs) + sum(legs), ex, ey)
     if best is None:
         return None
-    return best[0].src, best
+    _, ex, ey = best
+    if ex is ey:
+        return ex.src, [ex] + shortest(ex.dst, ex.src)
+    return ex.src, [ex] + shortest(ex.dst, ey.src) + [ey] + shortest(ey.dst, ex.src)
 
 
 def reference_incl(a, q, b, p):

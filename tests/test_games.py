@@ -109,6 +109,28 @@ def test_solve_then_oracle_solves_the_reachable_game_once(monkeypatch):
     assert builds == [[(0, w.initial), (1, w.initial)]]
 
 
+def test_each_result_solves_its_reachable_game_once(monkeypatch):
+    # two results read in turn, a completion objective and its materialised
+    # automaton on the same gadget: each keeps its own region
+    real, runs = games._solve_game, []
+
+    def counted(game):
+        runs.append(game)
+        return real(game)
+
+    _, arena, objective = next(completion_gadget_cases(1))
+    reference = objective.materialise()
+    monkeypatch.setattr(games, "_solve_game", counted)
+    games._last_solve.clear()
+    one, two = solve(arena, objective), solve(arena, reference)
+    for v in range(arena.n_vertices):
+        assert one.eve_wins_from(v) == two.eve_wins_from(v), v
+    assert len(runs) == 2
+    # the oracle reuses the last reachable game solved
+    brute_force_positional(arena, reference)
+    assert len(runs) == 2
+
+
 def test_oracle_reads_an_integer_limit(monkeypatch):
     arena, w = game_ab_prefix()
     monkeypatch.setenv("POSAUT_LIMIT", "3")

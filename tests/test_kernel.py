@@ -3,6 +3,7 @@ graphs, and every caller that asks it a parity-cycle question, checked
 against the even-pair product search of `conftest` on seeded random inputs."""
 
 import random
+from dataclasses import replace
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -11,6 +12,7 @@ from posaut.automaton import (
     EPS,
     STUTTER,
     EdgeGraph,
+    Transition,
     build,
     even_cycle_sccs,
     reaches_even_cycle,
@@ -26,27 +28,33 @@ from posaut.games import (
     PositionalStrategy,
     UniformlyPositional,
     brute_force_positional,
+    gadget_for_witness,
     solve,
 )
+from posaut import normalform, signature
+from posaut.epscomplete import decide_positionality_p2
 from posaut.lang import complement_det, incl_det, incl_nd_in_det, noninclusion_pairs
-from posaut import normalform
 from posaut.normalform import _opposite_cycle_exists, normalize
+from posaut.signature import decide_positionality_p1
 from posaut.ugraph import (
     MonotoneGraph,
     _graph_satisfying,
     all_cycles_even_min,
     all_paths_satisfy,
 )
+from posaut.witnesses import CompletionFailure, IncomparableResiduals
 
 from conftest import (
     _PEdge,
     _even_pair_sccs,
     _explore_product,
+    blowup,
     random_automaton,
     random_eps_automaton,
     random_upword,
     reference_disjoint,
     reference_incl,
+    seed_65_blowup,
 )
 
 
@@ -173,6 +181,29 @@ def test_incl_witnesses_match_reference(seed):
                 assert incl_det(a, q, b, p) == reference_incl(a, q, b, p), (seed, i, q, p)
         e = random_eps_automaton(rng, letters)
         assert incl_nd_in_det(e, b) == reference_incl(e, e.initial, b, b.initial), (seed, i)
+    # trimmed DPAs with n = 6-14 and their k = 2 blow-ups, whose products hold
+    # many anchors per SCC; then, against the DPA, inputs shaped like p2's
+    # failure bases (the DPA plus eps-moves, so the products carry stutter
+    # edges), among them p2's own base with each of its two candidates
+    for i in range(12):
+        letters = ("a", "b", "c")[: rng.randint(2, 3)]
+        aut = random_automaton(rng, rng.randint(6, 14), letters, dmax=rng.randint(2, 4)).trim()
+        for a in (aut, blowup(aut, 2, i)):
+            for q, p in [(rng.randrange(a.n_states), rng.randrange(a.n_states)) for _ in range(3)]:
+                assert incl_det(a, q, a, p) == reference_incl(a, q, a, p), (seed, i, q, p)
+        n, d = aut.n_states, aut.d_max
+        eps = [(rng.randrange(n), EPS, rng.randint(0, d + 1), rng.randrange(n)) for _ in range(n)]
+        trans = [(t.src, t.letter, t.priority, t.dst) for t in aut.transitions]
+        bases = [build(n, letters, aut.initial, trans + eps, deterministic=False)]
+        res = decide_positionality_p2(aut)
+        if isinstance(getattr(res, "witness", None), CompletionFailure):
+            w = res.witness
+            bases += [
+                replace(w.automaton, transitions=w.automaton.transitions + (t,))
+                for t in (Transition(w.q, EPS, w.x, w.p), Transition(w.p, EPS, w.x + 1, w.q))
+            ]
+        for e in bases:
+            assert incl_nd_in_det(e, aut) == reference_incl(e, e.initial, aut, aut.initial), (seed, i)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -187,6 +218,37 @@ def test_noninclusion_pairs_match_reference(seed):
             if reference_incl(aut, q, aut, p) is not True
         }
         assert noninclusion_pairs(aut, states) == want, (seed, i)
+
+
+def test_negative_witnesses_at_scale_match_reference(monkeypatch):
+    # the seed-65 blow-up with n = 36: p1's residual pair and p2's completion
+    # failure, whose products hold hundreds of anchors per SCC, give the
+    # reference's words and pass their gadgets
+    aut = seed_65_blowup(2)
+    passes = []
+    one_pass = signature._one_pass
+
+    def spy(current, *args, **kwargs):
+        passes.append(current)
+        return one_pass(current, *args, **kwargs)
+
+    monkeypatch.setattr(signature, "_one_pass", spy)
+    w = decide_positionality_p1(aut).witness
+    assert isinstance(w, IncomparableResiduals)
+    cur = passes[-1]
+    assert w.w1 == reference_incl(cur, w.q, cur, w.p)
+    assert w.w2 == reference_incl(cur, w.p, cur, w.q)
+    w2 = decide_positionality_p2(aut).witness
+    assert isinstance(w2, CompletionFailure)
+    base = w2.automaton
+    candidates = (Transition(w2.q, EPS, w2.x, w2.p), Transition(w2.p, EPS, w2.x + 1, w2.q))
+    for t, word in zip(candidates, (w2.cex1, w2.cex2)):
+        e = replace(base, transitions=base.transitions + (t,))
+        assert word == reference_incl(e, e.initial, aut, aut.initial)
+    for g in (gadget_for_witness(w, aut), gadget_for_witness(w2, aut, aut=aut, w_det=aut)):
+        sv = solve(g.arena, g.objective)
+        assert all(sv.eve_wins_from(v) for v in g.designated)
+        assert not brute_force_positional(g.arena, g.objective).uniform
 
 
 # -- membership of nondeterministic automata with eps moves ----------------------
