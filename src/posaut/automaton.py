@@ -277,12 +277,6 @@ class Congruence:
     def members(self, c: int) -> tuple[int, ...]:
         return tuple(q for q, cc in enumerate(self.class_of) if cc == c)
 
-    def classes(self) -> list[tuple[int, ...]]:
-        out = [[] for _ in range(self.n_classes)]
-        for q, c in enumerate(self.class_of):
-            out[c].append(q)
-        return [tuple(c) for c in out]
-
     def same(self, q: int, p: int) -> bool:
         return self.class_of[q] == self.class_of[p]
 
@@ -562,11 +556,6 @@ class UPWord:
         while len(out) < n:
             out.extend(self.v)
         return tuple(out[:n])
-
-    def letter(self, i: int) -> str:
-        if i < len(self.u):
-            return self.u[i]
-        return self.v[(i - len(self.u)) % len(self.v)]
 
     def __str__(self):
         up = " ".join(self.u) if self.u else "-"

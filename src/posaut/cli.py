@@ -228,7 +228,7 @@ def cmd_ugraph(args, out):
     if args.output:
         _write(args.output, emit_mgraph(graph))
         out.emit("written", args.output)
-    if args.check_universality:
+    if args.check_universality is not None:
         rep = check_universality_bounded(
             graph, core, args.check_universality, seed=args.seed, limit=args.limit
         )

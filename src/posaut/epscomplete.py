@@ -5,7 +5,10 @@ q -eps:x-> q' or q' -eps:x+1-> q is addable without growing the language
 when the language is positional; a pair where both additions leak words is a
 counterexample.  The resulting relations, closed under transitivity and the
 priority preference order 1 < 3 < ... < d+1 < d < ... < 2 < 0, form an
-eps-complete automaton.
+eps-complete automaton.  p2's certificate keeps the input's transitions and
+these closed relations, read off the least priorities of the letter-free
+walks: a generating set, whose `priority_close` is the closed form with every
+eps-letter-eps composite and preference variant.
 
 Most candidates are settled by the letter-free walks over the eps-edges
 present, with no language test.  A candidate implied by a walk whose least
@@ -213,16 +216,9 @@ def merge_top_equivalent(aut: ParityAutomaton, d: int) -> ParityAutomaton:
     The quotient keeps the language.  A run of it that moves inside a class
     is a run of `aut` with a letter-free walk between class members put in,
     whose least priority is even or d+1; no priority exceeds d+1, so an
-    even least recurring priority stays even.
-
-    Merging before `priority_close` gives what merging after it gives when
-    eps:d+1 is reflexive, as after p2's greedy phase.  The closure then
-    adds q -eps:y-> p for the least priority y of every letter-free walk
-    q ~> p, and each y' below y in preference.  So its classes are these,
-    each a clique of eps:d+1 edges, and it gives the members of a class
-    identical rows.  The quotient map thus carries the closure of `aut` onto
-    the closure of the quotient, with the transitions in the same order.
-    On a closed automaton the classes are those of mutual eps:d+1 edges."""
+    even least recurring priority stays even.  On an automaton whose
+    eps-relations are closed, the classes are those of mutual eps:d+1
+    edges."""
     g = EdgeGraph(aut.n_states)
     for t in aut.transitions:
         if t.is_eps:  # d+1 counts as even, and pr2 0 makes each edge read a letter
@@ -255,7 +251,8 @@ class WalkMinima:
 
     p2's greedy test of a candidate q -eps:x-> p has two answers these sets
     give without a product: `implies` (it passes) and `dooms` (it fails).
-    Priorities must lie in [0, d+1]."""
+    After the greedy phase they give the certificate's eps-relations: every
+    edge that `implies` accepts.  Priorities must lie in [0, d+1]."""
 
     def __init__(self, n: int, d: int):
         self.minima = [[1 << (d + 2) if q == p else 0 for p in range(n)] for q in range(n)]
@@ -340,6 +337,11 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     candidate's copies are pushed for the test and popped again when it
     fails, a tested edge that passes stays, and an implied one is never
     pushed, since every run through it has a counterpart without it.
+
+    The certificate then gains every eps-edge the walks imply, its
+    top-equivalent states are merged, and the even eps-edges whose odd
+    reverse is present are dropped; `priority_close` of it is the closed
+    form.
     """
     if w_det is None:
         if not aut.deterministic or aut.has_eps:
@@ -394,12 +396,17 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
                         for t in (even, odd)
                     )
                     return NotPositional(CompletionFailure(q, p, x, r1, r2, base))
-    current = replace(current, transitions=current.transitions + tuple(added))
-    current = _close_relations(current, d)
-    # eps:d+1 is reflexive now, so merging before the closure gives what
-    # merging after it gives, from a smaller closure
+    # every eps-edge that a letter-free walk implies, which adds no word
+    added += [
+        Transition(q, EPS, y, p)
+        for y in range(d + 2)
+        for q in current.states()
+        for p in current.states()
+        if walks.minima[q][p] & walks.at_least[y] and (q, y, p) not in present
+    ]
+    trans = current.transitions + tuple(added)
+    current = replace(current, transitions=trans, priority_range=priority_span(trans))
     current = merge_top_equivalent(current, d)
-    current = priority_close(current, d)
     current = _prune_even_eps(current, d)
     check = validate_eps_complete(current, d)
     if check is not True:
@@ -427,37 +434,6 @@ def _prune_even_eps(aut: ParityAutomaton, d: int) -> ParityAutomaton:
         )
     )
     return replace(aut, transitions=trans)
-
-
-def _close_relations(aut: ParityAutomaton, d: int) -> ParityAutomaton:
-    """Transitive closure of each eps-relation, then downward closure along
-    the preference order (restricted to eps-transitions)."""
-    rel = {y: set() for y in range(0, d + 2)}
-    for t in aut.transitions:
-        if t.is_eps:
-            rel[t.priority].add((t.src, t.dst))
-    for y in rel:
-        changed = True
-        while changed:
-            changed = False
-            for (q, p) in list(rel[y]):
-                for (p2, s) in list(rel[y]):
-                    if p2 == p and (q, s) not in rel[y]:
-                        rel[y].add((q, s))
-                        changed = True
-    for y in sorted(range(0, d + 2), key=lambda v: -preference_rank(v, d)):
-        for y2 in range(0, d + 2):
-            if preference_rank(y2, d) < preference_rank(y, d):
-                rel[y2] |= rel[y]
-    trans = list(aut.transitions)
-    seen = set((t.src, t.letter, t.priority, t.dst) for t in trans)
-    for y in range(0, d + 2):
-        for (q, p) in sorted(rel[y]):
-            key = (q, EPS, y, p)
-            if key not in seen:
-                seen.add(key)
-                trans.append(Transition(*key))
-    return replace(aut, transitions=tuple(trans), priority_range=priority_span(trans))
 
 
 def eps_complete_from_signature(sig) -> EpsCompleteAutomaton:

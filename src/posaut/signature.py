@@ -150,6 +150,14 @@ def _residuals(aut: ParityAutomaton, memo) -> ResidualPreorder:
     return memo[aut]
 
 
+def _incomparable(aut: ParityAutomaton, rp: ResidualPreorder) -> NotPositional:
+    """The verdict for a residual preorder that is not total."""
+    q, p, w1, w2 = rp.incomparable_witness
+    return NotPositional(
+        IncomparableResiduals(q, p, w1, w2, access_word(aut, q), access_word(aut, p))
+    )
+
+
 def _safe(aut: ParityAutomaton, x: int, memo) -> SafeInclusion:
     """The `SafeInclusion` of (aut, x), built once per `memo` (see
     `_residuals`)."""
@@ -768,10 +776,7 @@ def _one_pass(aut: ParityAutomaton, memo, full_pc=True):
     on.  `memo` as in `_residuals`."""
     rp = _residuals(aut, memo)
     if not rp.total:
-        q, p, w1, w2 = rp.incomparable_witness
-        return NotPositional(
-            IncomparableResiduals(q, p, w1, w2, access_word(aut, q), access_word(aut, p))
-        )
+        return _incomparable(aut, rp)
     pc = check_progress_consistency(aut, rp)
     if pc is not True:
         return NotPositional(ProgressFailure(pc))
@@ -836,10 +841,7 @@ def _preorders_up_to(aut, level, memo=None):
     `_residuals`."""
     rp = _residuals(aut, memo)
     if not rp.total:
-        q, p, w1, w2 = rp.incomparable_witness
-        return NotPositional(
-            IncomparableResiduals(q, p, w1, w2, access_word(aut, q), access_word(aut, p))
-        )
+        return _incomparable(aut, rp)
     levels = [dict(rp.rank)]
     for x in range(2, level + 1, 2):
         levels.append(_component_refinement(aut, x, levels[x - 2]))

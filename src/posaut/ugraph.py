@@ -87,8 +87,6 @@ def build_upar(d: int, n: int, max_letter: int | None = None, limit=200000) -> M
         raise ValueError("bound must be at least 1")
     max_letter = d if max_letter is None else max_letter
     coords = _upar_coords(max_letter if max_letter % 2 == 1 else max_letter - 1)
-    if not coords:
-        coords = []
     size = n ** len(coords)
     if size > limit:
         raise ValueError(f"graph would have {size} vertices (limit {limit})")
@@ -175,6 +173,8 @@ def build_uaut(eps_aut, n: int, limit=200000) -> tuple[MonotoneGraph, dict]:
     Vertices are (state, ordinal tuple) pairs ordered by the extended tuple
     interleaving class ranks with coordinates.  Returns the graph and a map
     name -> (state, tuple)."""
+    if n < 1:
+        raise ValueError("bound must be at least 1")
     aut = eps_aut.automaton
     d = eps_aut.d
     coords = [y for y in range(1, d + 2) if y % 2 == 1]
@@ -200,10 +200,6 @@ def build_uaut(eps_aut, n: int, limit=200000) -> tuple[MonotoneGraph, dict]:
     names = tuple(
         f"s{q}_" + "_".join(str(c) for c in lam) for (q, lam) in vertices
     )
-    by_letter: dict[str, list] = {}
-    for t in aut.transitions:
-        if not t.is_eps:
-            by_letter.setdefault(t.letter, []).append(t)
     edges = []
     for (q, lam) in vertices:
         for a in aut.alphabet:
@@ -305,6 +301,8 @@ def check_universality_bounded(
     would enumerate more than `limit` graphs."""
     import random
 
+    if k < 1:
+        raise ValueError("graph size bound must be at least 1")
     # n vertices give each vertex one of 2^(n*|letters|) - 1 nonempty edge sets
     count = sum(
         (2 ** (n * len(objective.alphabet)) - 1) ** n for n in range(1, min(k, 2) + 1)

@@ -907,24 +907,61 @@ def reference_disjoint(a, co):
     return not any(accepting for _, _, accepting in _even_pair_sccs(len(nodes), edges))
 
 
+def reference_close_relations(aut, d):
+    """Transitive closure of each eps-relation, then downward closure along
+    the preference order (restricted to eps-transitions), by a naive
+    fixpoint; the added eps-edges come after `aut`'s transitions, by
+    priority and then by (source, target)."""
+    from dataclasses import replace
+
+    from posaut.automaton import Transition, priority_span
+    from posaut.epscomplete import preference_rank
+
+    rel = {y: set() for y in range(0, d + 2)}
+    for t in aut.transitions:
+        if t.is_eps:
+            rel[t.priority].add((t.src, t.dst))
+    for y in rel:
+        changed = True
+        while changed:
+            changed = False
+            for (q, p) in list(rel[y]):
+                for (p2, s) in list(rel[y]):
+                    if p2 == p and (q, s) not in rel[y]:
+                        rel[y].add((q, s))
+                        changed = True
+    for y in sorted(range(0, d + 2), key=lambda v: -preference_rank(v, d)):
+        for y2 in range(0, d + 2):
+            if preference_rank(y2, d) < preference_rank(y, d):
+                rel[y2] |= rel[y]
+    trans = list(aut.transitions)
+    seen = set((t.src, t.letter, t.priority, t.dst) for t in trans)
+    for y in range(0, d + 2):
+        for (q, p) in sorted(rel[y]):
+            key = (q, EPS, y, p)
+            if key not in seen:
+                seen.add(key)
+                trans.append(Transition(*key))
+    return replace(aut, transitions=tuple(trans), priority_range=priority_span(trans))
+
+
 def reference_p2(aut, w_det=None):
     """`decide_positionality_p2` with its greedy loop as it was before the
     integer product: a fresh automaton and a fresh product per candidate,
-    every candidate tested, then close, merge, close.
+    every candidate tested, then each eps-relation closed by
+    `reference_close_relations`, then merge and prune.
 
     It is the guard for p2's shortcuts: candidates that p2 accepts as implied
     by a letter-free walk or rejects as doomed by an earlier rejection are
-    tested here, and p2 merges before its only closure."""
+    tested here, and p2 reads the closed relations off its walk minima."""
     from dataclasses import replace
 
     from posaut.automaton import Transition
     from posaut.epscomplete import (
         EpsCompleteAutomaton,
-        _close_relations,
         _prune_even_eps,
         even_bound,
         merge_top_equivalent,
-        priority_close,
         validate_eps_complete,
     )
     from posaut.lang import complement_det, incl_nd_in_det
@@ -966,10 +1003,8 @@ def reference_p2(aut, w_det=None):
                 r1 = incl_nd_in_det(with_even, w_det)
                 r2 = incl_nd_in_det(with_odd, w_det)
                 return NotPositional(CompletionFailure(q, p, x, r1, r2, current))
-    current = _close_relations(current, d)
-    current = priority_close(current, d)
+    current = reference_close_relations(current, d)
     current = merge_top_equivalent(current, d)
-    current = priority_close(current, d)
     current = _prune_even_eps(current, d)
     assert validate_eps_complete(current, d) is True
     return Positional(EpsCompleteAutomaton(current, d))

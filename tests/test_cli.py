@@ -135,6 +135,24 @@ def test_signature_complete_ugraph(tmp_path, capsys):
     assert "3976 sinkless graphs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["-n", "0"], "bound must be at least 1"),
+        (["-n", "-2"], "bound must be at least 1"),
+        (["-n", "2", "--check-universality", "0"], "graph size bound must be at least 1"),
+        (["-n", "2", "--check-universality", "-1"], "graph size bound must be at least 1"),
+    ],
+)
+def test_ugraph_rejects_empty_bounds(tmp_path, capsys, extra, message):
+    # an empty graph, or no graph size, would pass every check vacuously
+    fig3 = write(tmp_path / "fig3.dpa", aut_inf_a_or_fin_bb())
+    assert main(["ugraph", fig3] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "universality:" not in captured.out
+
+
 def test_json_format(tmp_path, capsys):
     fig3 = write(tmp_path / "fig3.dpa", aut_inf_a_or_fin_bb())
     assert main(["--format", "json", "positional", fig3, "--method", "signature"]) == 0

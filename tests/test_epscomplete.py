@@ -249,28 +249,24 @@ def test_close_matches_reference_on_random_eps_automata(seed):
         assert priority_close(aut, d) == reference_priority_close(aut, d), (seed, i)
 
 
-def test_close_matches_reference_on_p2_inputs(monkeypatch):
-    calls = []
-
-    def spy(aut, d):
-        calls.append((aut, d))
-        return priority_close(aut, d)
-
-    monkeypatch.setattr(epscomplete, "priority_close", spy)
-    for name, (mk, _) in FIXTURES.items():
-        decide_positionality_p2(mk())
-    # one closure per positional fixture, of the merged automaton
-    assert len(calls) == len(POSITIONAL_FIXTURES)
-    for aut, d in calls:
+def test_close_matches_reference_on_p2_inputs():
+    # p2's certificates and those of the fixtures' blow-ups
+    certs = [
+        decide_positionality_p2(aut).certificate
+        for name in POSITIONAL_FIXTURES
+        for aut in (FIXTURES[name][0](), blowup(FIXTURES[name][0](), 2, 0))
+    ]
+    for cert in certs:
+        aut, d = cert.automaton, cert.d
         assert priority_close(aut, d).transitions == reference_priority_close(aut, d).transitions
 
 
 @pytest.mark.parametrize("name", POSITIONAL_FIXTURES)
-def test_p2_certificate_same_with_reference_close(name, monkeypatch):
-    aut = FIXTURES[name][0]()
-    res = decide_positionality_p2(aut)
-    monkeypatch.setattr(epscomplete, "priority_close", reference_priority_close)
-    assert decide_positionality_p2(aut) == res
+def test_p2_certificate_same_with_reference_close(name):
+    cert = decide_positionality_p2(FIXTURES[name][0]()).certificate
+    closed = priority_close(cert.automaton, cert.d)
+    assert closed == reference_priority_close(cert.automaton, cert.d)
+    assert validate_eps_complete(closed, cert.d) is True
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -603,6 +599,42 @@ def test_p2_matches_reference_on_union_dpas(k, d, length):
     res = decide_positionality_p2(aut)
     assert isinstance(res, Positional)  # a union of positional objectives
     assert res == reference_p2(aut)
+
+
+def pinned_inputs():
+    for name in POSITIONAL_FIXTURES:
+        yield name, FIXTURES[name][0]()
+        for k in (2, 3):
+            yield f"{name}-blowup{k}", blowup(FIXTURES[name][0](), k, 0)
+    for d in range(2, 9):
+        yield f"min_letter_even{d}", aut_min_letter_even(d)
+    for k, d, length in [(2, 5, 24), (3, 5, 16)]:
+        yield f"union{k, d, length}", zielonka_union_dpa(k, d, length)
+
+
+def test_p2_certificate_has_the_closed_forms_relations(monkeypatch):
+    # the certificate as p2 made it when it closed the merged automaton
+    # before pruning: the same eps-relations on the same states
+    merged = []
+    real = epscomplete.merge_top_equivalent
+
+    def spy(aut, d):
+        merged.append(real(aut, d))
+        return merged[-1]
+
+    monkeypatch.setattr(epscomplete, "merge_top_equivalent", spy)
+    for name, aut in pinned_inputs():
+        cert = decide_positionality_p2(aut).certificate
+        d = cert.d
+        old = epscomplete._prune_even_eps(priority_close(merged[-1], d), d)
+        assert eps_set(old) == eps_set(cert.automaton), name
+        assert old.n_states == cert.automaton.n_states, name
+
+
+def test_p2_certificate_size_min_letter_even8():
+    # the input's 81 letter transitions and 405 eps-edges; 4,495 when closed
+    cert = decide_positionality_p2(aut_min_letter_even(8)).certificate.automaton
+    assert len(cert.transitions) == 486
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,13 @@ def test_universality_refuses_past_limit():
         check_universality_bounded(g, aut_parity_letters(5), 2)
 
 
+def test_universality_needs_a_graph_size():
+    g = build_upar(2, 1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_universality_bounded(g, aut_parity_letters(3), k)
+
+
 # -- U_Aut ---------------------------------------------------------------------------
 
 
@@ -118,6 +125,10 @@ def test_uaut_degenerate_bound_one():
     closed, core = closed_completion(aut_inf_a_or_fin_bb())
     g, vmap = build_uaut(closed, 1)
     assert check_monotone(g) is True
+    # no vertex at all would pass both checks vacuously
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            build_uaut(closed, n)
 
 
 def test_uaut_accept_all_complete_graph():
