@@ -200,6 +200,10 @@ def cmd_signature(args, out):
 
 
 def cmd_ugraph(args, out):
+    # checked before any output, as check_universality_bounded would only
+    # reject it after the graph's lines are printed
+    if args.check_universality is not None and args.check_universality < 1:
+        raise ValueError("graph size bound must be at least 1")
     text = _read(args.file)
     if args.file.endswith(".sig"):
         sig = parse_sig(text)

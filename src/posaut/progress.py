@@ -201,24 +201,20 @@ class CharacterisationMismatch(AssertionError):
     """The two-run decision and the structural necessary condition disagree."""
 
 
-def decide_bipositionality(aut: ParityAutomaton, method="signature"):
+def decide_bipositionality(aut: ParityAutomaton):
     """Both the language and its complement positional?
 
-    Decided by two positionality runs; the necessary bi-progress-consistency
+    Decided by two runs of procedure 1; the necessary bi-progress-consistency
     condition is recomputed as a cross-check and any disagreement raised as
     a bug, never returned as a verdict.
     """
     from .signature import decide_positionality_p1
-    from .epscomplete import decide_positionality_p2
 
-    decide = (
-        decide_positionality_p1 if method == "signature" else decide_positionality_p2
-    )
     comp = complement_det(aut.trim())
-    r1 = decide(aut)
+    r1 = decide_positionality_p1(aut)
     if not r1.positional:
         return NotBipositional("W", r1.witness)
-    r2 = decide(comp)
+    r2 = decide_positionality_p1(comp)
     if not r2.positional:
         return NotBipositional("complement", r2.witness)
     if not _bi_progress_consistent(aut, comp):

@@ -369,68 +369,68 @@ def _reach(aut: ParityAutomaton, x: int, reflexive: bool):
     return reach
 
 
-def _class_unpolished(aut, x, members, reach_gtx) -> bool:
-    """Is the class not x-polished: some member fails to reach another by
-    (>x)-transitions, or some letter has an x-transition from some members
-    but not from all?"""
-    if any(q1 != q2 and q2 not in reach_gtx[q1] for q1 in members for q2 in members):
+def _class_unpolished(aut, x, members, sccs) -> bool:
+    """Is the class not x-polished: do its members lie in more than one SCC
+    `sccs` of the (>x)-subautomaton, or does some letter have an x-transition
+    from some members but not from all?"""
+    if len({sccs.class_of[q] for q in members}) > 1:
         return True
-    for a in aut.alphabet:
-        with_x = sum(1 for q in members if any(t.priority == x for t in aut.succ(q, a)))
-        if with_x and with_x != len(members):
-            return True
-    return False
+    return any(
+        len({row[q].priority == x for q in members}) > 1 for row in aut.delta.values()
+    )
 
 
 def _aux_graph(aut, x, members):
     """Neutral-letter edges of the class: q1 -> q2 when some class-avoiding
     (>=x)-path from q1 to q2 is labelled by a word that fails to produce
     priority x uniformly over the class, witnessed by a member whose parallel
-    run stays strictly above x."""
+    run stays strictly above x.
+
+    One search per member q1, over the pairs (path state, witness state)
+    reached from every (q1, s) with s in the class: a step takes the path's
+    (>=x)-move and the witness's (>x)-move on the same letter.  A witness
+    run that once drops to x or below can never witness an edge, so it is
+    not followed, and the search needs no flag for it."""
     mem = set(members)
+    rows = tuple(aut.delta.values())
     edges = set()
     for q1 in members:
-        for s in members:
-            # BFS over (main-path state, witness-run state); the flag records
-            # whether the witness run ever produced a priority <= x
-            start = (q1, s, False)
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                m, t, low = queue.popleft()
-                for a in aut.alphabet:
-                    mts = [tr for tr in aut.succ(m, a) if tr.priority >= x]
-                    sts = aut.succ(t, a)
-                    if not mts or not sts:
-                        continue
-                    if len(mts) != 1 or len(sts) != 1:
-                        raise PipelineError("polish expects a deterministic automaton")
-                    mt, st = mts[0], sts[0]
-                    low2 = low or st.priority <= x
-                    if mt.dst in mem:
-                        if not low2:
-                            edges.add((q1, mt.dst))
-                        continue
-                    node = (mt.dst, st.dst, low2)
-                    if node not in seen:
-                        seen.add(node)
-                        queue.append(node)
+        stack = [(q1, s) for s in members]
+        seen = set(stack)
+        while stack:
+            m, r = stack.pop()
+            for row in rows:
+                mt, rt = row[m], row[r]
+                if mt.priority < x or rt.priority <= x:
+                    continue
+                node = (mt.dst, rt.dst)
+                if mt.dst in mem:
+                    edges.add((q1, mt.dst))
+                elif node not in seen:
+                    seen.add(node)
+                    stack.append(node)
     return edges
 
 
 def polish(aut: ParityAutomaton, x: int, classes: Congruence):
-    """Per-class x-polishing.
+    """Per-class x-polishing of the deterministic `aut`.
 
     Returns ("structured", A') with canonical x-transition targets when every
     class is already polished; ("shrunk", A') after cutting the first
-    unpolished class to a final SCC of its auxiliary graph; or
-    ("stuck", None) when that class is (>x)-connected but its x-transitions
-    are not uniform, which cannot happen for positional languages.
+    unpolished class to the final SCC with the least member of its auxiliary
+    graph (`_aux_graph`); or ("stuck", None) when that SCC is the whole
+    class, which cannot happen for positional languages.  Raises
+    `PipelineError` when some letter has no move or more than one from a
+    state.
     """
-    reach_gtx = _reach(aut, x + 1, reflexive=True)
+    try:
+        aut.delta  # the per-letter tables both searches read
+    except ValueError:
+        raise PipelineError("polish expects a deterministic automaton") from None
+    sccs = safe_components(aut, x + 1)
     for c in range(classes.n_classes):
         members = classes.members(c)
-        if len(members) > 1 and _class_unpolished(aut, x, members, reach_gtx):
+        if len(members) > 1 and _class_unpolished(aut, x, members, sccs):
             break
     else:
         return "structured", _canonicalise_x_targets(aut, x, classes)
@@ -642,11 +642,8 @@ def validate_signature(sig: SignatureAutomaton, memo=None):
         if ok is not True:
             problems.append(f"level {x} not [0,{x}]-faithful: {ok}")
     # (<x)-safe separation at odd layers
-    reach_cache = {}
     for x in range(2, d + 1, 2):
-        if x not in reach_cache:
-            reach_cache[x] = _reach(aut, x, reflexive=False)
-        reach = reach_cache[x]
+        reach = _reach(aut, x, reflexive=False)
         for q in aut.states():
             for p in aut.states():
                 if (

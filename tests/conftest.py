@@ -590,6 +590,83 @@ def reference_full_progress_consistency(sig):
 
 
 # ---------------------------------------------------------------------------
+# Polishing with one breadth-first search per ordered pair of class members
+# and per-state reach sets: the references for `signature._aux_graph` and
+# `signature._class_unpolished`
+# ---------------------------------------------------------------------------
+
+
+def _reference_reach(aut, x):
+    """Per state, the states reached by a (possibly empty) path of
+    (>=x)-transitions."""
+    adj = [[] for _ in range(aut.n_states)]
+    for t in aut.transitions:
+        if t.priority >= x:
+            adj[t.src].append(t.dst)
+    reach = []
+    for q in aut.states():
+        seen = {q}
+        stack = [q]
+        while stack:
+            s = stack.pop()
+            for u in adj[s]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        reach.append(seen)
+    return reach
+
+
+def reference_class_unpolished(aut, x, members) -> bool:
+    """`signature._class_unpolished`: some member fails to reach another by
+    (>x)-transitions, or some letter has an x-transition from some members
+    but not from all."""
+    reach_gtx = _reference_reach(aut, x + 1)
+    if any(q1 != q2 and q2 not in reach_gtx[q1] for q1 in members for q2 in members):
+        return True
+    for a in aut.alphabet:
+        with_x = sum(1 for q in members if any(t.priority == x for t in aut.succ(q, a)))
+        if with_x and with_x != len(members):
+            return True
+    return False
+
+
+def reference_aux_graph(aut, x, members):
+    """`signature._aux_graph`, one search over (path state, witness state,
+    flag) per ordered pair (q1, s) of members; the flag records whether the
+    witness run ever produced a priority <= x."""
+    from posaut.signature import PipelineError
+
+    mem = set(members)
+    edges = set()
+    for q1 in members:
+        for s in members:
+            start = (q1, s, False)
+            seen = {start}
+            queue = deque([start])
+            while queue:
+                m, t, low = queue.popleft()
+                for a in aut.alphabet:
+                    mts = [tr for tr in aut.succ(m, a) if tr.priority >= x]
+                    sts = aut.succ(t, a)
+                    if not mts or not sts:
+                        continue
+                    if len(mts) != 1 or len(sts) != 1:
+                        raise PipelineError("polish expects a deterministic automaton")
+                    mt, st = mts[0], sts[0]
+                    low2 = low or st.priority <= x
+                    if mt.dst in mem:
+                        if not low2:
+                            edges.add((q1, mt.dst))
+                        continue
+                    node = (mt.dst, st.dst, low2)
+                    if node not in seen:
+                        seen.add(node)
+                        queue.append(node)
+    return edges
+
+
+# ---------------------------------------------------------------------------
 # Shortest witness words, each from its own breadth-first search as
 # `automaton` and `signature` built them before they shared `explore`'s
 # tree: the references for access words and two-loop witnesses

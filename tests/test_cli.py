@@ -145,12 +145,14 @@ def test_signature_complete_ugraph(tmp_path, capsys):
     ],
 )
 def test_ugraph_rejects_empty_bounds(tmp_path, capsys, extra, message):
-    # an empty graph, or no graph size, would pass every check vacuously
+    # an empty graph, or no graph size, would pass every check vacuously;
+    # both are rejected before anything is printed
     fig3 = write(tmp_path / "fig3.dpa", aut_inf_a_or_fin_bb())
-    assert main(["ugraph", fig3] + extra) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
-    assert "universality:" not in captured.out
+    for fmt in ([], ["--format", "json"]):
+        assert main(fmt + ["ugraph", fig3] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 def test_json_format(tmp_path, capsys):

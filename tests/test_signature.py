@@ -54,6 +54,8 @@ from conftest import (
     random_automaton,
     random_upword,
     reference_access_word,
+    reference_aux_graph,
+    reference_class_unpolished,
     reference_hub_loops,
     reference_monoid_loops,
 )
@@ -297,6 +299,68 @@ def test_polish_shrinks_transient_class_member():
         assert status == "shrunk"
         assert out.n_states == 1
         assert lang_equal_det(out, aut) is True
+
+
+def _polish_inputs():
+    """The zoo fixtures, their k = 2-3 blow-ups and 1,000 random DPAs with
+    n <= 9."""
+    for name in FIXTURES:
+        base = FIXTURES[name][0]()
+        yield base
+        for k in (2, 3):
+            yield blowup(base, k, k)
+    rng = random.Random(24)
+    for _ in range(1000):
+        letters = ("a", "b", "c")[: rng.choice((2, 3))]
+        yield random_automaton(rng, rng.randint(1, 9), letters, dmax=rng.randint(1, 4))
+
+
+def test_polish_searches_match_reference(monkeypatch):
+    # every class polish meets during p1: its unpolished verdict from one SCC
+    # partition, and its auxiliary graph from one search per member, against
+    # per-state reach sets and one flagged search per ordered pair
+    from posaut import signature
+    from posaut.automaton import safe_components
+
+    calls = []
+    original = signature.polish
+
+    def spy(aut, x, classes):
+        calls.append((aut, x, classes))
+        return original(aut, x, classes)
+
+    monkeypatch.setattr(signature, "polish", spy)
+    compared = 0
+    for aut in _polish_inputs():
+        calls.clear()
+        decide_positionality_p1(aut)
+        for det, x, classes in calls:
+            sccs = safe_components(det, x + 1)
+            for c in range(classes.n_classes):
+                members = classes.members(c)
+                if len(members) < 2:
+                    continue
+                assert signature._class_unpolished(
+                    det, x, members, sccs
+                ) == reference_class_unpolished(det, x, members)
+                assert signature._aux_graph(det, x, members) == reference_aux_graph(
+                    det, x, members
+                )
+                compared += 1
+    assert compared > 400
+
+
+def test_polish_rejects_forking_moves():
+    # state 0 has two (>= 0)-moves on a
+    aut = build(
+        2,
+        ("a",),
+        0,
+        [(0, "a", 0, 0), (0, "a", 0, 1), (1, "a", 1, 0)],
+        deterministic=False,
+    )
+    with pytest.raises(PipelineError, match="polish expects a deterministic automaton"):
+        polish(aut, 0, congruence_from_classes(2, [[0, 1]]))
 
 
 # -- two-loop witnesses -------------------------------------------------------------
