@@ -426,12 +426,17 @@ def tree_word(g: EdgeGraph, v: int) -> tuple:
     return tuple(reversed(word))
 
 
-def even_cycle_sccs(g, roots, priorities=None):
+def even_cycle_sccs(g, roots, priorities=None, old=None):
     """Lazily yield, for each accepting SCC of `g` reachable from `roots`,
     the ids of its inner edges.  `g` is an `EdgeGraph` or has its five
     integer arrays (`out`, `src`, `dst`, `pr1`, `pr2`).  `priorities` lists
     the coordinates, one per-edge priority array each; (pr1, pr2) by
     default.
+
+    `old`, when given, is a pair (first, reached) that the caller vouches
+    for: no cycle through nodes v with reached[v] over edges with ids below
+    `first` accepts.  An SCC, at any level, whose inner edges all lie below
+    `first` and whose members are reached is then dropped unexamined.
 
     An SCC accepts when it holds a cycle that reads a letter and whose least
     priority in every coordinate is even; `STUTTER` never counts as a least
@@ -451,12 +456,16 @@ def even_cycle_sccs(g, roots, priorities=None):
         priorities = (g.pr1, g.pr2)
     n = len(g.out)
     adj = g.out
+    if old is not None:
+        first, reached = old
     while True:
         comp_of, comps = tarjan_edges(roots, adj, dst, n)
         keep = []
         for c, members in enumerate(comps):
             inner = [e for v in members for e in adj[v] if comp_of[dst[e]] == c]
             if not inner:
+                continue
+            if old is not None and max(inner) < first and all(map(reached.__getitem__, members)):
                 continue
             scc = inner
             for pr in priorities:
@@ -472,7 +481,10 @@ def even_cycle_sccs(g, roots, priorities=None):
         adj = [[] for _ in range(n)]
         for e in keep:
             adj[src[e]].append(e)
-        roots = [src[e] for e in keep]
+        if old is None:
+            roots = [src[e] for e in keep]
+        else:  # an SCC that is not dropped has such an inner edge
+            roots = [src[e] for e in keep if e >= first or not reached[src[e]]]
 
 
 def reaches_even_cycle(g, roots) -> list[bool]:

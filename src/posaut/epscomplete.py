@@ -323,7 +323,7 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     may then be nondeterministic and carry eps-transitions; it defaults to
     `aut` itself, which must then be deterministic.  Only L(aut) ⊆ L(w_det)
     is checked (ValueError otherwise); the reverse inclusion is the
-    caller's duty.
+    caller's duty.  An invalid automaton raises ValueError (`check_valid`).
 
     For each even x and ordered pair (q, p), in that order, the candidate
     q -eps:x-> p, and failing it p -eps:x+1-> q, is kept iff the automaton
@@ -333,16 +333,20 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     a candidate implied by a walk whose least priority is at least as
     preferred passes, and a candidate that gives such a walk to an edge
     rejected earlier fails, because more edges only add runs.  The others
-    are tested on one product with the complement, built once: a
-    candidate's copies are pushed for the test and popped again when it
-    fails, a tested edge that passes stays, and an implied one is never
-    pushed, since every run through it has a counterpart without it.
+    are tested on one product with the complement, built once
+    (`DetProduct.try_push`): a candidate's copies stay when it passes and
+    are popped again when it fails, and an implied one is never pushed,
+    since every run through it has a counterpart without it.  The kept
+    product never has a common word (it starts as L(aut) ⊆ L(w_det)), so
+    each test asks only about the copies that leave pairs the start pair
+    reaches, and a candidate with none passes without a kernel run.
 
     The certificate then gains every eps-edge the walks imply, its
     top-equivalent states are merged, and the even eps-edges whose odd
     reverse is present are dropped; `priority_close` of it is the closed
     form.
     """
+    aut.check_valid()
     if w_det is None:
         if not aut.deterministic or aut.has_eps:
             raise ValueError(
@@ -350,6 +354,7 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
             )
         w_det = aut
     else:
+        w_det.check_valid()
         chk = incl_nd_in_det(aut, w_det)
         if chk is not True:
             raise ValueError(
@@ -367,11 +372,8 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     def admits(t: Transition) -> bool:
         if walks.implies(t):
             return True
-        if not walks.dooms(t):
-            product.push(t)
-            if not product.has_common_word():
-                return True
-            product.pop()
+        if not walks.dooms(t) and product.try_push(t):
+            return True
         walks.reject(t)
         return False
 

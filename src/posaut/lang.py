@@ -18,7 +18,9 @@ in the product's own breadth-first tree (`automaton.tree_word`); the
 shortest such lasso, made canonical, is the witness.  The residual
 relations come from one `DetProduct` over all pairs of states at once
 (`noninclusion_pairs`), and the eps-completion loop extends one
-`DetProduct` in place.  Safe-language inclusion at a level x is likewise one
+`DetProduct` in place (`try_push`), asking the kernel only about the part
+of the product that a candidate's copies add to what the start pair
+reaches.  Safe-language inclusion at a level x is likewise one
 backward search over all pairs of states (`SafeInclusion`), from which each
 separating word is rebuilt on demand.
 """
@@ -228,6 +230,12 @@ class DetProduct:
     w -> w'.  `push` appends the copies of one more transition and `pop`
     removes the last pushed ones again, so a caller that tests many
     extensions of `a` builds the product once.
+
+    `try_push` keeps a transition only when the product stays free of
+    common words, and asks only about what its copies add.  It relies on
+    `reached`, per pair whether the start pair reaches it: None until a
+    `try_push` keeps its transition, and again after every raw `push` or
+    `pop`.
     """
 
     def __init__(self, a: ParityAutomaton, b: ParityAutomaton):
@@ -241,10 +249,12 @@ class DetProduct:
         self.dst: list[int] = []
         self.pr1: list[int] = []
         self.pr2: list[int] = []
+        self.reached: list[bool] | None = None
         for t in a.transitions:
             self.push(t)
 
     def push(self, t: Transition) -> None:
+        """Append the copies of `t`."""
         m, out = self.m, self.out
         first, src = len(self.dst), t.src * m
         if t.is_eps:
@@ -261,6 +271,7 @@ class DetProduct:
         self.pr1.extend([t.priority] * m)
         for w in range(m):
             out[src + w].append(first + w)
+        self.reached = None
 
     def pop(self) -> None:
         """Remove the copies of the last pushed transition."""
@@ -268,6 +279,7 @@ class DetProduct:
         for v in self.src[-m:]:
             self.out[v].pop()
         del self.src[-m:], self.dst[-m:], self.pr1[-m:], self.pr2[-m:]
+        self.reached = None
 
     def has_common_word(self) -> bool:
         """Whether a pair reachable from (a.initial, b.initial) lies on a
@@ -275,6 +287,52 @@ class DetProduct:
         priorities are both even; pairs the initial pair does not reach
         never count."""
         return next(even_cycle_sccs(self, [self.start]), None) is not None
+
+    def try_push(self, t: Transition) -> bool:
+        """Push `t` and keep it when the product still has no common word
+        (`has_common_word`); otherwise pop it again.  Whether `t` was kept.
+
+        With `reached` unknown, the test runs from the start pair, and a
+        kept `t` fills `reached` in.  From then on the reachable product
+        holds no accepting SCC, and `t` can only add one through a copy that
+        leaves a reached pair: every new path from the start pair takes such
+        a copy first.  So the kernel runs only when such copies exist, from
+        their heads, and drops the SCCs of old edges between reached pairs.
+        A kept `t` grows `reached` by a search from the heads not reached
+        yet; a rejected one leaves it as it was."""
+        first, reached = len(self.dst), self.reached
+        self.push(t)
+        if reached is None:
+            if self.has_common_word():
+                self.pop()
+                return False
+            self.reached = self._reach([self.start], [False] * len(self.out))
+            return True
+        src, dst = self.src, self.dst
+        heads = [dst[e] for e in range(first, first + self.m) if reached[src[e]]]
+        if heads and next(even_cycle_sccs(self, heads, old=(first, reached)), None) is not None:
+            self.pop()
+            self.reached = reached
+            return False
+        self.reached = self._reach(heads, reached)
+        return True
+
+    def _reach(self, roots, seen: list[bool]) -> list[bool]:
+        """Mark in `seen` every pair that `roots` reach through pairs not
+        marked yet; returns `seen`."""
+        out, dst = self.out, self.dst
+        stack = []
+        for v in roots:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+        while stack:
+            for e in out[stack.pop()]:
+                w = dst[e]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        return seen
 
 
 def noninclusion_pairs(aut: ParityAutomaton, states) -> set[tuple[int, int]]:

@@ -210,10 +210,10 @@ def decide_bipositionality(aut: ParityAutomaton):
     """
     from .signature import decide_positionality_p1
 
-    comp = complement_det(aut.trim())
     r1 = decide_positionality_p1(aut)
     if not r1.positional:
         return NotBipositional("W", r1.witness)
+    comp = complement_det(aut.trim())
     r2 = decide_positionality_p1(comp)
     if not r2.positional:
         return NotBipositional("complement", r2.witness)

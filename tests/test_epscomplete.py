@@ -20,6 +20,7 @@ from posaut.epscomplete import (
 )
 from posaut.lang import DetProduct, incl_nd_in_det
 from posaut.parityunion import union_parity_automaton
+from posaut.progress import decide_bipositionality
 from posaut.signature import decide_positionality_p1
 from posaut.witnesses import CompletionFailure, NotPositional, Positional
 from posaut.zoo import (
@@ -553,18 +554,32 @@ def test_p2_w_det_must_include_the_input():
     assert res == reference_p2(aut_reach_aa(), aut_accept_all())
 
 
+@pytest.mark.parametrize(
+    "broken",
+    [{"initial": 7}, {"priority_range": (0, 0)}],
+    ids=["initial", "priority_range"],
+)
+def test_entry_points_reject_invalid_automata(broken):
+    bad = replace(aut_reach_aa(), **broken)
+    for decide in (decide_positionality_p1, decide_positionality_p2, decide_bipositionality):
+        with pytest.raises(ValueError, match="invalid automaton"):
+            decide(bad)
+    with pytest.raises(ValueError, match="invalid automaton"):
+        decide_positionality_p2(aut_reach_aa(), bad)
+
+
 # -- implied and doomed candidates: fewer product tests, same decisions --------------
 
 
 def count_product_tests(monkeypatch):
     calls = []
-    real = DetProduct.has_common_word
+    real = DetProduct.try_push
 
-    def counted(self):
+    def counted(self, t):
         calls.append(self)
-        return real(self)
+        return real(self, t)
 
-    monkeypatch.setattr(DetProduct, "has_common_word", counted)
+    monkeypatch.setattr(DetProduct, "try_push", counted)
     return calls
 
 
@@ -582,6 +597,59 @@ def test_p2_product_tests_are_few(make, most, monkeypatch):
     res = decide_positionality_p2(aut)
     assert len(tests) <= most
     assert res == reference_p2(aut)
+
+
+def incremental_inputs(group):
+    if group == "fixtures":
+        for name in sorted(FIXTURES):
+            yield FIXTURES[name][0](), None
+            for k in (2, 3):
+                yield blowup(FIXTURES[name][0](), k, 0), None
+    elif group == "min_letter_even":
+        for d in range(2, 9):
+            yield aut_min_letter_even(d), None
+    elif group == "union":
+        for k, d, length in [(2, 5, 24), (3, 5, 16)]:
+            yield zielonka_union_dpa(k, d, length), None
+    elif group == "random":
+        for seed in range(300):
+            rng = random.Random(seed)
+            letters = ("a", "b", "c")[: rng.randint(1, 3)]
+            yield random_automaton(rng, rng.randint(1, 9), letters, dmax=rng.randint(1, 5)), None
+    else:  # w_det: p2 on its own certificate and on a redundant nondeterministic copy
+        for name in sorted(FIXTURES):
+            aut = FIXTURES[name][0]()
+            yield with_redundant_copy(aut, aut.initial, aut.alphabet[0]), aut
+            res = decide_positionality_p2(aut)
+            if isinstance(res, Positional):
+                yield res.certificate.automaton, aut
+
+
+@pytest.mark.parametrize("group", ["fixtures", "min_letter_even", "union", "random", "w_det"])
+def test_p2_incremental_answers_match_fresh_products(group, monkeypatch):
+    # every answer of p2's `try_push` against `has_common_word` on a fresh
+    # product of the automaton with the kept transitions and the candidate
+    answers = []
+
+    class CheckedProduct(DetProduct):
+        def __init__(self, a, b):
+            super().__init__(a, b)
+            self.a, self.b, self.kept = a, b, []
+
+        def try_push(self, t):
+            answer = super().try_push(t)
+            extended = replace(self.a, transitions=self.a.transitions + tuple(self.kept) + (t,))
+            assert answer == (not DetProduct(extended, self.b).has_common_word()), t
+            if answer:
+                self.kept.append(t)
+            answers.append(answer)
+            return answer
+
+    inputs = list(incremental_inputs(group))
+    monkeypatch.setattr(epscomplete, "DetProduct", CheckedProduct)
+    for aut, w_det in inputs:
+        decide_positionality_p2(aut, w_det)
+    assert True in answers and (False in answers or group == "w_det")
 
 
 def zielonka_union_dpa(k, d, length):

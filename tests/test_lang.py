@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from posaut import lang
 from posaut.automaton import (
     EPS,
     Transition,
@@ -316,6 +317,74 @@ def test_kernel_ignores_unreachable_pairs():
     assert not DetProduct(a, complement_det(c)).has_common_word()
     assert incl_nd_in_det(a, c) is True
     assert DetProduct(a, complement_det(c.with_initial(1))).has_common_word()
+
+
+def spy_kernel(monkeypatch):
+    """The roots of each kernel run that `lang` starts."""
+    runs = []
+    real = lang.even_cycle_sccs
+
+    def spy(g, roots, *args, **kwargs):
+        runs.append(list(roots))
+        return real(g, roots, *args, **kwargs)
+
+    monkeypatch.setattr(lang, "even_cycle_sccs", spy)
+    return runs
+
+
+def test_try_push_keeps_copies_from_unreached_pairs_without_a_kernel_run(monkeypatch):
+    # a's state 1 is unreachable, so its pair (1, 0) is never reached: the
+    # copy of 1 -a:0-> 1 closes an accepting cycle there, unseen
+    a = build(2, ("a",), 0, [(0, "a", 1, 0), (1, "a", 1, 1)], deterministic=False)
+    c = build(1, ("a",), 0, [(0, "a", 1, 0)], deterministic=True)
+    product = DetProduct(a, complement_det(c))
+    runs = spy_kernel(monkeypatch)
+    assert product.try_push(Transition(0, EPS, 1, 0))
+    assert runs == [[product.start]] and product.reached == [True, False]
+    assert product.try_push(Transition(1, "a", 0, 1))
+    assert runs == [[product.start]] and product.reached == [True, False]
+    assert not product.has_common_word()
+
+
+def test_try_push_rejects_a_path_to_an_old_accepting_scc(monkeypatch):
+    # the unreachable pair (0, 1) of `test_kernel_ignores_unreachable_pairs`,
+    # now behind a b-transition of c: a b-loop of a leads there from the
+    # reached (0, 0), and the old a-loop at (0, 1) accepts b a^omega
+    a = build(1, ("a", "b"), 0, [(0, "a", 0, 0)], deterministic=False)
+    c = build(
+        3,
+        ("a", "b"),
+        0,
+        [(0, "a", 0, 0), (0, "b", 0, 1), (1, "a", 1, 1), (1, "b", 0, 2),
+         (2, "a", 0, 2), (2, "b", 0, 2)],
+        deterministic=True,
+    )
+    product = DetProduct(a, complement_det(c))
+    assert product.try_push(Transition(0, "a", 2, 0))
+    assert product.reached == [True, False, False]
+    before = [list(map(list, product.out)), product.src[:], product.dst[:]]
+    runs = spy_kernel(monkeypatch)
+    assert not product.try_push(Transition(0, "b", 0, 0))
+    assert runs == [[1]]  # from the head of the one copy that leaves (0, 0)
+    assert product.reached == [True, False, False]
+    assert [list(map(list, product.out)), product.src[:], product.dst[:]] == before
+    product.push(Transition(0, "b", 0, 0))
+    assert product.has_common_word()
+
+
+def test_raw_push_and_pop_make_try_push_start_over(monkeypatch):
+    a = build(2, ("a",), 0, [(0, "a", 0, 1), (1, "a", 0, 0)], deterministic=False)
+    c = aut_accept_all(("a",))
+    product = DetProduct(a, complement_det(c))
+    runs = spy_kernel(monkeypatch)
+    assert product.try_push(Transition(0, EPS, 1, 1))
+    assert product.reached is not None
+    for change in (lambda: product.push(Transition(1, EPS, 1, 0)), product.pop):
+        change()
+        assert product.reached is None
+        runs.clear()
+        assert product.try_push(Transition(1, EPS, 3, 1))
+        assert runs == [[product.start]]
 
 
 def test_residual_automaton_shapes():
