@@ -122,10 +122,18 @@ class ParityAutomaton:
     def validate(self) -> list[str]:
         """Structural diagnostics; an empty list means the automaton is well formed.
 
-        Unreachable states are reported as warnings (prefix ``warning:``),
-        everything else is a violation; reachability is not checked when a
+        The violations (`violations`), then unreachable states as warnings
+        (prefix ``warning:``); reachability is not checked when a
         transition references an unknown state.
         """
+        issues, n = self.violations(), self.n_states
+        if all(0 <= t.src < n and 0 <= t.dst < n for t in self.transitions):
+            unreachable = set(self.states()) - set(self.reachable())
+            issues += [f"warning: state {q} unreachable from initial" for q in sorted(unreachable)]
+        return issues
+
+    def violations(self) -> list[str]:
+        """`validate` without the warnings."""
         issues = []
         if self.n_states <= 0:
             issues.append("automaton must have at least one state")
@@ -144,41 +152,32 @@ class ParityAutomaton:
         dmin, dmax = self.priority_range
         if dmin > dmax:
             issues.append(f"empty priority range [{dmin}, {dmax}]")
-        dangling = False
         for t in self.transitions:
             if not (0 <= t.src < self.n_states and 0 <= t.dst < self.n_states):
                 issues.append(f"transition {t} references an unknown state")
-                dangling = True
             if t.letter != EPS and t.letter not in seen_alpha:
                 issues.append(f"transition {t} uses undeclared letter {t.letter!r}")
             if not (dmin <= t.priority <= dmax):
                 issues.append(f"transition {t} priority outside [{dmin}, {dmax}]")
-        # completeness over the declared alphabet (eps never counts)
+        # completeness over the declared alphabet (eps never counts), then
+        # determinism, from one scan of the cells
+        missing, forks = [], []
+        cells, det = self.by_src_letter, self.deterministic
         for q in self.states():
             for a in self.alphabet:
-                if not self.succ(q, a):
-                    issues.append(f"state {q} missing {a}-transition")
-        if self.deterministic:
-            for q in self.states():
-                for a in self.alphabet:
-                    if len(self.succ(q, a)) > 1:
-                        issues.append(
-                            f"declared deterministic but state {q} has "
-                            f"{len(self.succ(q, a))} transitions on {a!r}"
-                        )
-                if self.succ(q, EPS):
-                    issues.append(
-                        f"declared deterministic but state {q} has eps-transitions"
+                k = len(cells.get((q, a), ()))
+                if not k:
+                    missing.append(f"state {q} missing {a}-transition")
+                elif k > 1 and det:
+                    forks.append(
+                        f"declared deterministic but state {q} has {k} transitions on {a!r}"
                     )
-        if dangling:  # reachability needs every transition inside the states
-            return issues
-        unreachable = set(self.states()) - set(self.reachable())
-        for q in sorted(unreachable):
-            issues.append(f"warning: state {q} unreachable from initial")
-        return issues
+            if det and (q, EPS) in cells:
+                forks.append(f"declared deterministic but state {q} has eps-transitions")
+        return issues + missing + forks
 
     def check_valid(self):
-        problems = [m for m in self.validate() if not m.startswith("warning:")]
+        problems = self.violations()
         if problems:
             raise ValueError("invalid automaton: " + "; ".join(problems))
 

@@ -335,11 +335,13 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     rejected earlier fails, because more edges only add runs.  The others
     are tested on one product with the complement, built once
     (`DetProduct.try_push`): a candidate's copies stay when it passes and
-    are popped again when it fails, and an implied one is never pushed,
+    are removed again when it fails, and an implied one is never added,
     since every run through it has a counterpart without it.  The kept
-    product never has a common word (it starts as L(aut) ⊆ L(w_det)), so
-    each test asks only about the copies that leave pairs the start pair
-    reaches, and a candidate with none passes without a kernel run.
+    product never has a common word (it starts without one, since
+    L(aut) ⊆ L(w_det) is checked or w_det is aut, `try_push`'s
+    precondition), so each test asks only about the copies that leave
+    pairs the start pair reaches, and a candidate with none passes without
+    a kernel run.
 
     The certificate then gains every eps-edge the walks imply, its
     top-equivalent states are merged, and the even eps-edges whose odd

@@ -351,7 +351,6 @@ class SolveResult:
     def __init__(self, arena: GameArena, objective):
         self.arena = arena
         self.objective = objective
-        self.initial_state = objective.initial
 
     @cached_property
     def _initial_region(self) -> frozenset:

@@ -5,24 +5,24 @@ periodic counterexamples, the residual preorder and automaton of residuals,
 and safe-language inclusion.  Every product with a deterministic automaton
 comes from one of two builders: `product`, the part reachable from given
 start pairs, and `DetProduct`, all pairs of states as integer arrays that
-grow and shrink by one transition (`push`, `pop`).  Inclusion is emptiness
-of the product with the complement, decided by the parity-cycle kernel
-(`automaton.even_cycle_sccs`): a common word exists iff a reachable cycle
-reads a letter and has even least priorities in both coordinates.  Only then
-is the witness lasso built, on the kernel's accepting edges alone: for each
-even pair (x, y) with anchors, a shortest cycle through a coordinate-1
-priority-x and a coordinate-2 priority-y edge inside one SCC of the
-accepting edges >= (x, y), found by one bounded forward and one bounded
-backward breadth-first ball per x-anchor, behind its spine, the path to it
-in the product's own breadth-first tree (`automaton.tree_word`); the
-shortest such lasso, made canonical, is the witness.  The residual
-relations come from one `DetProduct` over all pairs of states at once
-(`noninclusion_pairs`), and the eps-completion loop extends one
-`DetProduct` in place (`try_push`), asking the kernel only about the part
-of the product that a candidate's copies add to what the start pair
-reaches.  Safe-language inclusion at a level x is likewise one
-backward search over all pairs of states (`SafeInclusion`), from which each
-separating word is rebuilt on demand.
+grow by one transition at a time while they hold no common word
+(`try_push`).  Inclusion is emptiness of the product with the complement,
+decided by the parity-cycle kernel (`automaton.even_cycle_sccs`): a common
+word exists iff a reachable cycle reads a letter and has even least
+priorities in both coordinates.  Only then is the witness lasso built, on
+the kernel's accepting edges alone: for each even pair (x, y) with anchors,
+a shortest cycle through a coordinate-1 priority-x and a coordinate-2
+priority-y edge inside one SCC of the accepting edges >= (x, y), found by
+one bounded forward and one bounded backward breadth-first ball per
+x-anchor, behind its spine, the path to it in the product's own
+breadth-first tree (`automaton.tree_word`); the shortest such lasso, made
+canonical, is the witness.  The residual relations come from one
+`DetProduct` over all pairs of states at once (`noninclusion_pairs`), and
+the eps-completion loop extends one `DetProduct` in place (`try_push`),
+asking the kernel only about the part of the product that a candidate's
+copies add to what the start pair reaches.  Safe-language inclusion at a
+level x is likewise one backward search over all pairs of states
+(`SafeInclusion`), from which each separating word is rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -227,15 +227,10 @@ class DetProduct:
     Each transition of `a` adds m consecutive edges, one from each pair
     (src, w): to (dst, w) for an eps-transition (coordinate 2 stutters,
     `STUTTER` in `pr2`), else to (dst, w') along b's letter-transition
-    w -> w'.  `push` appends the copies of one more transition and `pop`
-    removes the last pushed ones again, so a caller that tests many
-    extensions of `a` builds the product once.
-
-    `try_push` keeps a transition only when the product stays free of
-    common words, and asks only about what its copies add.  It relies on
-    `reached`, per pair whether the start pair reaches it: None until a
-    `try_push` keeps its transition, and again after every raw `push` or
-    `pop`.
+    w -> w'.  `try_push` adds the copies of one more transition while the
+    product stays free of common words, so a caller that tests many
+    extensions of `a` builds the product once.  `reached` holds, per pair,
+    whether the start pair reaches it.
     """
 
     def __init__(self, a: ParityAutomaton, b: ParityAutomaton):
@@ -249,11 +244,11 @@ class DetProduct:
         self.dst: list[int] = []
         self.pr1: list[int] = []
         self.pr2: list[int] = []
-        self.reached: list[bool] | None = None
         for t in a.transitions:
-            self.push(t)
+            self._push(t)
+        self.reached = self._reach([self.start], [False] * len(self.out))
 
-    def push(self, t: Transition) -> None:
+    def _push(self, t: Transition) -> None:
         """Append the copies of `t`."""
         m, out = self.m, self.out
         first, src = len(self.dst), t.src * m
@@ -271,50 +266,31 @@ class DetProduct:
         self.pr1.extend([t.priority] * m)
         for w in range(m):
             out[src + w].append(first + w)
-        self.reached = None
-
-    def pop(self) -> None:
-        """Remove the copies of the last pushed transition."""
-        m = self.m
-        for v in self.src[-m:]:
-            self.out[v].pop()
-        del self.src[-m:], self.dst[-m:], self.pr1[-m:], self.pr2[-m:]
-        self.reached = None
-
-    def has_common_word(self) -> bool:
-        """Whether a pair reachable from (a.initial, b.initial) lies on a
-        cycle that reads a letter and whose least first and least second
-        priorities are both even; pairs the initial pair does not reach
-        never count."""
-        return next(even_cycle_sccs(self, [self.start]), None) is not None
 
     def try_push(self, t: Transition) -> bool:
-        """Push `t` and keep it when the product still has no common word
-        (`has_common_word`); otherwise pop it again.  Whether `t` was kept.
+        """Add the copies of `t` and keep them when the product still has no
+        common word: no pair the start pair reaches lies on a cycle that
+        reads a letter and whose least first and least second priorities
+        are both even.  Whether `t` was kept.
 
-        With `reached` unknown, the test runs from the start pair, and a
-        kept `t` fills `reached` in.  From then on the reachable product
-        holds no accepting SCC, and `t` can only add one through a copy that
-        leaves a reached pair: every new path from the start pair takes such
-        a copy first.  So the kernel runs only when such copies exist, from
-        their heads, and drops the SCCs of old edges between reached pairs.
-        A kept `t` grows `reached` by a search from the heads not reached
-        yet; a rejected one leaves it as it was."""
+        Precondition: the product had no common word when it was built.
+        Then the reachable product holds no accepting SCC, and `t` can only
+        add one through a copy that leaves a reached pair: every new path
+        from the start pair takes such a copy first.  So the kernel runs
+        only when such copies exist, from their heads, and drops the SCCs
+        of old edges between reached pairs.  A kept `t` grows `reached` by
+        a search from the heads not reached yet; a rejected one is removed
+        again and leaves `reached` as it was."""
         first, reached = len(self.dst), self.reached
-        self.push(t)
-        if reached is None:
-            if self.has_common_word():
-                self.pop()
-                return False
-            self.reached = self._reach([self.start], [False] * len(self.out))
-            return True
+        self._push(t)
         src, dst = self.src, self.dst
         heads = [dst[e] for e in range(first, first + self.m) if reached[src[e]]]
         if heads and next(even_cycle_sccs(self, heads, old=(first, reached)), None) is not None:
-            self.pop()
-            self.reached = reached
+            for v in src[first:]:
+                self.out[v].pop()
+            del src[first:], dst[first:], self.pr1[first:], self.pr2[first:]
             return False
-        self.reached = self._reach(heads, reached)
+        self._reach(heads, reached)
         return True
 
     def _reach(self, roots, seen: list[bool]) -> list[bool]:

@@ -337,7 +337,7 @@ def redeterminise(
         ]
         new_trans.append(Transition(t.src, t.letter, x - 1, pick_max(cell)))
     out = replace(aut, transitions=tuple(new_trans), deterministic=True)
-    bad = [m for m in out.validate() if not m.startswith("warning:")]
+    bad = out.violations()
     if bad:
         raise PipelineError("re-determinisation broke the automaton: " + bad[0])
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import pytest
 
 from posaut import zoo
-from posaut.automaton import EPS, UPWord, tarjan_scc
+from posaut.automaton import EPS, UPWord, even_cycle_sccs, tarjan_scc
 
 
 def _expand(u, v, n):
@@ -975,11 +975,18 @@ def reference_incl(a, q, b, p):
     return True if witness is None else witness
 
 
+def has_common_word(product) -> bool:
+    """Whether a pair that the start pair of the `lang.DetProduct` reaches
+    lies on a cycle that reads a letter and whose least first and least
+    second priorities are both even, by one kernel run from the start pair:
+    the from-scratch answer that `try_push`'s incremental tests must give."""
+    return next(even_cycle_sccs(product, [product.start]), None) is not None
+
+
 def reference_disjoint(a, co):
-    """Whether L(a) and L(co) share no word (`not DetProduct(a,
-    co).has_common_word()`), as `lang` decided it before the integer
-    product: explore the reachable product afresh and run one Tarjan pass
-    per even pair."""
+    """Whether L(a) and L(co) share no word (`not has_common_word(DetProduct(a,
+    co))`), as `lang` decided it before the integer product: explore the
+    reachable product afresh and run one Tarjan pass per even pair."""
     nodes, edges = _explore_product(a, co, [(a.initial, co.initial)])
     return not any(accepting for _, _, accepting in _even_pair_sccs(len(nodes), edges))
 

@@ -74,6 +74,34 @@ def test_validate_flags():
     assert build(2, ("a",), 0, [(0, "a", 0, 1), (1, "a", 0, 0)]).deterministic
 
 
+def test_validate_messages_in_order():
+    # incomplete, declared deterministic with a fork and an eps-transition
+    # at 0, and 1, 2 unreachable; `check_valid` reports the same without
+    # the warnings
+    aut = build(
+        3,
+        ("a", "b"),
+        0,
+        [(0, "a", 0, 0), (0, "a", 1, 0), (0, "eps", 0, 0), (1, "a", 0, 1)],
+        deterministic=True,
+    )
+    violations = [
+        "state 0 missing b-transition",
+        "state 1 missing b-transition",
+        "state 2 missing a-transition",
+        "state 2 missing b-transition",
+        "declared deterministic but state 0 has 2 transitions on 'a'",
+        "declared deterministic but state 0 has eps-transitions",
+    ]
+    assert aut.validate() == violations + [
+        "warning: state 1 unreachable from initial",
+        "warning: state 2 unreachable from initial",
+    ]
+    with pytest.raises(ValueError) as exc:
+        aut.check_valid()
+    assert str(exc.value) == "invalid automaton: " + "; ".join(violations)
+
+
 def test_validate_unreachable_warning():
     aut = build(2, ("a",), 0, [(0, "a", 0, 0), (1, "a", 0, 1)])
     issues = aut.validate()

@@ -39,6 +39,7 @@ from conftest import (
     FIXTURES,
     NOT_POSITIONAL_FIXTURES,
     blowup,
+    has_common_word,
     random_automaton,
     random_eps_automaton,
     random_upword,
@@ -218,7 +219,7 @@ def test_residual_relations_match_pairwise(index):
     for q in states[:3]:
         for p in states[:3]:
             product = DetProduct(aut.with_initial(q), complement_det(aut.with_initial(p)))
-            assert product.has_common_word() == ((q, p) in cex), (q, p)
+            assert has_common_word(product) == ((q, p) in cex), (q, p)
 
     rp = residual_preorder(aut)
     rank, witness = _pairwise_preorder(aut, cex)
@@ -241,8 +242,8 @@ def test_completion_failure_words_match_direct_inclusion(name):
     with_odd = replace(
         base, transitions=base.transitions + (Transition(wit.p, EPS, wit.x + 1, wit.q),)
     )
-    assert DetProduct(with_even, complement_det(aut)).has_common_word()
-    assert DetProduct(with_odd, complement_det(aut)).has_common_word()
+    assert has_common_word(DetProduct(with_even, complement_det(aut)))
+    assert has_common_word(DetProduct(with_odd, complement_det(aut)))
     assert wit.cex1 == incl_nd_in_det(with_even, aut)
     assert wit.cex2 == incl_nd_in_det(with_odd, aut)
 
@@ -256,7 +257,7 @@ def test_kernel_matches_lasso_search(seed):
         c = random_automaton(rng, rng.randint(1, 4), letters, dmax=rng.randint(0, 4))
         co = complement_det(c)
         included = incl_nd_in_det(a, c) is True
-        assert DetProduct(a, co).has_common_word() == (not included), (seed, i)
+        assert has_common_word(DetProduct(a, co)) == (not included), (seed, i)
         assert included == reference_disjoint(a, co), (seed, i)
 
 
@@ -273,30 +274,25 @@ def test_missing_letter_raises_value_error():
 
 
 def test_kernel_push_and_pop():
-    # pushing one transition gives the product of the extended automaton,
-    # popping it gives back the product before
+    # pushing one transition gives the product of the extended automaton;
+    # a rejected `try_push` takes it off again
+    # (`test_try_push_rejects_a_path_to_an_old_accepting_scc`)
     rng = random.Random(7)
     for i in range(40):
         a = random_eps_automaton(rng, ("a", "b"))
         c = random_automaton(rng, rng.randint(1, 4), ("a", "b"))
         product = DetProduct(a, complement_det(c))
-
-        def arrays():
-            return [list(map(list, product.out)), product.src[:], product.dst[:],
-                    product.pr1[:], product.pr2[:]]
-
-        before = arrays()
         t = Transition(
             rng.randrange(a.n_states), rng.choice(("a", EPS)), rng.randint(0, 4),
             rng.randrange(a.n_states),
         )
-        product.push(t)
+        product._push(t)
         extended = replace(a, transitions=a.transitions + (t,))
         fresh = DetProduct(extended, complement_det(c))
-        assert arrays() == [fresh.out, fresh.src, fresh.dst, fresh.pr1, fresh.pr2], i
-        assert product.has_common_word() == (incl_nd_in_det(extended, c) is not True), i
-        product.pop()
-        assert arrays() == before, i
+        assert [product.out, product.src, product.dst, product.pr1, product.pr2] == [
+            fresh.out, fresh.src, fresh.dst, fresh.pr1, fresh.pr2
+        ], i
+        assert has_common_word(product) == (incl_nd_in_det(extended, c) is not True), i
 
 
 def test_kernel_rejects_even_eps_only_cycle():
@@ -304,7 +300,7 @@ def test_kernel_rejects_even_eps_only_cycle():
     # letter cycle (at 2) has odd priority, so L(a) is empty
     a = build(3, ("a",), 0, [(0, EPS, 0, 1), (1, EPS, 0, 0), (0, "a", 1, 2), (2, "a", 1, 2)])
     c = aut_reject_all(("a",))
-    assert not DetProduct(a, complement_det(c)).has_common_word()
+    assert not has_common_word(DetProduct(a, complement_det(c)))
     assert incl_nd_in_det(a, c) is True
 
 
@@ -314,9 +310,9 @@ def test_kernel_ignores_unreachable_pairs():
     # accepting cycle that the initial pair (0, 0) does not reach
     a = build(1, ("a",), 0, [(0, "a", 0, 0)])
     c = build(2, ("a",), 0, [(0, "a", 0, 0), (1, "a", 1, 1)], deterministic=True)
-    assert not DetProduct(a, complement_det(c)).has_common_word()
+    assert not has_common_word(DetProduct(a, complement_det(c)))
     assert incl_nd_in_det(a, c) is True
-    assert DetProduct(a, complement_det(c.with_initial(1))).has_common_word()
+    assert has_common_word(DetProduct(a, complement_det(c.with_initial(1))))
 
 
 def spy_kernel(monkeypatch):
@@ -343,7 +339,21 @@ def test_try_push_keeps_copies_from_unreached_pairs_without_a_kernel_run(monkeyp
     assert runs == [[product.start]] and product.reached == [True, False]
     assert product.try_push(Transition(1, "a", 0, 1))
     assert runs == [[product.start]] and product.reached == [True, False]
-    assert not product.has_common_word()
+    assert not has_common_word(product)
+
+
+def test_first_try_push_keeps_copies_from_unreached_pairs_without_a_kernel_run(monkeypatch):
+    # the a and c of the test above: `reached` is known from construction,
+    # so the first candidate, whose copies all leave the unreached (1, 0),
+    # needs no kernel run from the start pair
+    a = build(2, ("a",), 0, [(0, "a", 1, 0), (1, "a", 1, 1)], deterministic=False)
+    c = build(1, ("a",), 0, [(0, "a", 1, 0)], deterministic=True)
+    product = DetProduct(a, complement_det(c))
+    assert product.reached == [True, False]
+    runs = spy_kernel(monkeypatch)
+    assert product.try_push(Transition(1, "a", 0, 1))
+    assert runs == [] and product.reached == [True, False]
+    assert not has_common_word(product)
 
 
 def test_try_push_rejects_a_path_to_an_old_accepting_scc(monkeypatch):
@@ -368,23 +378,8 @@ def test_try_push_rejects_a_path_to_an_old_accepting_scc(monkeypatch):
     assert runs == [[1]]  # from the head of the one copy that leaves (0, 0)
     assert product.reached == [True, False, False]
     assert [list(map(list, product.out)), product.src[:], product.dst[:]] == before
-    product.push(Transition(0, "b", 0, 0))
-    assert product.has_common_word()
-
-
-def test_raw_push_and_pop_make_try_push_start_over(monkeypatch):
-    a = build(2, ("a",), 0, [(0, "a", 0, 1), (1, "a", 0, 0)], deterministic=False)
-    c = aut_accept_all(("a",))
-    product = DetProduct(a, complement_det(c))
-    runs = spy_kernel(monkeypatch)
-    assert product.try_push(Transition(0, EPS, 1, 1))
-    assert product.reached is not None
-    for change in (lambda: product.push(Transition(1, EPS, 1, 0)), product.pop):
-        change()
-        assert product.reached is None
-        runs.clear()
-        assert product.try_push(Transition(1, EPS, 3, 1))
-        assert runs == [[product.start]]
+    product._push(Transition(0, "b", 0, 0))
+    assert has_common_word(product)
 
 
 def test_residual_automaton_shapes():
