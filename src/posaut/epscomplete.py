@@ -117,84 +117,50 @@ def priority_close(aut: ParityAutomaton, d: int) -> ParityAutomaton:
     set.  The original transitions come first in the result, then the added
     ones in sorted order.
 
-    The first round composes every sandwich; each later round only those
-    with an entry changed in the round before, in any of its three places.
-    The others were composed, with the same entries, in an earlier round.
-    Sandwiches with a changed middle entry are composed as (letter, then
-    eps) first, per source and letter, and then eps before: the numeric min
-    distributes over the most preferred of a set, being monotone in the
-    preference order.
+    Each round composes every sandwich on the table as it stood at the
+    round's start, until a round changes no entry.  The sandwiches are
+    composed as (letter, then eps) first, per source and letter, and then
+    eps before: the numeric min distributes over the most preferred of a
+    set, being monotone in the preference order.
     """
     if d < 0 or d % 2:
         raise ValueError(f"priority_close needs an even d >= 0, got {d}")
     rank = [preference_rank(y, d) for y in range(d + 2)]
     best: dict[tuple[int, str, int], int] = {}
-    eps_out: dict[int, dict[int, int]] = defaultdict(dict)
-    eps_in: dict[int, dict[int, int]] = defaultdict(dict)
-    keys_out: dict[int, list[tuple[str, int]]] = defaultdict(list)
-    keys_in: dict[int, list[tuple[int, str]]] = defaultdict(list)
-    changed: dict[tuple[int, str, int], None] = {}
 
-    def offer(key, y):
+    def offer(key, y) -> bool:
         old = best.get(key)
         if old is not None and rank[old] >= rank[y]:
-            return
+            return False
         best[key] = y
-        changed[key] = None
-        s, a, t = key
-        if old is None:
-            keys_out[s].append((a, t))
-            keys_in[t].append((s, a))
-        if a == EPS:
-            eps_out[s][t] = y
-            eps_in[t][s] = y
+        return True
 
     for tr in aut.transitions:
         if not 0 <= tr.priority <= d + 1:
             raise ValueError(f"transition {tr} has a priority outside [0, {d + 1}]")
         offer((tr.src, tr.letter, tr.dst), tr.priority)
-    first = True
+    changed = True
     while changed:
-        fresh = list(changed)
-        changed.clear()
-        found = []
-        # the changed entries in the middle, per source and letter
-        middles: dict[tuple[int, str], list[int]] = defaultdict(list)
-        for (s, a, t) in fresh:
-            middles[(s, a)].append(t)
-        for (s, a), targets in middles.items():
+        changed = False
+        eps_out: dict[int, dict[int, int]] = defaultdict(dict)
+        eps_in: dict[int, dict[int, int]] = defaultdict(dict)
+        entries: dict[tuple[int, str], list[tuple[int, int]]] = defaultdict(list)
+        for (s, a, t), y in best.items():
+            entries[(s, a)].append((t, y))
+            if a == EPS:
+                eps_out[s][t] = y
+                eps_in[t][s] = y
+        for (s, a), targets in entries.items():
             after: dict[int, int] = {}  # v -> best min(y, y3) over the targets
-            for t in targets:
-                y = best[(s, a, t)]
+            for t, y in targets:
                 for v, y3 in eps_out[t].items():
                     m = y if y < y3 else y3
                     cur = after.get(v)
                     if cur is None or rank[m] > rank[cur]:
                         after[v] = m
-            found.extend(
-                ((p, a, v), y1 if y1 < m else m)
-                for p, y1 in eps_in[s].items()
-                for v, m in after.items()
-            )
-        for (s, a, t) in fresh:
-            if a != EPS or first:
-                continue
-            y = best[(s, a, t)]
-            # the changed eps-entry s -> t before a letter from t ...
-            found.extend(
-                ((s, a2, v), min(y, best[(t, a2, t2)], y3))
-                for a2, t2 in keys_out[t]
-                for v, y3 in eps_out[t2].items()
-            )
-            # ... and after a letter into s
-            found.extend(
-                ((p, a2, t), min(y1, best[(p2, a2, s)], y))
-                for p2, a2 in keys_in[s]
-                for p, y1 in eps_in[p2].items()
-            )
-        first = False
-        for key, y in found:
-            offer(key, y)
+            for p, y1 in eps_in[s].items():
+                for v, m in after.items():
+                    changed |= offer((p, a, v), y1 if y1 < m else m)
     below = [[y2 for y2 in range(d + 2) if rank[y2] <= rank[y]] for y in range(d + 2)]
     closed = {(s, a, y2, t) for (s, a, t), y in best.items() for y2 in below[y]}
     seen = set((t.src, t.letter, t.priority, t.dst) for t in aut.transitions)
@@ -324,6 +290,8 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     `aut` itself, which must then be deterministic.  Only L(aut) ⊆ L(w_det)
     is checked (ValueError otherwise); the reverse inclusion is the
     caller's duty.  An invalid automaton raises ValueError (`check_valid`).
+    Negative priorities of `aut` are first shifted up by the least even
+    amount that makes them nonnegative, which keeps the language.
 
     For each even x and ordered pair (q, p), in that order, the candidate
     q -eps:x-> p, and failing it p -eps:x+1-> q, is kept iff the automaton
@@ -349,6 +317,10 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     form.
     """
     aut.check_valid()
+    low = priority_span(aut.transitions)[0]
+    if low < 0:  # even_bound and the greedy levels start at 0
+        trans = tuple(replace(t, priority=t.priority - low + low % 2) for t in aut.transitions)
+        aut = replace(aut, transitions=trans, priority_range=priority_span(trans))
     if w_det is None:
         if not aut.deterministic or aut.has_eps:
             raise ValueError(

@@ -15,75 +15,47 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .automaton import EdgeGraph, ParityAutomaton, even_cycle_sccs, priority_span, tarjan_scc
+from .automaton import EdgeGraph, ParityAutomaton, even_cycle_sccs, priority_span
 
 
-def _scc_of_states(n, trans_idx, transitions):
-    comps = tarjan_scc(n, ((transitions[i].src, transitions[i].dst) for i in trans_idx))
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = i
-    return comp_of
-
-
-def _opposite_cycle_exists(trans, idxs, parity):
-    """For each transition index in `idxs`, does some cycle (closed walk) through
-    it within `idxs` have minimal priority of parity != `parity`?  These are
-    the kernel's accepting cycles once priorities are shifted by 1 - parity."""
-    idxs = list(idxs)
-    n = max(max(trans[i].src, trans[i].dst) for i in idxs) + 1
+def _accepting_sccs(trans, idxs, priority):
+    """The kernel's accepting SCCs among the transitions `idxs`, each as the
+    list of its transition indices, with `priority(t)` on each transition."""
+    n = max((max(trans[i].src, trans[i].dst) for i in idxs), default=-1) + 1
     g = EdgeGraph(n)
     for i in idxs:
-        g.add(trans[i].src, trans[i].dst, trans[i].priority + 1 - parity, 0)
-    result = dict.fromkeys(idxs, False)
-    for inner in even_cycle_sccs(g, range(n)):
-        for e in inner:
-            result[idxs[e]] = True
-    return result
+        g.add(trans[i].src, trans[i].dst, priority(trans[i]), 0)
+    return [[idxs[e] for e in inner] for inner in even_cycle_sccs(g, range(n))]
 
 
 def _assign_component(trans, idxs, level, out):
-    """Peel one strongly connected bundle of transitions starting at `level`."""
-    idxs = list(idxs)
+    """Peel one strongly connected bundle of transitions starting at `level`.
+
+    The transitions on a cycle of the opposite parity are those of the
+    kernel's accepting SCCs with priorities shifted by 1 - parity.  Each
+    level of the kernel holds every cycle of the levels below it, so two of
+    these SCCs are never on a common cycle: each is peeled one level up."""
     min_col = min(trans[i].priority for i in idxs)
     if level % 2 != min_col % 2:
         level += 1
-    parity = level % 2
-    opposite = _opposite_cycle_exists(trans, idxs, parity)
-    taken = [i for i in idxs if not opposite[i]]
-    if not taken:
+    shift = 1 - level % 2
+    rest = _accepting_sccs(trans, idxs, lambda t: t.priority + shift)
+    left = set(idxs).difference(*rest)
+    if not left:
         raise AssertionError("normal-form peeling made no progress")
-    for i in taken:
+    for i in left:
         out[i] = level
-    rest = [i for i in idxs if opposite[i]]
-    if not rest:
-        return
-    n = max(max(trans[i].src, trans[i].dst) for i in rest) + 1
-    comp_of = _scc_of_states(n, rest, trans)
-    buckets = {}
-    for i in rest:
-        t = trans[i]
-        if comp_of[t.src] != comp_of[t.dst]:
-            raise AssertionError("stranded transition during peeling")
-        buckets.setdefault(comp_of[t.src], []).append(i)
-    for key in sorted(buckets):
-        _assign_component(trans, buckets[key], level + 1, out)
+    for comp in rest:
+        _assign_component(trans, comp, level + 1, out)
 
 
 def normalize(aut: ParityAutomaton) -> ParityAutomaton:
     """Equivalent automaton in normal form (same states, letters, transitions)."""
     trans = aut.transitions
-    comp_of = _scc_of_states(aut.n_states, range(len(trans)), trans)
-    cycle_idx = {}
-    for i, t in enumerate(trans):
-        if comp_of[t.src] == comp_of[t.dst]:
-            cycle_idx.setdefault(comp_of[t.src], []).append(i)
     out: dict[int, int] = {}
-    for key in sorted(cycle_idx):
-        idxs = cycle_idx[key]
-        min_col = min(trans[i].priority for i in idxs)
-        _assign_component(trans, idxs, min_col % 2, out)
+    # with every priority 0, every cycle counts: the SCCs of all transitions
+    for comp in _accepting_sccs(trans, range(len(trans)), lambda t: 0):
+        _assign_component(trans, comp, 0, out)
     d_max = max(out.values(), default=1)
     new_trans = tuple(
         replace(t, priority=out.get(i, d_max)) for i, t in enumerate(trans)

@@ -35,9 +35,6 @@ class MonotoneGraph:
     def n(self):
         return len(self.names)
 
-    def successors(self, v):
-        return [(a, t) for (s, a, t) in self.edges if s == v]
-
     def edge_set(self):
         return set(self.edges)
 

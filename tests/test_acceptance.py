@@ -449,13 +449,14 @@ def _metamorphic_variants(aut, seed):
         [(s, names[a], pr, d) for (s, a, pr, d) in trans],
         deterministic=True,
     )
-    yield "priorities +2", build(
-        aut.n_states,
-        aut.alphabet,
-        aut.initial,
-        [(s, a, pr + 2, d) for (s, a, pr, d) in trans],
-        deterministic=True,
-    )
+    for shift in (2, -2):
+        yield f"priorities {shift:+d}", build(
+            aut.n_states,
+            aut.alphabet,
+            aut.initial,
+            [(s, a, pr + shift, d) for (s, a, pr, d) in trans],
+            deterministic=True,
+        )
 
 
 def _passes_gadget(witness, objective):
@@ -474,16 +475,17 @@ def _metamorphic_check(name, aut, seed):
     loops = getattr(getattr(p1, "witness", None), "loops", None)
     gadget_ok = loops is None or _passes_gadget(p1.witness, aut)
     changed = [
-        change
+        f"{change} ({method})"
         for change, variant in _metamorphic_variants(aut, seed)
-        if isinstance(decide_positionality_p1(variant), Positional) != verdict
+        for method, decide in (("p1", decide_positionality_p1), ("p2", decide_positionality_p2))
+        if isinstance(decide(variant), Positional) != verdict
     ]
     agree = isinstance(decide_positionality_p2(aut), Positional) == verdict
     report(
         11,
         not changed and agree and gadget_ok,
-        f"{name}: p1 verdict {verdict} kept under five language-preserving changes"
-        f" (changed by: {changed or 'none'}), p2 agrees: {agree}, two-loop"
+        f"{name}: p1 verdict {verdict} kept by p1 and p2 under six language-preserving"
+        f" changes (changed by: {changed or 'none'}), p2 agrees: {agree}, two-loop"
         f" gadget {'passes' if gadget_ok else 'fails'}",
     )
 

@@ -18,6 +18,7 @@ from posaut.epscomplete import (
     priority_close,
     validate_eps_complete,
 )
+from posaut.games import gadget_for_witness, solve
 from posaut.lang import DetProduct, incl_nd_in_det
 from posaut.parityunion import union_parity_automaton
 from posaut.progress import decide_bipositionality
@@ -263,6 +264,20 @@ def test_close_matches_reference_on_p2_inputs():
         assert priority_close(aut, d).transitions == reference_priority_close(aut, d).transitions
 
 
+def test_close_matches_reference_on_signature_completions():
+    # `posaut ugraph` closes the eps-completion of p1's certificate
+    auts = [
+        aut
+        for name in POSITIONAL_FIXTURES
+        for aut in (FIXTURES[name][0](), blowup(FIXTURES[name][0](), 2, 0))
+    ] + [aut_min_letter_even(d) for d in range(2, 9)]
+    for i, aut in enumerate(auts):
+        cert = eps_complete_from_signature(decide_positionality_p1(aut).certificate)
+        assert priority_close(cert.automaton, cert.d) == reference_priority_close(
+            cert.automaton, cert.d
+        ), i
+
+
 @pytest.mark.parametrize("name", POSITIONAL_FIXTURES)
 def test_p2_certificate_same_with_reference_close(name):
     cert = decide_positionality_p2(FIXTURES[name][0]()).certificate
@@ -466,6 +481,22 @@ def test_from_signature_random_certificates(rng):
         eps_aut = eps_complete_from_signature(res.certificate)
         assert validate_eps_complete(eps_aut.automaton, eps_aut.d) is True
         assert incl_nd_in_det(eps_aut.automaton, res.certificate.automaton) is True
+
+
+def test_p2_shifts_negative_priorities():
+    # p2 once called this DPA positional, with a certificate spanning the
+    # priorities (-2, 1), while p1 finds two loops; p2 now runs on it shifted
+    # up by 2, which keeps the language
+    trans = [(0, "a", -1, 1), (0, "b", 0, 0), (1, "a", -2, 0), (1, "b", 1, 0)]
+    aut = build(2, ("a", "b"), 0, trans)
+    assert isinstance(decide_positionality_p1(aut), NotPositional)
+    res = decide_positionality_p2(aut)
+    assert isinstance(res, NotPositional) and isinstance(res.witness, CompletionFailure)
+    shifted = build(2, ("a", "b"), 0, [(s, a, y + 2, t) for (s, a, y, t) in trans])
+    assert res == decide_positionality_p2(shifted)
+    g = gadget_for_witness(res.witness, aut, aut=aut, w_det=aut)
+    sv = solve(g.arena, g.objective)
+    assert all(sv.eve_wins_from(v) for v in g.designated)
 
 
 def test_p2_agreement_with_p1_on_fixtures():
@@ -701,9 +732,10 @@ def test_p2_certificate_has_the_closed_forms_relations(monkeypatch):
 
 
 def test_p2_certificate_size_min_letter_even8():
-    # the input's 81 letter transitions and 405 eps-edges; 4,495 when closed
-    cert = decide_positionality_p2(aut_min_letter_even(8)).certificate.automaton
-    assert len(cert.transitions) == 486
+    # the input's 81 letter transitions and 405 eps-edges; 4,465 when closed
+    cert = decide_positionality_p2(aut_min_letter_even(8)).certificate
+    assert len(cert.automaton.transitions) == 486
+    assert len(priority_close(cert.automaton, cert.d).transitions) == 4465
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from posaut.games import (
 from posaut import normalform, signature
 from posaut.epscomplete import decide_positionality_p2
 from posaut.lang import complement_det, incl_det, incl_nd_in_det, noninclusion_pairs
-from posaut.normalform import _opposite_cycle_exists, normalize
+from posaut.normalform import normalize
 from posaut.signature import decide_positionality_p1
 from posaut.ugraph import (
     MonotoneGraph,
@@ -386,18 +386,24 @@ def test_ugraph_checks_match_reference(seed):
 # -- normal form: the opposite-cycle test ----------------------------------------
 
 
-def _reference_opposite(trans, idxs, parity):
-    edges = [
-        _PEdge(trans[i].src, trans[i].dst, "a", trans[i].priority + 1 - parity, 0)
-        for i in idxs
-    ]
-    n = max(max(e.src, e.dst) for e in edges) + 1
-    result = dict.fromkeys(idxs, False)
+def _reference_accepting_sccs(trans, idxs, priority):
+    """The transitions of `idxs` on an accepting cycle, flagged by the
+    reference even-pair search, grouped by the SCCs that they form."""
+    edges = [_PEdge(trans[i].src, trans[i].dst, "a", priority(trans[i]), 0) for i in idxs]
+    n = max((max(e.src, e.dst) for e in edges), default=-1) + 1
+    flagged = set()
     for sub, comp_of, accepting in _even_pair_sccs(n, edges):
         for k, e in enumerate(edges):
             if e in sub and comp_of[e.src] == comp_of[e.dst] and comp_of[e.src] in accepting:
-                result[idxs[k]] = True
-    return result
+                flagged.add(idxs[k])
+    flagged = sorted(flagged)
+    comps = tarjan_scc(n, ((trans[i].src, trans[i].dst) for i in flagged))
+    comp_of = {q: c for c, comp in enumerate(comps) for q in comp}
+    groups: dict[int, list[int]] = {}
+    for i in flagged:
+        assert comp_of[trans[i].src] == comp_of[trans[i].dst]
+        groups.setdefault(comp_of[trans[i].src], []).append(i)
+    return list(groups.values())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -408,10 +414,14 @@ def test_opposite_cycles_match_reference(seed, monkeypatch):
         aut = random_automaton(rng, rng.randint(1, 6), ("a", "b"), dmax=rng.randint(0, 5))
         trans = aut.transitions
         idxs = sorted(rng.sample(range(len(trans)), rng.randint(1, len(trans))))
-        for parity in (0, 1):
-            got = _opposite_cycle_exists(trans, idxs, parity)
-            assert got == _reference_opposite(trans, idxs, parity), (seed, i, parity)
+        for shift in (None, 0, 1):  # None: every cycle counts
+            def priority(t):
+                return 0 if shift is None else t.priority + shift
+
+            got = normalform._accepting_sccs(trans, idxs, priority)
+            want = _reference_accepting_sccs(trans, idxs, priority)
+            assert sorted(map(sorted, got)) == sorted(want), (seed, i, shift)
         cases.append((aut, normalize(aut)))
-    monkeypatch.setattr(normalform, "_opposite_cycle_exists", _reference_opposite)
+    monkeypatch.setattr(normalform, "_accepting_sccs", _reference_accepting_sccs)
     for i, (aut, got) in enumerate(cases):
         assert got.transitions == normalize(aut).transitions, (seed, i)
