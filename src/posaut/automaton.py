@@ -674,6 +674,25 @@ def quotient_leq_x(aut: ParityAutomaton, cong: Congruence, x: int) -> ParityAuto
     )
 
 
+def bisimulation_quotient(aut: ParityAutomaton) -> ParityAutomaton:
+    """The quotient of the deterministic `aut` by priority-preserving
+    bisimulation, by Moore refinement on (priority, target class) per letter;
+    `aut` itself when no two states merge.  Every word has the same run
+    priorities in both, so they recognise the same language."""
+    cls = (0,) * aut.n_states
+    while True:
+        new = Congruence.by_key(
+            (cls[q],) + tuple((ts[q].priority, cls[ts[q].dst]) for ts in aut.delta.values())
+            for q in aut.states()
+        )
+        if new.n_classes == max(cls) + 1:
+            break
+        cls = new.class_of
+    if new.n_classes == aut.n_states:
+        return aut
+    return quotient_leq_x(aut, new, aut.d_max + aut.d_max % 2)
+
+
 def rebuild(aut: ParityAutomaton, keep, image, priority=None, **changes) -> ParityAutomaton:
     """`aut` with its states merged or redirected along the per-state `image`:
     the new states are the images of the states in `keep`, in increasing

@@ -30,6 +30,7 @@ from .automaton import (
     EdgeGraph,
     ParityAutomaton,
     Transition,
+    bisimulation_quotient,
     even_cycle_sccs,
     priority_span,
     rebuild,
@@ -301,15 +302,19 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     a candidate implied by a walk whose least priority is at least as
     preferred passes, and a candidate that gives such a walk to an edge
     rejected earlier fails, because more edges only add runs.  The others
-    are tested on one product with the complement, built once
-    (`DetProduct.try_push`): a candidate's copies stay when it passes and
-    are removed again when it fails, and an implied one is never added,
-    since every run through it has a counterpart without it.  The kept
-    product never has a common word (it starts without one, since
-    L(aut) ⊆ L(w_det) is checked or w_det is aut, `try_push`'s
-    precondition), so each test asks only about the copies that leave
-    pairs the start pair reaches, and a candidate with none passes without
-    a kernel run.
+    are tested on one product with the complement of W's quotient by
+    priority-preserving bisimulation (`bisimulation_quotient`), built once
+    (`DetProduct.try_push`): the quotient gives every word the run
+    priorities it has in `w_det`, so every answer is the one `w_det` gives,
+    on n·k pairs for W's k classes instead of n·m for its m states.  A
+    candidate's copies stay when it passes and are removed again when it
+    fails, and an implied one is never added, since every run through it
+    has a counterpart without it.  The kept product never has a common
+    word (it starts without one, since L(aut) ⊆ L(w_det) is checked or
+    w_det is aut, `try_push`'s precondition), so each test asks only about
+    the copies that leave pairs the start pair reaches, and a candidate
+    with none passes without a kernel run.  A failing pair's words `cex1`
+    and `cex2` are the shortest lassos against `w_det` itself.
 
     The certificate then gains every eps-edge the walks imply, its
     top-equivalent states are merged, and the even eps-edges whose odd
@@ -337,7 +342,7 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
             )
     d = even_bound(aut)
     current = replace(aut, priority_range=(0, d + 1), deterministic=False)
-    product = DetProduct(current, complement_det(w_det))
+    product = DetProduct(current, complement_det(bisimulation_quotient(w_det)))
     walks = WalkMinima(current.n_states, d)
     for t in current.transitions:
         if t.is_eps:

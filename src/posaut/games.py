@@ -30,6 +30,7 @@ from .automaton import (
     FormatError,
     ParityAutomaton,
     UPWord,
+    bisimulation_quotient,
     even_cycle_sccs,
     tarjan_scc,
 )
@@ -582,7 +583,8 @@ class _ArenaBuilder:
 class Gadget:
     """A game that checks a positionality witness.  The objective is the
     analysed `ParityAutomaton`, or for the completion gadget a three-stream
-    `StreamObjective` on the states of `w_det`."""
+    `StreamObjective` on the states of the `w_det` it was given
+    (`gadget_for_witness` gives it W's bisimulation quotient)."""
 
     arena: GameArena
     designated: tuple[int, ...]  # vertices Eve must win from
@@ -728,6 +730,10 @@ def gadget_for_witness(witness, objective: ParityAutomaton, aut=None, w_det=None
 
     `objective` is a deterministic automaton for the analysed language; for
     completion witnesses `aut`/`w_det` give the automaton pair of the run.
+    The completion gadget's objective reads only L(w_det), so it runs on
+    `w_det`'s bisimulation quotient (`bisimulation_quotient`), which gives
+    every play the same winner on a smaller product game; the other
+    gadgets keep `objective`, whose arenas are a few lasso paths.
     Returns a Gadget or None when the witness carries no game data.
     """
     from .witnesses import (
@@ -755,6 +761,8 @@ def gadget_for_witness(witness, objective: ParityAutomaton, aut=None, w_det=None
         base = witness.automaton if witness.automaton is not None else aut
         if base is None or w_det is None:
             raise ValueError("completion gadget needs the automaton pair")
+        if w_det.deterministic and not w_det.has_eps:
+            w_det = bisimulation_quotient(w_det)
         return completion_gadget(base, w_det, witness.q, witness.p, witness.x)
     raise ValueError(f"no gadget known for {type(witness).__name__}")
 

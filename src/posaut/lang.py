@@ -222,7 +222,9 @@ def incl_nd_in_det(a: ParityAutomaton, b: ParityAutomaton, q=None, p=None):
 class DetProduct:
     """The product of an automaton `a` (may be nondeterministic and carry
     eps) with a deterministic `b`, over all n·m state pairs as the kernel's
-    integer arrays (`even_cycle_sccs`); pair (q, w) has id q·m + w.
+    integer arrays (`even_cycle_sccs`); pair (q, w) has id q·m + w, for
+    `b`'s m states.  Its size follows `b`: a caller that needs only L(b)
+    passes a small automaton for it (p2 passes W's bisimulation quotient).
 
     Each transition of `a` adds m consecutive edges, one from each pair
     (src, w): to (dst, w) for an eps-transition (coordinate 2 stutters,

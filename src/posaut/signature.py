@@ -24,11 +24,11 @@ from .automaton import (
     ParityAutomaton,
     Transition,
     access_word,
+    bisimulation_quotient,
     emit_dpa,
     explore,
     one_per_src_letter,
     parse_dpa,
-    quotient_leq_x,
     rebuild,
     safe_components,
     tarjan_scc,
@@ -484,20 +484,6 @@ def _canonicalise_x_targets(aut: ParityAutomaton, x: int, classes: Congruence):
 # ---------------------------------------------------------------------------
 
 
-def _bisimulation_quotient(aut: ParityAutomaton) -> ParityAutomaton:
-    """The quotient of the deterministic `aut` by priority-preserving
-    bisimulation, by Moore refinement on (priority, target class) per letter."""
-    cls = (0,) * aut.n_states
-    while True:
-        new = Congruence.by_key(
-            (cls[q],) + tuple((ts[q].priority, cls[ts[q].dst]) for ts in aut.delta.values())
-            for q in aut.states()
-        )
-        if new.n_classes == max(cls) + 1:
-            return quotient_leq_x(aut, Congruence(cls), aut.d_max + aut.d_max % 2)
-        cls = new.class_of
-
-
 def _loops_back(aut: ParityAutomaton, r: int, s: int) -> dict[int, tuple[str, ...]]:
     """Per priority m, a shortest word w with r -w-> r at an odd least
     priority and s -w-> r at least priority m: one breadth-first search over
@@ -592,7 +578,7 @@ def find_two_loops(aut: ParityAutomaton) -> TwoLoopData:
     two-loop witness exists: every stage failure refutes positionality, so
     that is a bug, never a verdict.
     """
-    quo = _bisimulation_quotient(aut)
+    quo = bisimulation_quotient(aut)
     loops = _hub_loops(quo) or _monoid_loops(quo)
     if loops is None:
         raise PipelineError("no two-loop witness exists")

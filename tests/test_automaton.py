@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posaut.automaton import (
+    bisimulation_quotient,
     build,
     congruence_from_classes,
     emit_dpa,
@@ -21,6 +22,7 @@ from posaut.automaton import (
     up_membership,
     upword,
 )
+from posaut.lang import lang_equal_det
 from posaut.zoo import (
     aut_accept_all,
     aut_buchi_a_or_reach_aa,
@@ -31,6 +33,7 @@ from posaut.zoo import (
 
 from conftest import (
     FIXTURES,
+    blowup,
     random_automaton,
     random_eps_automaton,
     random_upword,
@@ -415,6 +418,29 @@ def test_quotient_language_property(rng):
                 m = min(trace[seen[(s, pos)]:])
                 expected = m % 2 == 0 and m <= x
                 assert up_membership(q, upword(u, v)) == expected, (name, x, u, v)
+
+
+def test_bisimulation_quotient():
+    # the automaton itself when nothing merges; otherwise fewer states, the
+    # same language, and a fixpoint; a blow-up's quotient has its base's size
+    rng = random.Random(28)
+    auts = [FIXTURES[name][0]() for name in sorted(FIXTURES)]
+    for _ in range(100):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        auts.append(random_automaton(rng, rng.randint(1, 8), letters, dmax=rng.randint(1, 4)).trim())
+    merged = 0
+    for i, aut in enumerate(auts):
+        quo = bisimulation_quotient(aut)
+        if quo.n_states == aut.n_states:
+            assert quo is aut, i
+        else:
+            merged += 1
+            assert quo.n_states < aut.n_states, i
+            assert lang_equal_det(quo, aut) is True, i
+            assert bisimulation_quotient(quo) is quo, i
+        for k, seed in ((2, i), (3, i + 1)):
+            assert bisimulation_quotient(blowup(aut, k, seed)).n_states == quo.n_states, (i, k)
+    assert merged >= 9
 
 
 # -- dpa round trip -------------------------------------------------------------

@@ -40,6 +40,7 @@ from conftest import (
     random_automaton,
     random_upword,
     reference_p2,
+    seed_65_blowup,
 )
 
 EXPECTED_EPS_TREE = {
@@ -632,6 +633,7 @@ def test_p2_product_tests_are_few(make, most, monkeypatch):
 
 
 def incremental_inputs(group):
+    # each group has an input whose W merges states under bisimulation
     if group == "fixtures":
         for name in sorted(FIXTURES):
             yield FIXTURES[name][0](), None
@@ -640,38 +642,49 @@ def incremental_inputs(group):
     elif group == "min_letter_even":
         for d in range(2, 9):
             yield aut_min_letter_even(d), None
+        yield blowup(aut_min_letter_even(4), 2, 0), None
     elif group == "union":
         for k, d, length in [(2, 5, 24), (3, 5, 16)]:
             yield zielonka_union_dpa(k, d, length), None
+        yield blowup(zielonka_union_dpa(2, 5, 24), 2, 0), None
     elif group == "random":
         for seed in range(300):
             rng = random.Random(seed)
             letters = ("a", "b", "c")[: rng.randint(1, 3)]
             yield random_automaton(rng, rng.randint(1, 9), letters, dmax=rng.randint(1, 5)), None
-    else:  # w_det: p2 on its own certificate and on a redundant nondeterministic copy
+        for k in (1, 2):
+            yield seed_65_blowup(k), None
+    else:  # w_det: p2 on its own certificate, on a redundant nondeterministic
+        # copy, and against a blown-up W
         for name in sorted(FIXTURES):
             aut = FIXTURES[name][0]()
             yield with_redundant_copy(aut, aut.initial, aut.alphabet[0]), aut
             res = decide_positionality_p2(aut)
             if isinstance(res, Positional):
                 yield res.certificate.automaton, aut
+        aut = FIXTURES["fin_nested_c_factors"][0]()
+        yield aut, blowup(aut, 2, 5)
 
 
 @pytest.mark.parametrize("group", ["fixtures", "min_letter_even", "union", "random", "w_det"])
 def test_p2_incremental_answers_match_fresh_products(group, monkeypatch):
     # every answer of p2's `try_push` against `has_common_word` on a fresh
-    # product of the automaton with the kept transitions and the candidate
-    answers = []
+    # product of the automaton with the kept transitions and the candidate,
+    # and against inclusion in the W given to p2: p2's product runs on W's
+    # bisimulation quotient, whose answers must be those of W itself
+    answers, merged, given = [], [], []
 
     class CheckedProduct(DetProduct):
         def __init__(self, a, b):
             super().__init__(a, b)
             self.a, self.b, self.kept = a, b, []
+            merged.append(b.n_states < given[-1].n_states)
 
         def try_push(self, t):
             answer = super().try_push(t)
             extended = replace(self.a, transitions=self.a.transitions + tuple(self.kept) + (t,))
             assert answer == (not has_common_word(DetProduct(extended, self.b))), t
+            assert answer == (incl_nd_in_det(extended, given[-1]) is True), t
             if answer:
                 self.kept.append(t)
             answers.append(answer)
@@ -680,8 +693,10 @@ def test_p2_incremental_answers_match_fresh_products(group, monkeypatch):
     inputs = list(incremental_inputs(group))
     monkeypatch.setattr(epscomplete, "DetProduct", CheckedProduct)
     for aut, w_det in inputs:
+        given.append(aut if w_det is None else w_det)
         decide_positionality_p2(aut, w_det)
     assert True in answers and (False in answers or group == "w_det")
+    assert True in merged
 
 
 def zielonka_union_dpa(k, d, length):

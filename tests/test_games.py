@@ -1,11 +1,12 @@
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 
 import pytest
 
 from posaut import games, parityunion
-from posaut.automaton import EPS, build, emit_dpa, up_membership, upword
+from posaut.automaton import EPS, Transition, build, emit_dpa, up_membership, upword
 from posaut.epscomplete import decide_positionality_p2
 from posaut.games import (
     ADAM,
@@ -444,11 +445,17 @@ def test_eve_wins_from_solves_only_the_reachable_game(monkeypatch):
         builds.clear()
 
 
+@cache
 def completion_gadgets():
     """Completion gadgets of p2's witnesses on the zoo fixtures, their k = 2
     blow-ups, 100 seeded random DPAs with n = 6-10 and the non-positional
-    blow-ups with n = 18 and 36, each with its reference composite
+    blow-ups with n = 18 and 36, on the full W: per case its name, the
+    automaton, the witness, the gadget and the reference composite
     objective."""
+    return tuple(_completion_gadgets())
+
+
+def _completion_gadgets():
     auts = [(f"seed65/k{k}", seed_65_blowup(k)) for k in (1, 2)]
     for name, (make, _) in FIXTURES.items():
         auts += [(name, make()), (f"{name}/k2", blowup(make(), 2, 0))]
@@ -462,7 +469,7 @@ def completion_gadgets():
             continue
         w = res.witness
         g = completion_gadget(aut, aut, w.q, w.p, w.x)
-        yield name, g, reference_composite_objective(aut, g.arena.alphabet, _token_map(g.arena.alphabet))
+        yield name, aut, w, g, reference_composite_objective(aut, g.arena.alphabet, _token_map(g.arena.alphabet))
 
 
 def _token_map(alphabet):
@@ -479,7 +486,7 @@ def test_stepped_objective_matches_reference():
     # cascade of w_det with the union DPA, one parity automaton: the same
     # text once materialised, the same wins and the same oracle answer
     count = 0
-    for name, g, ref in completion_gadgets():
+    for name, _, _, g, ref in completion_gadgets():
         obj, arena = g.objective, g.arena
         assert isinstance(obj, StreamObjective), name
         assert emit_dpa(obj.materialise()) == emit_dpa(ref), name
@@ -495,6 +502,31 @@ def test_stepped_objective_matches_reference():
             assert got.region == want.region, name
         count += 1
     assert count >= 92
+
+
+def test_completion_check_on_the_quotient_matches_the_full_w():
+    # `gadget_for_witness` gives the completion gadget W's bisimulation
+    # quotient; every vertex's winner and the oracle's answer must be those
+    # of the gadget on the full W
+    shrank = 0
+    for name, aut, w, _, _ in completion_gadgets():
+        quo = gadget_for_witness(w, aut, aut=aut, w_det=aut)
+        g = completion_gadget(w.automaton, aut, w.q, w.p, w.x)
+        assert (quo.arena, quo.designated) == (g.arena, g.designated), name
+        vertices = range(g.arena.n_vertices)
+        # one objective after the other: `_initial_solve` keeps the last one
+        full = [solve(g.arena, g.objective).eve_wins_from(v) for v in vertices]
+        assert [solve(quo.arena, quo.objective).eve_wins_from(v) for v in vertices] == full, name
+        got, want = (brute_force_positional(x.arena, x.objective) for x in (quo, g))
+        assert (got.uniform, got.region) == (want.uniform, want.region), name
+        shrank += quo.objective.n_states < g.objective.n_states
+    assert shrank >= 6
+    # a W that is not deterministic and eps-free is refused as before
+    _, aut, w, _, _ = completion_gadgets()[0]
+    loop = Transition(aut.initial, EPS, 0, aut.initial)
+    for bad in (replace(aut, deterministic=False), replace(aut, transitions=aut.transitions + (loop,))):
+        with pytest.raises(ValueError, match="^w_det must be deterministic and eps-free$"):
+            gadget_for_witness(w, aut, aut=aut, w_det=bad)
 
 
 def test_oracle_matches_reference():
@@ -639,9 +671,6 @@ def test_completion_gadget_positional_fixture():
 
 
 def test_completion_gadget_choice_is_addable():
-    from dataclasses import replace
-    from posaut.automaton import EPS, Transition
-
     aut = aut_inf_a_or_fin_bb()
     q, p, x = 2, 1, 2  # the completion adds q3 -eps:2-> q2
     g = completion_gadget(aut, aut, q, p, x)

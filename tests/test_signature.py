@@ -4,6 +4,7 @@ import pytest
 
 from posaut.automaton import (
     access_word,
+    bisimulation_quotient,
     build,
     congruence_from_classes,
     parse_dpa,
@@ -16,7 +17,6 @@ from posaut.signature import (
     NestedPreorders,
     PipelineError,
     SignatureAutomaton,
-    _bisimulation_quotient,
     _hub_loops,
     _monoid_loops,
     _preorders_up_to,
@@ -396,7 +396,7 @@ def test_two_loops_on_seed_58_blowups(k):
     base = parse_dpa(SEED_58_DPA)
     for seed in range(5):
         aut = blowup(base, k, seed)
-        assert _bisimulation_quotient(aut).n_states == 7
+        assert bisimulation_quotient(aut).n_states == 7
         assert _hub_facts(aut, find_two_loops(aut)), seed
 
 
@@ -414,7 +414,7 @@ def test_two_loops_without_a_hub_pair():
         ],
         deterministic=True,
     )
-    assert _hub_loops(_bisimulation_quotient(aut)) is None
+    assert _hub_loops(bisimulation_quotient(aut)) is None
     res = decide_positionality_p1(aut)
     assert isinstance(res.witness, PolishLanguageChange)
     assert res.witness.loops == find_two_loops(aut)
@@ -432,7 +432,7 @@ def test_witness_words_match_reference():
         auts.append(random_automaton(rng, n, letters, rng.randint(2, 4)))
     hub = monoid = 0
     for i, aut in enumerate(auts):
-        quo = _bisimulation_quotient(aut)
+        quo = bisimulation_quotient(aut)
         for q in quo.states():
             assert access_word(quo, q) == reference_access_word(quo, q), (i, q)
         loops = _hub_loops(quo)
