@@ -114,6 +114,23 @@ class ParityAutomaton:
     def has_eps(self):
         return any(t.is_eps for t in self.transitions)
 
+    @cached_property
+    def bisimulation_quotient(self) -> "ParityAutomaton":
+        """The quotient by priority-preserving bisimulation of this
+        deterministic automaton (`bisimulation_quotient`), refined once."""
+        cls = (0,) * self.n_states
+        while True:
+            new = Congruence.by_key(
+                (cls[q],) + tuple((ts[q].priority, cls[ts[q].dst]) for ts in self.delta.values())
+                for q in self.states()
+            )
+            if new.n_classes == max(cls) + 1:
+                break
+            cls = new.class_of
+        if new.n_classes == self.n_states:
+            return self
+        return quotient_leq_x(self, new, self.d_max + self.d_max % 2)
+
     def states(self):
         return range(self.n_states)
 
@@ -486,12 +503,15 @@ def even_cycle_sccs(g, roots, priorities=None, old=None):
             roots = [src[e] for e in keep if e >= first or not reached[src[e]]]
 
 
-def reaches_even_cycle(g, roots) -> list[bool]:
+def reaches_even_cycle(g, roots) -> tuple[list[bool], set[int]]:
     """Per node of `g`, whether it reaches an accepting SCC of
-    `even_cycle_sccs(g, roots)`: one backward search from their members."""
+    `even_cycle_sccs(g, roots)`: one backward search from their members.
+    Also the inner edges of those SCCs, the edges on accepting cycles."""
     bad = [False] * len(g.out)
     stack = []
+    acc = set()
     for inner in even_cycle_sccs(g, roots):
+        acc.update(inner)
         for e in inner:
             v = g.src[e]
             if not bad[v]:
@@ -505,7 +525,7 @@ def reaches_even_cycle(g, roots) -> list[bool]:
             if not bad[u]:
                 bad[u] = True
                 stack.append(u)
-    return bad
+    return bad, acc
 
 
 def safe_components(aut: ParityAutomaton, x: int) -> Congruence:
@@ -678,19 +698,10 @@ def bisimulation_quotient(aut: ParityAutomaton) -> ParityAutomaton:
     """The quotient of the deterministic `aut` by priority-preserving
     bisimulation, by Moore refinement on (priority, target class) per letter;
     `aut` itself when no two states merge.  Every word has the same run
-    priorities in both, so they recognise the same language."""
-    cls = (0,) * aut.n_states
-    while True:
-        new = Congruence.by_key(
-            (cls[q],) + tuple((ts[q].priority, cls[ts[q].dst]) for ts in aut.delta.values())
-            for q in aut.states()
-        )
-        if new.n_classes == max(cls) + 1:
-            break
-        cls = new.class_of
-    if new.n_classes == aut.n_states:
-        return aut
-    return quotient_leq_x(aut, new, aut.d_max + aut.d_max % 2)
+    priorities in both, so they recognise the same language.  Computed once
+    per automaton object and kept on it (`ParityAutomaton.bisimulation_quotient`),
+    so a decision and the check of its witness refine W once."""
+    return aut.bisimulation_quotient
 
 
 def rebuild(aut: ParityAutomaton, keep, image, priority=None, **changes) -> ParityAutomaton:

@@ -313,8 +313,20 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     word (it starts without one, since L(aut) ⊆ L(w_det) is checked or
     w_det is aut, `try_push`'s precondition), so each test asks only about
     the copies that leave pairs the start pair reaches, and a candidate
-    with none passes without a kernel run.  A failing pair's words `cex1`
-    and `cex2` are the shortest lassos against `w_det` itself.
+    with none passes without a kernel run.
+
+    A failing pair's witness automaton is the input plus the candidates
+    that `try_push` kept: exactly the automaton behind the held product.
+    It keeps the language of the partially completed automaton, implied
+    edges included.  Each implied edge is simulated by a letter-free walk
+    over the edges present when it was implied, whose least priority is
+    at least as preferred.  By induction on acceptance order, that walk
+    rewrites over input and kept edges only, so an accepting run through
+    implied edges maps to an accepting run on the same word without them.
+    The words `cex1` and `cex2` are read off the held product with the
+    candidate's copies pushed and then removed (`DetProduct.added_word`):
+    the words `incl_nd_in_det` gives for the witness automaton plus the
+    candidate against W's bisimulation quotient.
 
     The certificate then gains every eps-edge the walks imply, its
     top-equivalent states are merged, and the even eps-edges whose odd
@@ -347,11 +359,13 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
     for t in current.transitions:
         if t.is_eps:
             walks.add(t)
+    kept: list[Transition] = []  # with the input, the automaton behind `product`
 
     def admits(t: Transition) -> bool:
         if walks.implies(t):
             return True
         if not walks.dooms(t) and product.try_push(t):
+            kept.append(t)
             return True
         walks.reject(t)
         return False
@@ -371,11 +385,8 @@ def decide_positionality_p2(aut: ParityAutomaton, w_det: ParityAutomaton | None 
                         walks.add(t)
                         break
                 else:
-                    base = replace(current, transitions=current.transitions + tuple(added))
-                    r1, r2 = (
-                        incl_nd_in_det(replace(base, transitions=base.transitions + (t,)), w_det)
-                        for t in (even, odd)
-                    )
+                    base = replace(current, transitions=current.transitions + tuple(kept))
+                    r1, r2 = product.added_word(even), product.added_word(odd)
                     return NotPositional(CompletionFailure(q, p, x, r1, r2, base))
     # every eps-edge that a letter-free walk implies, which adds no word
     added += [

@@ -17,10 +17,14 @@ one bounded forward and one bounded backward breadth-first ball per
 x-anchor, behind its spine, the path to it in the product's own
 breadth-first tree (`automaton.tree_word`); the shortest such lasso, made
 canonical, is the witness.  The residual relations come from one
-`DetProduct` over all pairs of states at once (`noninclusion_pairs`), and
-the eps-completion loop extends one `DetProduct` in place (`try_push`),
-asking the kernel only about the part of the product that a candidate's
-copies add to what the start pair reaches.  Safe-language inclusion at a
+`DetProduct` over all pairs of states at once and one kernel run
+(`noninclusion_pairs`), and the eps-completion loop extends one
+`DetProduct` in place (`try_push`), asking the kernel only about the part
+of the product that a candidate's copies add to what the start pair
+reaches.  Both read their failure words off the product they hold
+(`DetProduct.lasso`): one breadth-first renumbering of the part a start
+pair reaches gives the graph `product` builds from that pair, with the
+edges the kernel found on accepting cycles.  Safe-language inclusion at a
 level x is likewise one backward search over all pairs of states
 (`SafeInclusion`), from which each separating word is rebuilt on demand.
 """
@@ -92,8 +96,9 @@ def product(out, b: ParityAutomaton, starts) -> tuple[EdgeGraph, dict]:
 
 def _shortest_lasso(g: EdgeGraph, acc: list[int]) -> UPWord:
     """The canonical shortest lasso from node 0 of a product explored from
-    that one start (`product`), given its accepting edges `acc` (those of
-    the kernel's accepting SCCs) in id order.
+    that one start (`product`, or `DetProduct.lasso`'s renumbering), given
+    its accepting edges `acc` (those of the kernel's accepting SCCs) in id
+    order.
 
     For each even pair (x, y), the accepting edges >= (x, y) are split into
     SCCs by one Tarjan pass from the x-anchors (first priority x); a pair
@@ -232,7 +237,8 @@ class DetProduct:
     w -> w'.  `try_push` adds the copies of one more transition while the
     product stays free of common words, so a caller that tests many
     extensions of `a` builds the product once.  `reached` holds, per pair,
-    whether the start pair reaches it.
+    whether the start pair reaches it, and `label` the letter (or EPS) that
+    each edge reads, for the words read off the product (`lasso`).
     """
 
     def __init__(self, a: ParityAutomaton, b: ParityAutomaton):
@@ -246,6 +252,7 @@ class DetProduct:
         self.dst: list[int] = []
         self.pr1: list[int] = []
         self.pr2: list[int] = []
+        self.label: list[str] = []
         for t in a.transitions:
             self._push(t)
         self.reached = self._reach([self.start], [False] * len(self.out))
@@ -266,8 +273,16 @@ class DetProduct:
             self.pr2.extend([u.priority for u in row])
         self.src.extend(range(src, src + m))
         self.pr1.extend([t.priority] * m)
+        self.label.extend([t.letter] * m)
         for w in range(m):
             out[src + w].append(first + w)
+
+    def _pop(self, first: int) -> None:
+        """Remove the edges from id `first` on."""
+        for v in self.src[first:]:
+            self.out[v].pop()
+        for arr in (self.src, self.dst, self.pr1, self.pr2, self.label):
+            del arr[first:]
 
     def try_push(self, t: Transition) -> bool:
         """Add the copies of `t` and keep them when the product still has no
@@ -288,12 +303,37 @@ class DetProduct:
         src, dst = self.src, self.dst
         heads = [dst[e] for e in range(first, first + self.m) if reached[src[e]]]
         if heads and next(even_cycle_sccs(self, heads, old=(first, reached)), None) is not None:
-            for v in src[first:]:
-                self.out[v].pop()
-            del src[first:], dst[first:], self.pr1[first:], self.pr2[first:]
+            self._pop(first)
             return False
         self._reach(heads, reached)
         return True
+
+    def added_word(self, t: Transition) -> UPWord:
+        """The word that `t` adds, for a `t` that `try_push` rejects: the
+        `lasso` from the start pair on the accepting edges of one kernel run,
+        with the copies of `t` pushed and then removed again.  Raises
+        AssertionError when `t` adds no word."""
+        first = len(self.dst)
+        self._push(t)
+        acc = {e for inner in even_cycle_sccs(self, [self.start]) for e in inner}
+        word = self.lasso(self.start, acc)
+        self._pop(first)
+        if word is None:
+            raise AssertionError(f"the candidate {t} adds no word to the product")
+        return word
+
+    def lasso(self, start: int, acc: set[int]) -> UPWord | None:
+        """`_shortest_lasso` from pair `start`, given the kernel's accepting
+        edges `acc` among those `start` reaches (others are ignored); None
+        when `start` reaches none.  One breadth-first renumbering of the part
+        `start` reaches (`explore`) walks `out` in order, so node and edge
+        ids, and the word, are those of `product` on the same automata from
+        that pair: `incl_nd_in_det`'s counterexample."""
+        out, dst, pr1, pr2, label = self.out, self.dst, self.pr1, self.pr2, self.label
+        g, ids = explore([start], lambda v: ((dst[e], pr1[e], pr2[e], label[e]) for e in out[v]))
+        edges = (e for v in ids for e in out[v])  # in the renumbered ids' order
+        renumbered = [i for i, e in enumerate(edges) if e in acc]
+        return _shortest_lasso(g, renumbered) if renumbered else None
 
     def _reach(self, roots, seen: list[bool]) -> list[bool]:
         """Mark in `seen` every pair that `roots` reach through pairs not
@@ -313,21 +353,24 @@ class DetProduct:
         return seen
 
 
-def noninclusion_pairs(aut: ParityAutomaton, states) -> set[tuple[int, int]]:
+def noninclusion_pairs(aut: ParityAutomaton, states):
     """Every pair (q, p) of `states` with L(aut from q) not included in
-    L(aut from p): the pairs where `incl_det(aut, q, aut, p)` is not True.
+    L(aut from p), the pairs where `incl_det(aut, q, aut, p)` is not True,
+    and a function that gives such a pair's counterexample, the word
+    `incl_det` gives.
 
-    One `DetProduct` of `aut` with its complement over all pairs of states;
-    a start pair is not included iff it reaches an accepting SCC of the
-    kernel (`reaches_even_cycle`).
+    One `DetProduct` of `aut` with its complement over all pairs of states
+    and one kernel run from the pairs of `states`: a start pair is not
+    included iff it reaches an accepting SCC (`reaches_even_cycle`), and its
+    word is read off the same product and accepting edges (`lasso`).
     """
     if not aut.deterministic or aut.has_eps:
         raise ValueError("noninclusion_pairs needs a deterministic eps-free automaton")
     n = aut.n_states
-    bad = reaches_even_cycle(
-        DetProduct(aut, complement_det(aut)), [q * n + p for q in states for p in states]
-    )
-    return {(q, p) for q in states for p in states if bad[q * n + p]}
+    product = DetProduct(aut, complement_det(aut))
+    bad, acc = reaches_even_cycle(product, [q * n + p for q in states for p in states])
+    pairs = {(q, p) for q in states for p in states if bad[q * n + p]}
+    return pairs, lambda q, p: product.lasso(q * n + p, acc)
 
 
 def lang_equal_det(a: ParityAutomaton, b: ParityAutomaton):
@@ -369,16 +412,14 @@ def residual_preorder(aut: ParityAutomaton) -> ResidualPreorder:
     """
     states = sorted(aut.reachable())
     dropped = tuple(sorted(set(aut.states()) - set(states)))
-    out = noninclusion_pairs(aut, states)
+    out, word = noninclusion_pairs(aut, states)
     for q in states:
         for p in states:
             if q < p and (q, p) in out and (p, q) in out:
                 return ResidualPreorder(
                     rank={},
                     total=False,
-                    incomparable_witness=(
-                        q, p, incl_det(aut, q, aut, p), incl_det(aut, p, aut, q)
-                    ),
+                    incomparable_witness=(q, p, word(q, p), word(p, q)),
                     dropped_unreachable=dropped,
                 )
     # totally preordered: rank = number of strictly smaller classes
@@ -399,7 +440,7 @@ def residual_congruence(aut: ParityAutomaton) -> Congruence:
     Requires all states reachable; trim first.  Works for deterministic
     automata.
     """
-    out = noninclusion_pairs(aut, aut.states())
+    out = noninclusion_pairs(aut, aut.states())[0]
     groups: list[list[int]] = []
     for q in aut.states():
         for g in groups:

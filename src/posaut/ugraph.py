@@ -248,7 +248,7 @@ def _graph_satisfying(n, edges, objective: ParityAutomaton):
     starts = [(v, objective.initial) for v in range(n)]  # node ids 0..n-1
     graph = build(n, objective.alphabet, 0, [(s, a, 0, t) for (s, a, t) in edges])
     prod, _ = product(graph.by_src, complement_det(objective), starts)
-    bad = reaches_even_cycle(prod, range(n))
+    bad = reaches_even_cycle(prod, range(n))[0]
     return [v for v in range(n) if not bad[v]]
 
 

@@ -170,8 +170,10 @@ class CompletionFailure:
     added without augmenting the language.
 
     The counterexamples refer to `automaton`, the partially completed
-    automaton at the moment of failure (it carries the eps-transitions added
-    by the earlier greedy steps and recognises the same language)."""
+    automaton at the moment of failure: the input plus the eps-transitions
+    that earlier greedy steps kept after a product test (it recognises the
+    same language).  Each is the shortest lasso that its candidate adds
+    against the quotient of W by priority-preserving bisimulation."""
 
     q: int
     p: int

@@ -431,6 +431,7 @@ def test_bisimulation_quotient():
     merged = 0
     for i, aut in enumerate(auts):
         quo = bisimulation_quotient(aut)
+        assert bisimulation_quotient(aut) is quo, i  # refined once, kept on `aut`
         if quo.n_states == aut.n_states:
             assert quo is aut, i
         else:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from posaut import epscomplete
-from posaut.automaton import EPS, Transition, build, up_membership, upword
+from posaut.automaton import EPS, Transition, bisimulation_quotient, build, up_membership, upword
 from posaut.epscomplete import (
     EpsCompleteAutomaton,
     WalkMinima,
@@ -39,6 +39,7 @@ from conftest import (
     has_common_word,
     random_automaton,
     random_upword,
+    reference_incl,
     reference_p2,
     seed_65_blowup,
 )
@@ -511,10 +512,32 @@ def test_p2_agreement_with_p1_on_fixtures():
 # -- the greedy loop on one product against the rebuild-per-candidate loop ---------
 
 
+def assert_p2_matches_reference(aut, w_det=None):
+    """`decide_positionality_p2` against `reference_p2`: `==` on a positive
+    result.  On a negative one the same (q, p, x), a witness automaton made
+    of the reference's transitions, and words that are the reference
+    lassos of that automaton plus each candidate against W's bisimulation
+    quotient.  Returns p2's result."""
+    res, ref = decide_positionality_p2(aut, w_det), reference_p2(aut, w_det)
+    if isinstance(ref, Positional):
+        assert res == ref
+        return res
+    wit, want = res.witness, ref.witness
+    assert isinstance(wit, CompletionFailure)
+    assert (wit.q, wit.p, wit.x) == (want.q, want.p, want.x)
+    base = wit.automaton
+    assert set(base.transitions) <= set(want.automaton.transitions)
+    quo = bisimulation_quotient(aut if w_det is None else w_det)
+    candidates = (Transition(wit.q, EPS, wit.x, wit.p), Transition(wit.p, EPS, wit.x + 1, wit.q))
+    for t, word in zip(candidates, (wit.cex1, wit.cex2)):
+        e = replace(base, transitions=base.transitions + (t,))
+        assert word == reference_incl(e, e.initial, quo, quo.initial), t
+    return res
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_p2_matches_reference_on_fixtures(name):
-    aut = FIXTURES[name][0]()
-    assert decide_positionality_p2(aut) == reference_p2(aut)
+    assert_p2_matches_reference(FIXTURES[name][0]())
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -523,23 +546,19 @@ def test_p2_matches_reference_on_random_dpas(chunk):
         rng = random.Random(seed)
         letters = ("a", "b", "c")[: rng.randint(2, 3)]
         aut = random_automaton(rng, rng.randint(3, 9), letters, dmax=rng.randint(1, 5))
-        aut = aut.trim()
-        assert decide_positionality_p2(aut) == reference_p2(aut), seed
+        assert_p2_matches_reference(aut.trim())
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(3))
 def test_p2_matches_reference_on_blowups(k, seed):
     aut = blowup(aut_fin_nested_c_factors(), k, seed)
-    res = decide_positionality_p2(aut)
-    assert isinstance(res, Positional)
-    assert res == reference_p2(aut)
+    assert isinstance(assert_p2_matches_reference(aut), Positional)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_p2_matches_reference_on_min_letter_even(d):
-    aut = aut_min_letter_even(d)
-    assert decide_positionality_p2(aut) == reference_p2(aut)
+    assert_p2_matches_reference(aut_min_letter_even(d))
 
 
 # -- p2 with a separate deterministic automaton w_det -------------------------------
@@ -574,9 +593,8 @@ def test_p2_on_own_certificate_with_w_det(name):
 def test_p2_on_redundant_nondeterministic_transition(name):
     aut = FIXTURES[name][0]()
     nd = with_redundant_copy(aut, aut.initial, aut.alphabet[0])
-    res = decide_positionality_p2(nd, aut)
+    res = assert_p2_matches_reference(nd, aut)
     assert isinstance(res, type(decide_positionality_p2(aut)))
-    assert res == reference_p2(nd, aut)
 
 
 def test_p2_w_det_must_include_the_input():
@@ -699,6 +717,40 @@ def test_p2_incremental_answers_match_fresh_products(group, monkeypatch):
     assert True in merged
 
 
+def test_p2_witness_automaton_is_the_input_and_the_kept_candidates(monkeypatch):
+    # the automaton behind p2's held product: the input's transitions, then
+    # the candidates that `try_push` kept, in order, and no implied eps-edge
+    kept = []
+    real = DetProduct.try_push
+
+    def spy(self, t):
+        answer = real(self, t)
+        if answer:
+            kept.append(t)
+        return answer
+
+    monkeypatch.setattr(DetProduct, "try_push", spy)
+    inputs = [FIXTURES[name][0]() for name in sorted(FIXTURES)]
+    inputs += [seed_65_blowup(k) for k in (1, 2)]
+    for seed in range(100):
+        rng = random.Random(seed)
+        letters = ("a", "b", "c")[: rng.randint(2, 3)]
+        aut = random_automaton(rng, rng.randint(3, 9), letters, dmax=rng.randint(1, 5))
+        inputs.append(aut.trim())
+    negatives = shrank = 0
+    for aut in inputs:
+        kept.clear()
+        res = decide_positionality_p2(aut)
+        if isinstance(res, Positional):
+            continue
+        base = res.witness.automaton
+        assert base.transitions == aut.transitions + tuple(kept)
+        negatives += 1
+        # the reference's automaton at failure also holds the implied edges
+        shrank += len(base.transitions) < len(reference_p2(aut).witness.automaton.transitions)
+    assert negatives >= 50 and shrank >= 1
+
+
 def zielonka_union_dpa(k, d, length):
     """The Zielonka-tree DPA of a union of k min-parity conditions over
     `length` letters, the k-tuples of priorities in [0, d] in a seeded order."""
@@ -711,9 +763,8 @@ def zielonka_union_dpa(k, d, length):
 @pytest.mark.parametrize("k, d, length", [(2, 5, 24), (3, 5, 16)])
 def test_p2_matches_reference_on_union_dpas(k, d, length):
     aut = zielonka_union_dpa(k, d, length)
-    res = decide_positionality_p2(aut)
-    assert isinstance(res, Positional)  # a union of positional objectives
-    assert res == reference_p2(aut)
+    # a union of positional objectives
+    assert isinstance(assert_p2_matches_reference(aut), Positional)
 
 
 def pinned_inputs():

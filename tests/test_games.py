@@ -5,7 +5,7 @@ from functools import cache
 
 import pytest
 
-from posaut import games, parityunion
+from posaut import automaton, games, parityunion
 from posaut.automaton import EPS, Transition, build, emit_dpa, up_membership, upword
 from posaut.epscomplete import decide_positionality_p2
 from posaut.games import (
@@ -527,6 +527,19 @@ def test_completion_check_on_the_quotient_matches_the_full_w():
     for bad in (replace(aut, deterministic=False), replace(aut, transitions=aut.transitions + (loop,))):
         with pytest.raises(ValueError, match="^w_det must be deterministic and eps-free$"):
             gadget_for_witness(w, aut, aut=aut, w_det=bad)
+
+
+def test_completion_check_reuses_the_decisions_quotient(monkeypatch):
+    # p2 refines W once for its decision; the completion check of its
+    # witness takes the quotient kept on the same automaton object
+    aut = seed_65_blowup(2)
+    refinements = []
+    real = automaton.quotient_leq_x
+    monkeypatch.setattr(automaton, "quotient_leq_x", lambda *a: refinements.append(a) or real(*a))
+    w = decide_positionality_p2(aut).witness
+    assert len(refinements) == 1  # W merges: 36 states, 18 classes
+    g = gadget_for_witness(w, aut, aut=aut, w_det=aut)
+    assert len(refinements) == 1 and g.objective.n_states == 18
 
 
 def test_oracle_matches_reference():

@@ -13,6 +13,7 @@ from posaut.automaton import (
     STUTTER,
     EdgeGraph,
     Transition,
+    bisimulation_quotient,
     build,
     even_cycle_sccs,
     reaches_even_cycle,
@@ -83,7 +84,7 @@ def test_kernel_several_roots():
     assert _accepting_edges(g, [2]) == [5]
     assert _accepting_edges(g, [0, 2]) == [1, 5]
     assert _accepting_edges(g, [2, 0]) == [1, 5]
-    assert reaches_even_cycle(g, [0, 2]) == [True, True, True, True, True]
+    assert reaches_even_cycle(g, [0, 2]) == ([True, True, True, True, True], {1, 5})
 
 
 def test_kernel_ignores_unreached_accepting_cycle():
@@ -92,8 +93,8 @@ def test_kernel_ignores_unreached_accepting_cycle():
     g = _graph(3, [(0, 0, 1, 0), (1, 2, 0, 0), (2, 1, 2, 0), (1, 0, 0, 0)])
     assert _accepting_edges(g, [0]) == []
     assert _accepting_edges(g, [1]) == [1, 2]
-    assert reaches_even_cycle(g, [0]) == [False, False, False]
-    assert reaches_even_cycle(g, [0, 1]) == [False, True, True]
+    assert reaches_even_cycle(g, [0]) == ([False, False, False], set())
+    assert reaches_even_cycle(g, [0, 1]) == ([False, True, True], {1, 2})
 
 
 def test_kernel_drops_even_eps_only_cycle():
@@ -213,18 +214,21 @@ def test_noninclusion_pairs_match_reference(seed):
         letters = ("a", "b", "c")[: rng.randint(1, 3)]
         aut = random_automaton(rng, rng.randint(1, 7), letters, dmax=rng.randint(0, 5))
         states = sorted(rng.sample(range(aut.n_states), rng.randint(1, aut.n_states)))
-        want = {
-            (q, p) for q in states for p in states
-            if reference_incl(aut, q, aut, p) is not True
-        }
-        assert noninclusion_pairs(aut, states) == want, (seed, i)
+        cex = {(q, p): reference_incl(aut, q, aut, p) for q in states for p in states}
+        want = {pair: word for pair, word in cex.items() if word is not True}
+        pairs, word = noninclusion_pairs(aut, states)
+        assert pairs == set(want), (seed, i)
+        assert {pair: word(*pair) for pair in pairs} == want, (seed, i)
 
 
 def test_negative_witnesses_at_scale_match_reference(monkeypatch):
     # the seed-65 blow-up with n = 36: p1's residual pair and p2's completion
     # failure, whose products hold hundreds of anchors per SCC, give the
-    # reference's words and pass their gadgets
+    # reference's words and pass their gadgets; p2's words are those against
+    # W's bisimulation quotient, which merges here (18 states)
     aut = seed_65_blowup(2)
+    quo = bisimulation_quotient(aut)
+    assert quo.n_states < aut.n_states
     passes = []
     one_pass = signature._one_pass
 
@@ -244,7 +248,7 @@ def test_negative_witnesses_at_scale_match_reference(monkeypatch):
     candidates = (Transition(w2.q, EPS, w2.x, w2.p), Transition(w2.p, EPS, w2.x + 1, w2.q))
     for t, word in zip(candidates, (w2.cex1, w2.cex2)):
         e = replace(base, transitions=base.transitions + (t,))
-        assert word == reference_incl(e, e.initial, aut, aut.initial)
+        assert word == reference_incl(e, e.initial, quo, quo.initial)
     for g in (gadget_for_witness(w, aut), gadget_for_witness(w2, aut, aut=aut, w_det=aut)):
         sv = solve(g.arena, g.objective)
         assert all(sv.eve_wins_from(v) for v in g.designated)

@@ -7,6 +7,7 @@ from posaut import lang
 from posaut.automaton import (
     EPS,
     Transition,
+    bisimulation_quotient,
     build,
     congruence_from_classes,
     up_membership,
@@ -45,6 +46,7 @@ from conftest import (
     random_upword,
     reference_disjoint,
     reference_safe_incl,
+    seed_65_blowup,
 )
 
 
@@ -215,7 +217,9 @@ def test_residual_relations_match_pairwise(index):
             r = incl_det(aut, q, aut, p)
             if r is not True:
                 cex[(q, p)] = r
-    assert noninclusion_pairs(aut, states) == set(cex)
+    pairs, word = noninclusion_pairs(aut, states)
+    assert pairs == set(cex)
+    assert {pair: word(*pair) for pair in pairs} == cex
     for q in states[:3]:
         for p in states[:3]:
             product = DetProduct(aut.with_initial(q), complement_det(aut.with_initial(p)))
@@ -229,9 +233,20 @@ def test_residual_relations_match_pairwise(index):
     assert residual_congruence(trimmed) == _pairwise_congruence(trimmed)
 
 
-@pytest.mark.parametrize("name", NOT_POSITIONAL_FIXTURES)
-def test_completion_failure_words_match_direct_inclusion(name):
-    aut = FIXTURES[name][0]()
+@pytest.mark.parametrize(
+    "name, k",
+    [
+        pytest.param(name, k, id=name if k == 1 else f"{name}-blowup{k}")
+        for name in NOT_POSITIONAL_FIXTURES
+        for k in (1, 2, 3)
+    ],
+)
+def test_completion_failure_words_match_direct_inclusion(name, k):
+    # p2's words are the direct inclusion's against W's bisimulation
+    # quotient; every blow-up (k >= 2) has copies that merge
+    aut = FIXTURES[name][0]() if k == 1 else blowup(FIXTURES[name][0](), k, 0)
+    quo = bisimulation_quotient(aut)
+    assert (quo.n_states < aut.n_states) == (k > 1)
     res = decide_positionality_p2(aut)
     assert isinstance(res, NotPositional) and isinstance(res.witness, CompletionFailure)
     wit = res.witness
@@ -244,8 +259,35 @@ def test_completion_failure_words_match_direct_inclusion(name):
     )
     assert has_common_word(DetProduct(with_even, complement_det(aut)))
     assert has_common_word(DetProduct(with_odd, complement_det(aut)))
-    assert wit.cex1 == incl_nd_in_det(with_even, aut)
-    assert wit.cex2 == incl_nd_in_det(with_odd, aut)
+    assert wit.cex1 == incl_nd_in_det(with_even, quo)
+    assert wit.cex2 == incl_nd_in_det(with_odd, quo)
+
+
+def p1_word_inputs():
+    for name in sorted(FIXTURES):
+        yield FIXTURES[name][0]()
+        for k in (2, 3):
+            yield blowup(FIXTURES[name][0](), k, 0)
+    for k in (1, 2, 3):
+        yield seed_65_blowup(k)
+    for seed in range(300):
+        rng = random.Random(seed)
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        yield random_automaton(rng, rng.randint(1, 9), letters, dmax=rng.randint(1, 5))
+
+
+def test_incomparable_witness_words_are_incl_det_words():
+    # p1's two words, read off the product of `noninclusion_pairs`, are
+    # those of the two inclusions on fresh products
+    incomparable = 0
+    for i, aut in enumerate(p1_word_inputs()):
+        witness = residual_preorder(aut).incomparable_witness
+        if witness is None:
+            continue
+        q, p = witness[:2]
+        assert witness == (q, p, incl_det(aut, q, aut, p), incl_det(aut, p, aut, q)), i
+        incomparable += 1
+    assert incomparable >= 100
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -372,13 +414,27 @@ def test_try_push_rejects_a_path_to_an_old_accepting_scc(monkeypatch):
     product = DetProduct(a, complement_det(c))
     assert product.try_push(Transition(0, "a", 2, 0))
     assert product.reached == [True, False, False]
-    before = [list(map(list, product.out)), product.src[:], product.dst[:]]
+
+    def state():
+        return [list(map(list, product.out)), product.src[:], product.dst[:],
+                product.pr1[:], product.pr2[:], product.label[:]]
+
+    before = state()
     runs = spy_kernel(monkeypatch)
-    assert not product.try_push(Transition(0, "b", 0, 0))
+    t = Transition(0, "b", 0, 0)
+    assert not product.try_push(t)
     assert runs == [[1]]  # from the head of the one copy that leaves (0, 0)
     assert product.reached == [True, False, False]
-    assert [list(map(list, product.out)), product.src[:], product.dst[:]] == before
-    product._push(Transition(0, "b", 0, 0))
+    assert state() == before
+    # the word t adds, read off the held product, which it leaves as it was;
+    # a candidate that adds no word raises
+    kept = replace(a, transitions=a.transitions + (Transition(0, "a", 2, 0), t))
+    assert product.added_word(t) == incl_nd_in_det(kept, c) == upword(["b"], ["a"])
+    assert state() == before
+    with pytest.raises(AssertionError, match="adds no word"):
+        product.added_word(Transition(0, "a", 1, 0))
+    assert state() == before
+    product._push(t)
     assert has_common_word(product)
 
 
