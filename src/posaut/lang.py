@@ -108,7 +108,13 @@ def _shortest_lasso(g: EdgeGraph, acc: list[int]) -> UPWord:
     it in the product's own breadth-first tree (`tree_word`).  The fewest
     letters win, then the least (u, v).  No SCC is lost: an inner edge of an
     SCC of all edges >= (x, y) that holds both anchors lies on a cycle
-    through both, with least priorities (x, y), so it is accepting."""
+    through both, with least priorities (x, y), so it is accepting.
+
+    "Shortest" is among the lassos of the product handed in, not over the
+    difference language: two products with the same common words can give
+    different words.  On the blown-up random DPA `n194` of
+    `BENCH_words.json`, p2's word is `- | a` against W and `a a b | a a a b`
+    against W's bisimulation quotient."""
     src, dst, pr1, pr2, label = g.src, g.dst, g.pr1, g.pr2, g.label
     n = len(g.out)
     best: tuple[int, tuple, tuple] | None = None  # (length, u, v)
@@ -374,13 +380,29 @@ def noninclusion_pairs(aut: ParityAutomaton, states):
 
 
 def lang_equal_det(a: ParityAutomaton, b: ParityAutomaton):
-    """Language equality of deterministic automata (True or a side+witness)."""
-    r = incl_det(a, a.initial, b, b.initial)
-    if r is not True:
-        return ("left-minus-right", r)
-    r = incl_det(b, b.initial, a, a.initial)
-    if r is not True:
-        return ("right-minus-left", r)
+    """Language equality of complete deterministic eps-free automata over
+    one alphabet: True, else ("left-minus-right", w) with w the word
+    `incl_det(a, ., b, .)` gives, else ("right-minus-left", w) with w that
+    of `incl_det(b, ., a, .)`.
+
+    Both sides run the kernel on one product of `a` with the complement of
+    `b` from the initial pair: with priorities (pr1, pr2) for L(a) ⊆ L(b),
+    and with (pr2 - 1, pr1 + 1), b's priorities and the complement of a's,
+    for L(b) ⊆ L(a).  Both automata are complete and deterministic, so the
+    product of `b` with the complement of `a` reaches the same pairs along
+    the same edges."""
+    if not (a.deterministic and b.deterministic) or a.has_eps or b.has_eps:
+        raise ValueError("lang_equal_det needs deterministic eps-free automata")
+    if set(a.alphabet) != set(b.alphabet):
+        raise ValueError("lang_equal_det needs automata over one alphabet")
+    a.delta  # raises ValueError unless `a` is complete
+    g = product(a.by_src, complement_det(b), [(a.initial, b.initial)])[0]
+    acc = sorted(e for inner in even_cycle_sccs(g, [0]) for e in inner)
+    if acc:
+        return "left-minus-right", _shortest_lasso(g, acc)
+    flipped = ([p - 1 for p in g.pr2], [p + 1 for p in g.pr1])
+    if next(even_cycle_sccs(g, [0], flipped), None) is not None:
+        return "right-minus-left", incl_det(b, b.initial, a, a.initial)
     return True
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .automaton import EdgeGraph, ParityAutomaton, even_cycle_sccs, priority_span
+from .automaton import EdgeGraph, ParityAutomaton, Transition, even_cycle_sccs, priority_span
 
 
 def _accepting_sccs(trans, idxs, priority):
@@ -58,7 +58,7 @@ def normalize(aut: ParityAutomaton) -> ParityAutomaton:
         _assign_component(trans, comp, 0, out)
     d_max = max(out.values(), default=1)
     new_trans = tuple(
-        replace(t, priority=out.get(i, d_max)) for i, t in enumerate(trans)
+        Transition(t.src, t.letter, out.get(i, d_max), t.dst) for i, t in enumerate(trans)
     )
     return replace(aut, transitions=new_trans, priority_range=priority_span(new_trans))
 

@@ -141,8 +141,9 @@ def _residuals(aut: ParityAutomaton, memo) -> ResidualPreorder:
 
     `memo` is None or a dict that one decision passes to every stage, so
     that each relation is built once per automaton (and level); it maps
-    each automaton to its residual preorder and (automaton, x) to its
-    `SafeInclusion`."""
+    each automaton to its residual preorder, (automaton, x) to its
+    `SafeInclusion`, and "progress" to the restart automaton on which plain
+    progress consistency is known to hold (`_run_pipeline`)."""
     if memo is None:
         return residual_preorder(aut)
     if aut not in memo:
@@ -737,6 +738,25 @@ def build_structured_signature(aut: ParityAutomaton):
 
 
 def _run_pipeline(aut, full_pc):
+    """Passes (`_one_pass`) over normalised automata until one gives a
+    verdict.  A pass whose polishing at level x shrinks an automaton
+    `before` to `after` with L(after) = L(before) restarts on
+    `normalize(after.trim())`, A' below, which keeps two facts of that
+    language in `memo`:
+
+    - Ranks (`_carried_ranks`).  On complete deterministic automata the
+      state that a word u reaches has the residual u⁻¹L, in `before` as in
+      A', so it has the same rank in both.
+    - Plain progress consistency, after a level-0 shrink, where `before` is
+      the pass automaton A on which `check_progress_consistency` held.
+      Suppose A' has q' < p', q' -w-> p', and p' -w-> p' at an odd least
+      priority, and u reaches q'.  Then [uw^i] = [uw] for every i >= 1, and
+      uw^ω is rejected.  In A, the run on uw^i is eventually periodic; take
+      m, a multiple of its period past its start.  Then q = δ(u) and
+      p = δ(uw^m) give q < p, q -w^m-> p and p -w^m-> p at an odd least
+      priority.  So the check fails on A' only if it fails on A, and by
+      the same argument the other way round.
+    """
     aut.check_valid()
     if not aut.deterministic or aut.has_eps:
         raise ValueError("procedure 1 needs a deterministic eps-free automaton")
@@ -750,28 +770,48 @@ def _run_pipeline(aut, full_pc):
         outcome = _one_pass(current, memo, full_pc=full_pc)
         if isinstance(outcome, (Positional, NotPositional)):
             return outcome
-        current = normalize(outcome.trim())
+        before, after, x = outcome
+        current = normalize(after.trim())
+        memo[current] = _carried_ranks(before, current, memo[before])
+        if x == 0:
+            memo["progress"] = current
         restarts += 1
 
 
+def _carried_ranks(before, after, rp: ResidualPreorder) -> ResidualPreorder:
+    """The residual preorder of `after`, read off `rp`, that of `before`,
+    for complete deterministic automata with one language and every state
+    of `after` reachable: one breadth-first walk from the two initial
+    states gives each state of `after` the rank of the state of `before`
+    that the same word reaches."""
+    partner = {after.initial: before.initial}
+    queue = [after.initial]
+    for q in queue:  # grows while it is read: breadth first
+        for a, row in after.delta.items():
+            q2 = row[q].dst
+            if q2 not in partner:
+                partner[q2] = before.delta[a][partner[q]].dst
+                queue.append(q2)
+    return ResidualPreorder(_dense({q: rp.rank[partner[q]] for q in after.states()}), True)
+
+
 def _one_pass(aut: ParityAutomaton, memo, full_pc=True):
-    """One pipeline pass; returns a verdict or a smaller automaton to restart
-    on.  `memo` as in `_residuals`."""
+    """One pipeline pass; returns a verdict, or (before, after, x) when
+    polishing `before` at level x shrank it to `after` with the same
+    language.  `memo` as in `_residuals`."""
     rp = _residuals(aut, memo)
     if not rp.total:
         return _incomparable(aut, rp)
-    pc = check_progress_consistency(aut, rp)
-    if pc is not True:
-        return NotPositional(ProgressFailure(pc))
+    if memo.get("progress") is not aut:
+        pc = check_progress_consistency(aut, rp)
+        if pc is not True:
+            return NotPositional(ProgressFailure(pc))
 
     # level 0: polish with the residual congruence
     res_classes = Congruence.by_key(rp.rank[q] for q in aut.states())
     status, data = polish(aut, 0, res_classes)
     if status == "shrunk":
-        r = _check_polish_language(aut, data, 0)
-        if r is not None:
-            return r
-        return data
+        return _check_polish_language(aut, data, 0)
     if status == "stuck":
         return _stuck_verdict(0)
     aut = data
@@ -794,10 +834,7 @@ def _one_pass(aut: ParityAutomaton, memo, full_pc=True):
         classes_x = prex.classes_at(x, det.n_states)
         status, data = polish(det, x, classes_x)
         if status == "shrunk":
-            r = _check_polish_language(det, data, x)
-            if r is not None:
-                return r
-            return data
+            return _check_polish_language(det, data, x)
         if status == "stuck":
             return _stuck_verdict(x)
         aut = data
@@ -838,11 +875,12 @@ def _preorders_up_to(aut, level, memo=None):
 
 
 def _check_polish_language(before, after, x):
+    """(before, after, x) when `after` recognises the language of `before`,
+    else the verdict with a word in the difference."""
     eq = lang_equal_det(after, before)
     if eq is True:
-        return None
-    _, cex = eq
-    return NotPositional(PolishLanguageChange(cex, x))
+        return before, after, x
+    return NotPositional(PolishLanguageChange(eq[1], x))
 
 
 def _stuck_verdict(x):

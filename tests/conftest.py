@@ -975,6 +975,20 @@ def reference_incl(a, q, b, p):
     return True if witness is None else witness
 
 
+def reference_lang_equal_det(a, b):
+    """`lang.lang_equal_det` as two inclusions, one product each: True, or
+    the first failing side with `incl_det`'s word."""
+    from posaut.lang import incl_det
+
+    r = incl_det(a, a.initial, b, b.initial)
+    if r is not True:
+        return ("left-minus-right", r)
+    r = incl_det(b, b.initial, a, a.initial)
+    if r is not True:
+        return ("right-minus-left", r)
+    return True
+
+
 def has_common_word(product) -> bool:
     """Whether a pair that the start pair of the `lang.DetProduct` reaches
     lies on a cycle that reads a letter and whose least first and least

@@ -20,6 +20,7 @@ from posaut.lang import (
     complement_det,
     incl_det,
     incl_nd_in_det,
+    lang_equal_det,
     noninclusion_pairs,
     residual_automaton,
     residual_congruence,
@@ -45,6 +46,7 @@ from conftest import (
     random_eps_automaton,
     random_upword,
     reference_disjoint,
+    reference_lang_equal_det,
     reference_safe_incl,
     seed_65_blowup,
 )
@@ -301,6 +303,60 @@ def test_kernel_matches_lasso_search(seed):
         included = incl_nd_in_det(a, c) is True
         assert has_common_word(DetProduct(a, co)) == (not included), (seed, i)
         assert included == reference_disjoint(a, co), (seed, i)
+
+
+def _equality_pairs():
+    """Equal pairs (each fixture against its blow-ups, both ways), pairs
+    that differ (each fixture against another over its alphabet and
+    against itself with one priority raised by one), and 400 seeded random
+    DPA pairs over one alphabet."""
+    for make, _ in FIXTURES.values():
+        base = make()
+        for k in (2, 3):
+            yield base, blowup(base, k, k)
+            yield blowup(base, k, k), base
+        for make2, _ in FIXTURES.values():
+            if make2().alphabet == base.alphabet:
+                yield base, make2()
+        for i, t in enumerate(base.transitions):
+            bumped = replace(t, priority=t.priority + 1)
+            changed = base.transitions[:i] + (bumped,) + base.transitions[i + 1:]
+            yield base, replace(base, transitions=changed, priority_range=(base.d_min, base.d_max + 1))
+    rng = random.Random(30)
+    for _ in range(400):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        dmax = rng.randint(1, 4)
+        yield (random_automaton(rng, rng.randint(1, 6), letters, dmax),
+               random_automaton(rng, rng.randint(1, 6), letters, dmax))
+
+
+def test_lang_equal_det_matches_two_inclusions():
+    # one product and two kernel runs give the answer and word of the two
+    # inclusions; every kind of answer occurs
+    kinds = set()
+    for a, b in _equality_pairs():
+        got = lang_equal_det(a, b)
+        assert got == reference_lang_equal_det(a, b), (a, b)
+        kinds.add(True if got is True else got[0])
+    assert kinds == {True, "left-minus-right", "right-minus-left"}
+
+
+def test_lang_equal_det_raises_value_error():
+    # on eps-transitions, nondeterminism, a missing move, or a letter that
+    # only one side reads, where the one product would miss words
+    det = aut_buchi_a_or_reach_aa()
+    nondet = build(2, ("a", "b"), 0, [(0, "a", 0, 0), (0, "a", 1, 1), (0, "b", 0, 0),
+                                      (1, "a", 0, 1), (1, "b", 0, 1)])
+    eps = build(1, ("a", "b"), 0, [(0, "a", 0, 0), (0, "b", 0, 0), (0, EPS, 1, 0)])
+    declared = replace(eps, deterministic=True)  # eps under a deterministic flag
+    incomplete = build(1, ("a", "b"), 0, [(0, "a", 0, 0)], deterministic=True)
+    wider = aut_accept_all(("a", "b", "c"))
+    for bad in (nondet, eps, declared, incomplete, wider):
+        for a, b in ((bad, det), (det, bad)):
+            with pytest.raises(ValueError):
+                lang_equal_det(a, b)
+    with pytest.raises(ValueError):  # the product of the two reads no c
+        lang_equal_det(aut_accept_all(), wider)
 
 
 def test_missing_letter_raises_value_error():

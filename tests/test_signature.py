@@ -1,7 +1,9 @@
 import random
+from functools import partial
 
 import pytest
 
+from posaut import signature
 from posaut.automaton import (
     access_word,
     bisimulation_quotient,
@@ -11,8 +13,9 @@ from posaut.automaton import (
     up_membership,
     upword,
 )
-from posaut.lang import lang_equal_det, residual_congruence, safe_incl
+from posaut.lang import lang_equal_det, residual_congruence, residual_preorder, safe_incl
 from posaut.normalform import normalize
+from posaut.progress import check_progress_consistency
 from posaut.signature import (
     NestedPreorders,
     PipelineError,
@@ -511,6 +514,80 @@ def test_restart_bound(rng):
     for _ in range(60):
         aut = random_automaton(rng, rng.randint(1, 5), ("a", "b"), dmax=3)
         assert isinstance(decide_positionality_p1(aut), (Positional, NotPositional))
+
+
+def _restart_inputs():
+    """The zoo fixtures with their k = 2-4 blow-ups (seeds 0-2), then 300
+    seeded random DPAs with n <= 9 with their k = 2 blow-ups."""
+    for make, _ in FIXTURES.values():
+        base = make()
+        yield base
+        for k in (2, 3, 4):
+            for seed in range(3):
+                yield blowup(base, k, seed)
+    rng = random.Random(30)
+    for seed in range(300):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        aut = random_automaton(rng, rng.randint(1, 9), letters, dmax=rng.randint(1, 4))
+        yield aut
+        yield blowup(aut, 2, seed)
+
+
+def _spy_passes(monkeypatch, check=None):
+    """Wrap p1's passes: `check(aut, memo, x)` runs before each restart's
+    pass, for the level x of the shrink behind it; returns the list of
+    those levels."""
+    one_pass, levels, last = signature._one_pass, [], {}
+
+    def spy(aut, memo, **kwargs):
+        if memo:  # every pass but a decision's first gets a filled memo
+            levels.append(last[id(memo)])
+            if check:
+                check(aut, memo, levels[-1])
+        out = one_pass(aut, memo, **kwargs)
+        if isinstance(out, tuple):
+            last[id(memo)] = out[2]
+        return out
+
+    monkeypatch.setattr(signature, "_one_pass", spy)
+    return levels
+
+
+def test_restarts_carry_ranks_and_progress_consistency(monkeypatch):
+    # a restart takes its residual preorder from the automaton polishing
+    # shrank, and after a level-0 shrink the plain progress consistency of
+    # the pass automaton: both must be what a fresh computation gives
+
+    def check(aut, memo, x):
+        fresh = residual_preorder(aut)
+        assert memo[aut] == fresh and list(memo[aut].rank) == list(fresh.rank)
+        assert (memo.get("progress") is aut) == (x == 0)
+        if x == 0:
+            assert check_progress_consistency(aut, fresh) is True
+
+    levels = _spy_passes(monkeypatch, check)
+    for aut in _restart_inputs():
+        decide_positionality_p1(aut)
+    assert levels.count(0) >= 300 and len(levels) - levels.count(0) >= 80
+
+
+def test_level_0_restarts_build_one_residual_product(monkeypatch):
+    # min_letter_even(4) blown up three times restarts five times, each
+    # after a level-0 shrink: the first pass's residual product and plain
+    # progress check serve every restart
+    calls = {"residual_preorder": 0, "check_progress_consistency": 0}
+    for name in calls:
+        monkeypatch.setattr(signature, name, partial(_counted, calls, name, getattr(signature, name)))
+    levels = _spy_passes(monkeypatch)
+    res = decide_positionality_p1(blowup(FIXTURES["min_letter_even"][0](), 3, 1))
+    assert isinstance(res, Positional)
+    assert levels == [0] * 5
+    assert calls == {"residual_preorder": 1, "check_progress_consistency": 1}
+
+
+def _counted(calls, name, fn, *args):
+    calls[name] += 1
+    return fn(*args)
 
 
 def test_positional_certificates_validate():
