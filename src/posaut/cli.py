@@ -16,6 +16,7 @@ from .automaton import (
     FormatError,
     emit_dpa,
     parse_dpa,
+    parse_upword,
     up_membership,
     upword,
 )
@@ -65,12 +66,6 @@ def _tokens(text):
     if text is None or text.strip() in ("-", ""):
         return ()
     return tuple(text.split())
-
-
-def _upword_arg(text):
-    from .automaton import parse_upword
-
-    return parse_upword(text)
 
 
 class _Out:
@@ -308,13 +303,13 @@ def cmd_gadget(args, out):
         g = gadget_residual(
             _tokens(args.u1),
             _tokens(args.u2),
-            _upword_arg(args.w1),
-            _upword_arg(args.w2),
+            parse_upword(args.w1),
+            parse_upword(args.w2),
             objective,
         )
     elif args.kind == "progress":
         g = gadget_progress(
-            _tokens(args.u), _tokens(args.w), _upword_arg(args.wprime), objective
+            _tokens(args.u), _tokens(args.w), parse_upword(args.wprime), objective
         )
     elif args.kind == "two-loops":
         g = gadget_two_loops(

@@ -35,6 +35,14 @@ from .automaton import (
     tarjan_scc,
 )
 from .parityunion import StreamObjective
+from .witnesses import (
+    CompletionFailure,
+    FullProgressFailure,
+    IncomparableResiduals,
+    PolishLanguageChange,
+    ProgressFailure,
+    SafeOrderFailure,
+)
 
 EVE = "eve"
 ADAM = "adam"
@@ -736,15 +744,6 @@ def gadget_for_witness(witness, objective: ParityAutomaton, aut=None, w_det=None
     gadgets keep `objective`, whose arenas are a few lasso paths.
     Returns a Gadget or None when the witness carries no game data.
     """
-    from .witnesses import (
-        CompletionFailure,
-        FullProgressFailure,
-        IncomparableResiduals,
-        PolishLanguageChange,
-        ProgressFailure,
-        SafeOrderFailure,
-    )
-
     if isinstance(witness, IncomparableResiduals):
         return gadget_residual(witness.u1, witness.u2, witness.w1, witness.w2, objective)
     if isinstance(witness, ProgressFailure):

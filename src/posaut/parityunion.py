@@ -1,14 +1,15 @@
 """Deterministic parity automata for unions of min-parity conditions.
 
-A letter carries a tuple of priorities, one per stream; a word is good when
+A colour carries a tuple of priorities, one per stream; a word is good when
 some stream's minimal recurring priority is even.  The acceptance depends
-only on the set of letters seen infinitely often, so it is a Muller
-condition; the Zielonka tree of that condition yields a small deterministic
-`ParityAutomaton` (states are the tree's leaves, transitions walk the tree
-with round-robin child switching).  A `StreamObjective` is a deterministic
-automaton whose steps carry such priority tuples; the game solver reads
-its streams directly, and the union automaton is built only to
-materialise it as one `ParityAutomaton`.
+only on the set of colours seen infinitely often, so it is a Muller
+condition.  `cascade`, the one walk from its Zielonka tree to transitions,
+builds the product of a deterministic automaton whose steps emit colours
+with the tree's parity automaton (Casares, Colcombet and Fijalkow, ICALP
+2021).  `union_parity_automaton` cascades a one-state automaton whose
+colours are its letters; `StreamObjective.materialise` cascades an
+automaton whose steps carry priority tuples, which the game solver reads
+as it is.
 """
 
 from __future__ import annotations
@@ -16,26 +17,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .automaton import ParityAutomaton, Transition, build
+from .automaton import ParityAutomaton, build
 
 
 @dataclass
 class ZNode:
-    letters: int  # bitmask: bit j is the j-th letter in sorted order
+    letters: int  # bitmask: bit j is the condition's j-th colour
     accept: bool
-    depth: int
     children: list = field(default_factory=list)
     first_leaf: int | None = None  # leftmost leaf at or below, once numbered
 
 
 class _Condition:
-    """The union condition over `letters`, with letter sets as bitmasks:
-    bit j is the j-th letter in sorted order.  `exactly[i]` lists, by
-    increasing priority t, the pairs (t, letters whose stream-i priority is
-    t)."""
+    """The union condition over `colours`, with colour sets as bitmasks: bit
+    j is `colours[j]`, in the order given, whose stream priorities are
+    `tuples[colours[j]]`.  `exactly[i]` lists, by increasing priority t, the
+    pairs (t, colours whose stream-i priority is t)."""
 
-    def __init__(self, letters, tuples):
-        self.names = sorted(set(letters))
+    def __init__(self, colours, tuples):
+        self.names = list(colours)
         self.full = (1 << len(self.names)) - 1
         k = len(tuples[self.names[0]])
         self.exactly = []
@@ -47,7 +47,7 @@ class _Condition:
             self.exactly.append(sorted(eq.items()))
 
     def accepts(self, mask) -> bool:
-        """Some stream's least priority over the letters of `mask` is even."""
+        """Some stream's least priority over the colours of `mask` is even."""
         for eq in self.exactly:
             for t, m in eq:
                 if mask & m:
@@ -59,77 +59,74 @@ class _Condition:
     def bits(self, mask) -> list[int]:
         return [j for j in range(len(self.names)) if mask >> j & 1]
 
+    def children(self, mask, accept):
+        """The maximal subsets of `mask` whose acceptance differs from
+        `accept`, sorted by their colours, as candidates cut by per-stream
+        thresholds: a candidate is the AND of `mask` with per-stream masks
+        "priority >= t", for the priorities t present in `mask`."""
+        at_least = []  # per stream, (t, colours of `mask` with priority >= t)
+        for eq in self.exactly:
+            ge, acc = [], 0
+            for t, m in reversed(eq):
+                if mask & m:
+                    acc |= m & mask
+                    ge.append((t, acc))
+            at_least.append(ge)
+        candidates = []
+        if accept:
+            # maximal subsets where every stream's minimum is odd: raise each
+            # stream above an odd threshold (or leave it unconstrained)
+            options = [[mask] + [m for t, m in ge if t % 2 == 1] for ge in at_least]
+            tried = set()
+            for masks in iproduct(*options):
+                sub = mask
+                for m in masks:
+                    sub &= m
+                if sub and sub not in tried:
+                    tried.add(sub)
+                    if not self.accepts(sub):
+                        candidates.append(sub)
+        else:
+            # maximal subsets where some stream's minimum is even: cut one
+            # stream at an even value
+            for ge in at_least:
+                for t, sub in ge:
+                    if t % 2 == 0 and self.accepts(sub):
+                        candidates.append(sub)
+        maximal = []
+        for s in candidates:
+            if s in maximal or any(s & t == s and s != t for t in candidates):
+                continue
+            maximal.append(s)
+        return sorted(maximal, key=self.bits)
 
-def _children_sets(cond: _Condition, mask, accept):
-    """The maximal subsets of `mask` whose acceptance differs from `accept`,
-    sorted by their letters, as candidates cut by per-stream thresholds: a
-    candidate is the AND of `mask` with per-stream masks "priority >= t", for
-    the priorities t present in `mask`."""
-    at_least = []  # per stream, (t, letters of `mask` with priority >= t)
-    for eq in cond.exactly:
-        ge, acc = [], 0
-        for t, m in reversed(eq):
-            if mask & m:
-                acc |= m & mask
-                ge.append((t, acc))
-        at_least.append(ge)
-    candidates = []
-    if accept:
-        # maximal subsets where every stream's minimum is odd: raise each
-        # stream above an odd threshold (or leave it unconstrained)
-        options = [[mask] + [m for t, m in ge if t % 2 == 1] for ge in at_least]
-        tried = set()
-        for masks in iproduct(*options):
-            sub = mask
-            for m in masks:
-                sub &= m
-            if sub and sub not in tried:
-                tried.add(sub)
-                if not cond.accepts(sub):
-                    candidates.append(sub)
-    else:
-        # maximal subsets where some stream's minimum is even: cut one stream
-        # at an even value
-        for ge in at_least:
-            for t, sub in ge:
-                if t % 2 == 0 and cond.accepts(sub):
-                    candidates.append(sub)
-    maximal = []
-    for s in candidates:
-        if s in maximal or any(s & t == s and s != t for t in candidates):
-            continue
-        maximal.append(s)
-    return sorted(maximal, key=cond.bits)
 
+def zielonka_tree(cond: _Condition) -> ZNode:
+    """The Zielonka tree of `cond`, children in the order of their sorted
+    colours.  Children are computed once per distinct colour set."""
+    known = {}  # colour set -> (accept, children)
 
-def zielonka_tree(letters, tuples) -> ZNode:
-    """The Zielonka tree of the union condition over `letters`, children in
-    the order of their sorted letters.  Children are computed once per
-    distinct letter set."""
-    cond = _Condition(letters, tuples)
-    known = {}  # letter set -> (accept, children)
-
-    def subtree(mask, depth):
+    def subtree(mask):
         if mask not in known:
             accept = cond.accepts(mask)
-            known[mask] = accept, _children_sets(cond, mask, accept)
+            known[mask] = accept, cond.children(mask, accept)
         accept, children = known[mask]
-        node = ZNode(mask, accept, depth)
-        node.children = [subtree(c, depth + 1) for c in children]
-        return node
+        return ZNode(mask, accept, [subtree(c) for c in children])
 
-    return subtree(cond.full, 0)
+    return subtree(cond.full)
 
 
-def union_parity_automaton(letters, tuples) -> ParityAutomaton:
-    """The Zielonka-tree automaton for the union condition over `letters`:
-    deterministic and complete, with the tree's leaves as states, leaf 0
-    initial, and transitions in (leaf, letter) order.  From a leaf, a letter
-    goes up to the deepest node of the leaf's branch that holds it.  That
-    node's depth (plus one if the root rejects) is the priority, and the
-    successor is the leftmost leaf of its next child round-robin, or the
-    leaf itself."""
-    root = zielonka_tree(letters, tuples)
+def cascade(n_states, initial, alphabet, step, condition) -> ParityAutomaton:
+    """The product of a deterministic automaton with the Zielonka-tree
+    automaton of `condition`: `step(q, a)` gives the colour and the
+    successor of state q on letter a.  State q1 * m + q2 is the pair (q1,
+    leaf q2) of the tree's m leaves, the initial state is (`initial`, leaf
+    0), and transitions are in (state, leaf, letter) order.  From a leaf, a
+    colour goes up to the deepest node of the leaf's branch that holds it.
+    That node's depth (plus one if the root rejects) is the priority, and
+    the successor leaf is the leftmost leaf of its next child round-robin,
+    or the leaf itself."""
+    root = zielonka_tree(condition)
     branches = []  # per leaf, its (node, position among its siblings) from the root
 
     def collect(node, path):
@@ -141,10 +138,9 @@ def union_parity_automaton(letters, tuples) -> ParityAutomaton:
 
     collect(root, [(root, 0)])
     base = 0 if root.accept else 1
-    bit = {a: j for j, a in enumerate(sorted(set(letters)))}
-    trans = []
+    moves = []  # per leaf, colour bit -> (priority, successor leaf)
     for idx, branch in enumerate(branches):
-        move = {}  # letter bit -> (priority, successor)
+        move = {}
         below, nxt = 0, idx
         for depth in range(len(branch) - 1, -1, -1):
             node = branch[depth][0]
@@ -152,17 +148,32 @@ def union_parity_automaton(letters, tuples) -> ParityAutomaton:
                 # the leftmost leaf of the child after the branch's, round-robin
                 kids = node.children
                 nxt = kids[(branch[depth + 1][1] + 1) % len(kids)].first_leaf
-            # the letters whose deepest node on the branch is this one
+            # the colours whose deepest node on the branch is this one
             fresh = node.letters & ~below
             below = node.letters
             while fresh:
                 low = fresh & -fresh
                 move[low.bit_length() - 1] = (depth + base, nxt)
                 fresh ^= low
-        for a in letters:
-            p, t = move[bit[a]]
-            trans.append((idx, a, p, t))
-    return build(len(branches), letters, 0, trans, deterministic=True)
+        moves.append(move)
+    bit = {c: j for j, c in enumerate(condition.names)}
+    rows = [[step(q, a) for a in alphabet] for q in range(n_states)]
+    m = len(branches)
+    trans = []
+    for q1, row in enumerate(rows):
+        for q2, move in enumerate(moves):
+            for a, (c, r1) in zip(alphabet, row):
+                p, t = move[bit[c]]
+                trans.append((q1 * m + q2, a, p, r1 * m + t))
+    return build(n_states * m, alphabet, initial * m, trans, deterministic=True)
+
+
+def union_parity_automaton(letters, tuples) -> ParityAutomaton:
+    """The Zielonka-tree automaton for the union condition over `letters`:
+    the cascade of a one-state automaton whose colours are its letters in
+    sorted order, so its states are the tree's leaves."""
+    cond = _Condition(sorted(set(letters)), tuples)
+    return cascade(1, 0, letters, lambda q, a: (a, 0), cond)
 
 
 class StreamObjective:
@@ -172,11 +183,8 @@ class StreamObjective:
     a)` gives the tuple of stream priorities and the successor of state q
     on letter a, and `d_max` bounds every stream's priorities.
 
-    `materialise` builds the equal `ParityAutomaton`: the cascade of this
-    automaton with the union automaton of its stream tuples, whose letter
-    each step chooses.  State q1 * m + q2 is the pair (q1, union state q2),
-    transitions are in (state, letter) order, and the priorities are the
-    union automaton's."""
+    `materialise` builds the equal `ParityAutomaton`: the `cascade` of this
+    automaton whose colours are its stream tuples."""
 
     deterministic = True
     has_eps = False
@@ -190,22 +198,10 @@ class StreamObjective:
         self.d_max = d_max
 
     def materialise(self) -> ParityAutomaton:
-        rows = [[self.step(q, a) for a in self.alphabet] for q in range(self.n_states)]
-        tuples = sorted({s for row in rows for s, _ in row})
-        names = {s: f"c{i}" for i, s in enumerate(tuples)}
-        union = union_parity_automaton(list(names.values()), {names[s]: s for s in tuples})
-        m = union.n_states
-        trans = []
-        for q1, row in enumerate(rows):
-            for q2 in range(m):
-                for a, (s, r1) in zip(self.alphabet, row):
-                    t = union.delta[names[s]][q2]
-                    trans.append(Transition(q1 * m + q2, a, t.priority, r1 * m + t.dst))
-        return ParityAutomaton(
-            n_states=self.n_states * m,
-            alphabet=self.alphabet,
-            initial=self.initial * m + union.initial,
-            transitions=tuple(trans),
-            priority_range=union.priority_range,
-            deterministic=True,
-        )
+        # the colours in the text order of the names c0, c1, ... of the sorted
+        # tuples (c10 before c2): leaves are numbered in colour order, and
+        # `posaut gadget --obj-out` has always written the automaton it gives
+        tuples = sorted({self.step(q, a)[0] for q in range(self.n_states) for a in self.alphabet})
+        colours = [tuples[i] for i in sorted(range(len(tuples)), key=str)]
+        cond = _Condition(colours, dict(zip(colours, colours)))
+        return cascade(self.n_states, self.initial, self.alphabet, self.step, cond)

@@ -27,6 +27,7 @@ from .automaton import (
     bisimulation_quotient,
     emit_dpa,
     explore,
+    is_faithful,
     one_per_src_letter,
     parse_dpa,
     rebuild,
@@ -601,8 +602,6 @@ def find_two_loops(aut: ParityAutomaton) -> TwoLoopData:
 def validate_signature(sig: SignatureAutomaton, memo=None):
     """Exhaustively check the signature conditions; True or a violation list.
     `memo` as in `_residuals`."""
-    from .automaton import is_faithful
-
     aut = sig.automaton
     pre = sig.preorders
     d = sig.d

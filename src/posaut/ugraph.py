@@ -9,8 +9,9 @@ property are checked exhaustively at desk scale.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .automaton import (
     EdgeGraph,
@@ -296,8 +297,6 @@ def check_universality_bounded(
     satisfying ones.  Returns a report dict; counterexample graphs are
     listed under 'failures'.  Raises ValueError when the exhaustive part
     would enumerate more than `limit` graphs."""
-    import random
-
     if k < 1:
         raise ValueError("graph size bound must be at least 1")
     # n vertices give each vertex one of 2^(n*|letters|) - 1 nonempty edge sets
@@ -329,7 +328,6 @@ def check_universality_bounded(
         per_src = {}
         for i, (s, a, t) in enumerate(slots):
             per_src.setdefault(s, []).append(i)
-        from itertools import combinations
 
         def subsets_nonempty(idxs):
             for r in range(1, len(idxs) + 1):

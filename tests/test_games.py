@@ -563,16 +563,16 @@ def test_oracle_matches_reference():
 
 
 def test_gadget_check_does_not_materialise_the_objective(monkeypatch):
-    # the check path of a completion gadget builds no union DPA: it is built
-    # only to materialise the objective as one parity automaton
+    # the check path of a completion gadget builds no Zielonka-tree automaton:
+    # it is built only to materialise the objective as one parity automaton
     calls = []
-    union_parity_automaton = parityunion.union_parity_automaton
+    cascade = parityunion.cascade
 
-    def spy(letters, tuples):
-        calls.append(len(letters))
-        return union_parity_automaton(letters, tuples)
+    def spy(n_states, initial, alphabet, step, condition):
+        calls.append(n_states)
+        return cascade(n_states, initial, alphabet, step, condition)
 
-    monkeypatch.setattr(parityunion, "union_parity_automaton", spy)
+    monkeypatch.setattr(parityunion, "cascade", spy)
     aut = aut_reach_aa()
     g = gadget_for_witness(decide_positionality_p2(aut).witness, aut, aut=aut, w_det=aut)
     games._last_solve.clear()
