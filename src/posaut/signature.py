@@ -4,11 +4,14 @@ consistent structured signature automaton, or report a positionality failure.
 The pipeline loops over even priorities x: saturate the (x-1)-transitions
 over the level-(x-2) classes, centralise (<x)-safe components, check that
 safe-language inclusion totally orders each class, re-determinise with the
-round-robin component rule, and polish x-transitions.  Any shrink triggers a
-language check and a restart on the smaller automaton; the total number of
-restarts is bounded by d * |Q|.  One decision computes the residual preorder
-of each automaton it meets once, and its safe-language inclusion once per
-level, each for all pairs of states at once.
+round-robin component rule, and polish x-transitions.  Polishing cuts the
+level's unpolished classes one after another, trimming between cuts, and
+a chain of cuts triggers one language check and one restart on the
+smaller automaton; `_run_pipeline` allows at most (d + 2) * |Q| + 4
+restarts, for the top priority d and the |Q| states of the trimmed,
+normalised input.  One decision computes the residual preorder of each
+automaton it meets once, and its safe-language inclusion once per level,
+each for all pairs of states at once.
 """
 
 from __future__ import annotations
@@ -147,9 +150,10 @@ def _residuals(aut: ParityAutomaton, memo) -> ResidualPreorder:
     progress consistency is known to hold (`_run_pipeline`)."""
     if memo is None:
         return residual_preorder(aut)
-    if aut not in memo:
-        memo[aut] = residual_preorder(aut)
-    return memo[aut]
+    rp = memo.get(aut)  # hashing an automaton hashes all its transitions
+    if rp is None:
+        rp = memo[aut] = residual_preorder(aut)
+    return rp
 
 
 def _incomparable(aut: ParityAutomaton, rp: ResidualPreorder) -> NotPositional:
@@ -414,28 +418,20 @@ def _aux_graph(aut, x, members):
     return edges
 
 
-def polish(aut: ParityAutomaton, x: int, classes: Congruence):
-    """Per-class x-polishing of the deterministic `aut`.
-
-    Returns ("structured", A') with canonical x-transition targets when every
-    class is already polished; ("shrunk", A') after cutting the first
-    unpolished class to the final SCC with the least member of its auxiliary
-    graph (`_aux_graph`); or ("stuck", None) when that SCC is the whole
-    class, which cannot happen for positional languages.  Raises
-    `PipelineError` when some letter has no move or more than one from a
-    state.
-    """
-    try:
-        aut.delta  # the per-letter tables both searches read
-    except ValueError:
-        raise PipelineError("polish expects a deterministic automaton") from None
+def _first_unpolished(aut, x, classes):
+    """The members of the first class of `classes` with at least two states
+    that is not x-polished (`_class_unpolished`), or None."""
     sccs = safe_components(aut, x + 1)
     for c in range(classes.n_classes):
         members = classes.members(c)
         if len(members) > 1 and _class_unpolished(aut, x, members, sccs):
-            break
-    else:
-        return "structured", _canonicalise_x_targets(aut, x, classes)
+            return members
+    return None
+
+
+def _least_final_scc(aut, x, members) -> set[int]:
+    """The final SCC of the class's auxiliary graph (`_aux_graph`) with the
+    least member."""
     edges = _aux_graph(aut, x, members)
     remap = {q: i for i, q in enumerate(members)}
     comps = tarjan_scc(len(members), ((remap[u], remap[v]) for (u, v) in edges))
@@ -448,21 +444,49 @@ def polish(aut: ParityAutomaton, x: int, classes: Congruence):
         if comp_of[remap[u]] != comp_of[remap[v]]:
             outgoing.add(comp_of[remap[u]])
     finals = [i for i in range(len(comps)) if i not in outgoing]
-    final_sets = sorted(
-        ([members[j] for j in comps[i]] for i in finals), key=min
-    )
-    s_states = set(final_sets[0])
-    if s_states == set(members):
-        return "stuck", None
-    q0 = min(s_states)
-    doomed = set(members) - s_states
-    keep = [q for q in aut.states() if q not in doomed]
-    image = [q0 if q in doomed else q for q in aut.states()]
+    return min(({members[j] for j in comps[i]} for i in finals), key=min)
 
-    def priority(t):
-        return min(t.priority, x) if t.dst in doomed else t.priority
 
-    return "shrunk", rebuild(aut, keep, image, priority)
+def polish(aut: ParityAutomaton, x: int, classes: Congruence):
+    """Per-class x-polishing of the deterministic `aut`.
+
+    Returns ("structured", A') with canonical x-transition targets when every
+    class is already polished, and ("stuck", None) when the first
+    unpolished class is stuck: the final SCC with the least member of its
+    auxiliary graph (`_aux_graph`) is the whole class, which cannot happen
+    for positional languages.  Otherwise it cuts that class to that SCC,
+    trims the result, restricts `classes` to the states left (numbered
+    again by least state) and cuts the next unpolished class of the trimmed
+    automaton in the same way, until the level is polished or the next
+    class is stuck; it returns ("shrunk", A') with the last automaton, so
+    one language check and one restart serve the whole chain of cuts.
+    Raises `PipelineError` when some letter has no move or more than one
+    from a state.
+    """
+    try:
+        aut.delta  # the per-letter tables both searches read
+    except ValueError:
+        raise PipelineError("polish expects a deterministic automaton") from None
+    shrunk = False
+    while (members := _first_unpolished(aut, x, classes)) is not None:
+        s_states = _least_final_scc(aut, x, members)
+        if s_states == set(members):
+            break
+        q0 = min(s_states)
+        doomed = set(members) - s_states
+        keep = [q for q in aut.states() if q not in doomed]
+        image = [q0 if q in doomed else q for q in aut.states()]
+        cut = rebuild(
+            aut, keep, image, lambda t: min(t.priority, x) if t.dst in doomed else t.priority
+        )
+        left = sorted(cut.reachable())
+        aut, classes = cut.trim(), Congruence.by_key(classes.class_of[keep[q]] for q in left)
+        shrunk = True
+    if shrunk:
+        return "shrunk", aut
+    if members is None:
+        return "structured", _canonicalise_x_targets(aut, x, classes)
+    return "stuck", None
 
 
 def _canonicalise_x_targets(aut: ParityAutomaton, x: int, classes: Congruence):

@@ -592,7 +592,8 @@ def reference_full_progress_consistency(sig):
 # ---------------------------------------------------------------------------
 # Polishing with one breadth-first search per ordered pair of class members
 # and per-state reach sets: the references for `signature._aux_graph` and
-# `signature._class_unpolished`
+# `signature._class_unpolished`; and polishing one class per pass, the
+# reference for `signature.polish`'s chained cuts
 # ---------------------------------------------------------------------------
 
 
@@ -664,6 +665,48 @@ def reference_aux_graph(aut, x, members):
                         seen.add(node)
                         queue.append(node)
     return edges
+
+
+def reference_polish(aut, x, classes):
+    """`signature.polish` cutting one class: the first unpolished class is
+    cut to the final SCC with the least member of its auxiliary graph, and
+    the cut automaton is returned as it is, untrimmed, for the restart to
+    polish the level's other classes."""
+    from posaut.automaton import rebuild, safe_components
+    from posaut.signature import (
+        PipelineError,
+        _aux_graph,
+        _canonicalise_x_targets,
+        _class_unpolished,
+    )
+
+    try:
+        aut.delta
+    except ValueError:
+        raise PipelineError("polish expects a deterministic automaton") from None
+    sccs = safe_components(aut, x + 1)
+    for c in range(classes.n_classes):
+        members = classes.members(c)
+        if len(members) > 1 and _class_unpolished(aut, x, members, sccs):
+            break
+    else:
+        return "structured", _canonicalise_x_targets(aut, x, classes)
+    edges = _aux_graph(aut, x, members)
+    remap = {q: i for i, q in enumerate(members)}
+    comps = tarjan_scc(len(members), ((remap[u], remap[v]) for (u, v) in edges))
+    comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
+    outgoing = {comp_of[remap[u]] for (u, v) in edges if comp_of[remap[u]] != comp_of[remap[v]]}
+    finals = [i for i in range(len(comps)) if i not in outgoing]
+    s_states = set(min(([members[j] for j in comps[i]] for i in finals), key=min))
+    if s_states == set(members):
+        return "stuck", None
+    q0 = min(s_states)
+    doomed = set(members) - s_states
+    keep = [q for q in aut.states() if q not in doomed]
+    image = [q0 if q in doomed else q for q in aut.states()]
+    return "shrunk", rebuild(
+        aut, keep, image, lambda t: min(t.priority, x) if t.dst in doomed else t.priority
+    )
 
 
 # ---------------------------------------------------------------------------

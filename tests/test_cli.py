@@ -248,6 +248,32 @@ def test_completion_gadget_objective_text(tmp_path, capsys):
     assert hashlib.sha256(text).hexdigest() == digest
 
 
+def test_completion_gadget_objective_text_order(tmp_path, capsys):
+    # with 14 colours the leaves follow the text order of the colour names
+    # c0, c1, ... (c10 before c2), pinned by the digest; numbering the
+    # colours in tuple order gives another text
+    from posaut.games import completion_gadget
+    from posaut.parityunion import _Condition, cascade
+
+    aut = aut_min_letter_even(2)
+    src = write(tmp_path / "m.dpa", aut)
+    obj = tmp_path / "obj.dpa"
+    argv = ["gadget", "completion", src, "--q", "0", "--p", "1", "--x", "0"]
+    assert main(argv + ["-o", str(tmp_path / "g.arena"), "--obj-out", str(obj)]) == 0
+    assert "designated: [2, 5]" in capsys.readouterr().out
+    text = obj.read_bytes()
+    assert text.count(b"\ntrans: ") == 99
+    digest = "c56c4511fc0ae029ad9765aef495c9a36b3dd02c4cc0e63c5ed46361d37930ff"
+    assert hashlib.sha256(text).hexdigest() == digest
+    stream = completion_gadget(aut, aut, 0, 1, 0).objective
+    tuples = sorted({stream.step(q, a)[0] for q in range(stream.n_states) for a in stream.alphabet})
+    assert len(tuples) >= 11
+    assert emit_dpa(stream.materialise()).encode() == text
+    cond = _Condition(tuples, dict(zip(tuples, tuples)))
+    in_tuple_order = cascade(stream.n_states, stream.initial, stream.alphabet, stream.step, cond)
+    assert emit_dpa(in_tuple_order).encode() != text
+
+
 def test_zoo_and_seed_reproducibility(tmp_path, capsys):
     out = tmp_path / "z.dpa"
     assert main(["zoo", "reach_aa", "-o", str(out)]) == 0

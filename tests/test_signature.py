@@ -61,6 +61,7 @@ from conftest import (
     reference_class_unpolished,
     reference_hub_loops,
     reference_monoid_loops,
+    reference_polish,
 )
 
 
@@ -366,6 +367,51 @@ def test_polish_rejects_forking_moves():
         polish(aut, 0, congruence_from_classes(2, [[0, 1]]))
 
 
+def _chained_polish_inputs():
+    """The zoo fixtures with their k = 2-4 blow-ups (seeds 0-2), then 200
+    seeded random DPAs with n <= 9, every third blown up."""
+    for make, _ in FIXTURES.values():
+        base = make()
+        yield base
+        for k in (2, 3, 4):
+            for seed in range(3):
+                yield blowup(base, k, seed)
+    rng = random.Random(33)
+    for i in range(200):
+        letters = ("a", "b", "c")[: rng.randint(1, 3)]
+        aut = random_automaton(rng, rng.randint(1, 9), letters, dmax=rng.randint(1, 4))
+        yield blowup(aut, 2, i) if i % 3 == 2 else aut
+
+
+def test_chained_polish_matches_one_class_reference(monkeypatch):
+    # polishing a whole level before a restart against one class per
+    # restart: the same verdicts and negative witnesses, and certificates of
+    # the input's language that validate and are no larger, after fewer
+    # restarts
+    levels = _spy_passes(monkeypatch)
+    kinds, restarts = set(), [0, 0]
+    for aut in _chained_polish_inputs():
+        start = len(levels)
+        out = decide_positionality_p1(aut)
+        restarts[0] += len(levels) - start
+        with monkeypatch.context() as m:
+            m.setattr(signature, "polish", reference_polish)
+            start = len(levels)
+            ref = decide_positionality_p1(aut)
+            restarts[1] += len(levels) - start
+        assert type(out) is type(ref)
+        kinds.add(type(out))
+        if isinstance(out, NotPositional):
+            assert out.witness == ref.witness
+            continue
+        cert = out.certificate
+        assert validate_signature(cert) is True
+        assert lang_equal_det(cert.automaton, aut) is True
+        assert cert.automaton.n_states <= ref.certificate.automaton.n_states
+    assert kinds == {Positional, NotPositional}
+    assert restarts[0] < restarts[1], restarts
+
+
 # -- two-loop witnesses -------------------------------------------------------------
 
 
@@ -517,20 +563,21 @@ def test_restart_bound(rng):
 
 
 def _restart_inputs():
-    """The zoo fixtures with their k = 2-4 blow-ups (seeds 0-2), then 300
-    seeded random DPAs with n <= 9 with their k = 2 blow-ups."""
+    """The zoo fixtures with their k = 2-4 blow-ups (seeds 0-7), then 300
+    seeded random DPAs with n <= 9 with their k = 2 and k = 3 blow-ups."""
     for make, _ in FIXTURES.values():
         base = make()
         yield base
         for k in (2, 3, 4):
-            for seed in range(3):
+            for seed in range(8):
                 yield blowup(base, k, seed)
     rng = random.Random(30)
     for seed in range(300):
         letters = ("a", "b", "c")[: rng.randint(1, 3)]
         aut = random_automaton(rng, rng.randint(1, 9), letters, dmax=rng.randint(1, 4))
         yield aut
-        yield blowup(aut, 2, seed)
+        for k in (2, 3):
+            yield blowup(aut, k, seed)
 
 
 def _spy_passes(monkeypatch, check=None):
@@ -572,16 +619,16 @@ def test_restarts_carry_ranks_and_progress_consistency(monkeypatch):
 
 
 def test_level_0_restarts_build_one_residual_product(monkeypatch):
-    # min_letter_even(4) blown up three times restarts five times, each
-    # after a level-0 shrink: the first pass's residual product and plain
-    # progress check serve every restart
+    # min_letter_even(4) blown up three times restarts twice, each after a
+    # level-0 shrink that polishes the whole level: the first pass's
+    # residual product and plain progress check serve every restart
     calls = {"residual_preorder": 0, "check_progress_consistency": 0}
     for name in calls:
         monkeypatch.setattr(signature, name, partial(_counted, calls, name, getattr(signature, name)))
     levels = _spy_passes(monkeypatch)
     res = decide_positionality_p1(blowup(FIXTURES["min_letter_even"][0](), 3, 1))
     assert isinstance(res, Positional)
-    assert levels == [0] * 5
+    assert levels == [0, 0]
     assert calls == {"residual_preorder": 1, "check_progress_consistency": 1}
 
 
